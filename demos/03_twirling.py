@@ -4,9 +4,11 @@ Twirling arbitrary states into the two-parameter family
 
 A short sequence of "apply U (x) U with some probability" rounds (phase
 ladders, level sign flips, a 0<->1 swap, an outer-level cycle average and a
-two-sided Hadamard) projects any 2 x d state onto the family.  Implemented
-as exact convex mixtures, the pipeline reaches the family at machine
-precision, keeps the singlet weight fixed, and can only lower entanglement.
+two-sided Hadamard) projects any 2 x d state onto the family.  The projection
+is known in closed form, so `twirl` computes it directly; `locc_stages` runs
+the rounds as exact convex mixtures and reaches the same state at machine
+precision.  Either way the singlet weight stays fixed and entanglement can
+only drop.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from qucorr import (
     check_family_invariance,
     classify_family,
     correlation_report,
+    locc_stages,
     negativity_trace_norm,
     random_density_matrix,
     singlet_weight,
@@ -53,11 +56,13 @@ again = twirl(report.output)
 drift = np.max(np.abs(again.output.matrix - report.output.matrix))
 print(f"\ntwirling twice changes nothing: max drift = {drift:.2e}")
 
-# --- stage-by-stage view ---------------------------------------------------
-snapshots = twirl(rho, keep_stages=True).stages
-print(f"\n{len(snapshots)} stage snapshots recorded; singlet weight through the pipeline:")
+# --- stage-by-stage view: the LOCC protocol itself ------------------------
+snapshots = locc_stages(rho)
+print(f"\n{len(snapshots)} stage snapshots recorded; singlet weight through the protocol:")
 for name, state in snapshots[:8]:
     print(f"  after {name:<14} {singlet_weight(state):.12f}")
+gap = np.max(np.abs(snapshots[-1][1].matrix - report.output.matrix))
+print(f"protocol output vs closed-form projection: max difference = {gap:.2e}")
 
 # --- why it works: the family is the invariant manifold -------------------
 s = TwoParamState(d=4, alpha=0.1, gamma=0.3)

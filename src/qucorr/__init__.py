@@ -5,7 +5,7 @@ quantum discord and entanglement negativity for bipartite 2 x d systems
 along two independent routes: closed forms for a highly symmetric
 two-parameter family of states, and a numeric optimization over projective
 qubit measurements that works for arbitrary states.  An LOCC twirling
-pipeline maps any 2 x d state onto the family.
+projection maps any 2 x d state onto the family.
 """
 
 from .operators import (
@@ -14,6 +14,7 @@ from .operators import (
     DensityMatrix,
     DimensionMismatchError,
     MatrixValidationError,
+    NonFiniteError,
     NonHermitianError,
     NonUnitTraceError,
     NotPositiveSemidefiniteError,
@@ -67,7 +68,6 @@ from .measurement import (
     random_axis,
 )
 from .twirl import (
-    DidNotConvergeError,
     IntermediateWeights,
     LevelOutOfRangeError,
     LocalUnitary,
@@ -78,6 +78,7 @@ from .twirl import (
     hadamard_mix,
     level_sign,
     level_sign_mix,
+    locc_stages,
     phase_mix,
     random_local_unitary,
     swap01,

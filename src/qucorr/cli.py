@@ -5,12 +5,12 @@ Subcommands
 corr     closed-form correlation report for one family member, optionally
          cross-checked by the numeric optimizer
 sweep    CSV scan of the family along one parameter with a second one held fixed
-twirl    map a state file into the family by the twirling pipeline
+twirl    map a state file onto the family by the twirling projection
 discord  numeric correlation report for an arbitrary 2 x d state file
 check    validation, family membership and PPT status of a state file
 
-Exit codes: 0 success, 2 user/input error, 3 convergence failure.  This is
-the only layer that touches files; everything else works on in-memory values.
+Exit codes: 0 success, 2 user/input error.  This is the only layer that
+touches files; everything else works on in-memory values.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .operators import (
     quantum_mutual_information,
 )
 from .statefile import StateFormatError, dumps_density, loads_density
-from .twirl import DidNotConvergeError, twirl
+from .twirl import twirl
 
 CSV_HEADER = "param,alpha,beta,gamma,classical,discord,mutual_info,negativity,invalid"
 
@@ -118,7 +118,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_twirl(args: argparse.Namespace) -> int:
     rho = _read_state(args.infile)
-    report = twirl(rho, tol=args.tol)
+    report = twirl(rho)
     Path(args.out).write_text(dumps_density(report.output), encoding="utf-8")
     print(f"alpha = {_fmt(report.alpha)}")
     print(f"gamma = {_fmt(report.gamma)}")
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--report", action="store_true",
                    help="print the halfway diagonal weights")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_twirl)
 
     p = sub.add_parser("discord", help="numeric correlation report for a state file")
@@ -244,9 +243,6 @@ def main(argv: list[str] | None = None) -> int:
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DidNotConvergeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -34,6 +34,10 @@ class DimensionMismatchError(MatrixValidationError):
     pass
 
 
+class NonFiniteError(MatrixValidationError):
+    pass
+
+
 class NonHermitianError(MatrixValidationError):
     pass
 
@@ -94,13 +98,21 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int,
 
     Raises
     ------
-    DimensionMismatchError, NonHermitianError, NonUnitTraceError,
-    NotPositiveSemidefiniteError
+    NonFiniteError, DimensionMismatchError, NonHermitianError,
+    NonUnitTraceError, NotPositiveSemidefiniteError
         Named after the violated invariant; each carries the residual.
 
-    The input is never renormalized.
+    Finiteness is checked first.  Every tolerance comparison fails closed, so
+    a residual that cannot be compared is a violation.  The input is never
+    renormalized.
     """
     m = np.asarray(matrix, dtype=complex)
+    bad = ~np.isfinite(m)
+    if bad.any():
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NonFiniteError(
+            f"not finite: {int(bad.sum())} NaN/inf entries, first {m[where]} at {where}",
+            residual=float(bad.sum()))
     n = dim_a * dim_b
     if m.ndim != 2 or m.shape != (n, n):
         raise DimensionMismatchError(
@@ -108,16 +120,16 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int,
             residual=float(abs(m.size - n * n)),
         )
     herm = float(np.max(np.abs(m - m.conj().T)))
-    if herm > tol:
+    if not herm <= tol:
         raise NonHermitianError(
             f"not Hermitian: max |M - M^dag| = {herm:.3e} > {tol:.1e}", residual=herm)
     tr = complex(np.trace(m))
     tr_resid = abs(tr - 1.0)
-    if tr_resid > tol:
+    if not tr_resid <= tol:
         raise NonUnitTraceError(
             f"trace is {tr:.12g}, |tr - 1| = {tr_resid:.3e} > {tol:.1e}", residual=tr_resid)
     lam_min = float(np.linalg.eigvalsh(m)[0])
-    if lam_min < -tol:
+    if not lam_min >= -tol:
         raise NotPositiveSemidefiniteError(
             f"smallest eigenvalue {lam_min:.3e} < -{tol:.1e}", residual=-lam_min)
     return DensityMatrix(dim_a=dim_a, dim_b=dim_b, matrix=_freeze(m))

@@ -5,7 +5,8 @@ A state document is
     {"dims": [2, d], "matrix": [[[re, im], ...], ...]}
 
 with the matrix given row-major in the |i j> -> i*d + j basis and every
-entry a two-element [real, imag] array of decimal floats.  Writers emit 17
+entry a two-element [real, imag] array of finite decimal numbers (JSON
+booleans and the NaN/Infinity tokens are rejected).  Writers emit 17
 significant digits so a round trip reproduces the doubles exactly.  This
 module only converts between text and :class:`DensityMatrix`; file handling
 belongs to the caller.
@@ -22,6 +23,10 @@ from .operators import DensityMatrix, validate_density
 
 class StateFormatError(ValueError):
     """The document is not a well-formed state file."""
+
+
+def _reject_constant(token: str):
+    raise StateFormatError(f"non-finite number {token} is not allowed")
 
 
 def dumps_density(rho: DensityMatrix) -> str:
@@ -45,14 +50,15 @@ def loads_density(text: str) -> DensityMatrix:
     validation errors if the matrix is not a density operator.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise StateFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"dims", "matrix"}:
         raise StateFormatError('document must have exactly the keys "dims" and "matrix"')
     dims = doc["dims"]
+    # Exact type tests: bool subclasses int, but a JSON true/false is not a number.
     if (not isinstance(dims, list) or len(dims) != 2
-            or not all(isinstance(x, int) for x in dims)):
+            or not all(type(x) is int for x in dims)):
         raise StateFormatError('"dims" must be a list of two integers')
     dim_a, dim_b = dims
     if dim_a != 2:
@@ -69,7 +75,7 @@ def loads_density(text: str) -> DensityMatrix:
             raise StateFormatError(f"row {i} must have {n} entries")
         for j, cell in enumerate(row):
             if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(x, (int, float)) for x in cell)):
+                    or not all(type(x) in (int, float) for x in cell)):
                 raise StateFormatError(f"entry ({i}, {j}) must be a [re, im] pair")
             m[i, j] = complex(cell[0], cell[1])
     return validate_density(m, dim_a, dim_b)

@@ -1,16 +1,21 @@
 """LOCC twirling of arbitrary qubit-qudit states into the two-parameter family.
 
-The protocol is a fixed sequence of "do U (x) U with probability p, else do
-nothing" rounds, realized here as exact convex mixtures rather than sampled
-trajectories.  Each stage unitary maps the singlet to a phase multiple of
-itself and preserves the diagonal weight outside the qubit block, so the
-output parameters are determined by the input:
+The paper's protocol is a fixed sequence of "do U (x) U with probability p,
+else do nothing" rounds.  Each stage unitary maps the singlet to a phase
+multiple of itself and preserves the diagonal weight outside the qubit
+block, so the output parameters are determined by the input:
 
     gamma_out = <psi-| rho_in |psi->      alpha_out = (outer diagonal mass) / (2d - 4)
 
-One full pass produces a state that is Bell-diagonal on the qubit block; the
-second pass equalizes the three triplet weights exactly, after which the
-state is a family member up to floating-point rounding.
+:func:`twirl` therefore computes the output directly as this closed-form
+projection: the family member with those two parameters.
+
+:func:`locc_stages` keeps the stage sequence itself, realized as exact convex
+mixtures rather than sampled trajectories, as the reference the projection
+is tested against.  One full pass produces a state that is Bell-diagonal on
+the qubit block; the second pass equalizes the three triplet weights
+exactly, after which the state is the projection up to floating-point
+rounding.
 """
 
 from __future__ import annotations
@@ -27,21 +32,9 @@ from .family import (
     nearest_family_member,
 )
 
-# Residual under which the twirled state counts as an exact family member.
-CONVERGENCE_TOL = 1e-10
-MAX_ROUNDS = 8
-
 
 class LevelOutOfRangeError(ValueError):
     """Sign-flip level must lie in {2, ..., d-1}."""
-
-
-class DidNotConvergeError(RuntimeError):
-    """Twirl output never settled onto the family; indicates an implementation fault."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = float(residual)
 
 
 @dataclass(frozen=True)
@@ -81,7 +74,6 @@ class TwirlReport:
     gamma: float
     intermediate_weights: IntermediateWeights
     residual: float
-    stages: tuple[tuple[str, DensityMatrix], ...] | None = None
 
 
 def u_theta(theta: float, d: int) -> LocalUnitary:
@@ -170,28 +162,34 @@ def hadamard_mix(rho: DensityMatrix) -> DensityMatrix:
     return _mix(rho, hadamard(rho.dim_b), 2.0 / 3.0)
 
 
-def _pass_stages(rho: DensityMatrix) -> list[tuple[str, DensityMatrix]]:
-    """One full pass of the protocol, returning every stage output in order."""
+def locc_stages(rho: DensityMatrix) -> list[tuple[str, DensityMatrix]]:
+    """The paper's protocol: two full passes of the stage sequence, returning
+    every stage output in order.  The last snapshot is the twirled state."""
     d = rho.dim_b
     out: list[tuple[str, DensityMatrix]] = []
-    rho = phase_mix(rho, np.pi)
-    out.append(("phase(pi)", rho))
-    for k in range(2, d):
-        rho = level_sign_mix(rho, k)
-        out.append((f"level_sign({k})", rho))
-    rho = phase_mix(rho, np.pi / 2.0)
-    out.append(("phase(pi/2)", rho))
-    rho = swap_mix(rho)
-    out.append(("swap01", rho))
-    rho = t_twirl(rho)
-    out.append(("cycle_avg", rho))
-    rho = hadamard_mix(rho)
-    out.append(("hadamard", rho))
+    for _ in range(2):
+        rho = phase_mix(rho, np.pi)
+        out.append(("phase(pi)", rho))
+        for k in range(2, d):
+            rho = level_sign_mix(rho, k)
+            out.append((f"level_sign({k})", rho))
+        rho = phase_mix(rho, np.pi / 2.0)
+        out.append(("phase(pi/2)", rho))
+        rho = swap_mix(rho)
+        out.append(("swap01", rho))
+        rho = t_twirl(rho)
+        out.append(("cycle_avg", rho))
+        rho = hadamard_mix(rho)
+        out.append(("hadamard", rho))
     return out
 
 
 def _halfway_weights(rho: DensityMatrix) -> IntermediateWeights:
-    """Read the diagonal weights of the post-swap form (before the cycle average)."""
+    """Read the diagonal weights of the post-swap form (before the cycle average).
+
+    The phase, level-sign and swap stages leave every one of these weights
+    fixed, so reading them from the input gives the same values.
+    """
     d = rho.dim_b
     diag = np.real(np.diagonal(rho.matrix))
     levels = tuple(float(0.5 * (diag[j] + diag[d + j])) for j in range(2, d))
@@ -204,46 +202,24 @@ def _halfway_weights(rho: DensityMatrix) -> IntermediateWeights:
     )
 
 
-def twirl(rho: DensityMatrix, tol: float = CONVERGENCE_TOL,
-          max_rounds: int = MAX_ROUNDS, keep_stages: bool = False) -> TwirlReport:
-    """Run the full twirling pipeline and classify the result.
+def twirl(rho: DensityMatrix) -> TwirlReport:
+    """Map a 2 x d state onto the family, with the output of :func:`locc_stages`.
 
-    Two passes of the stage sequence are always applied (the second pass is
-    what equalizes the triplet weights).  The map is exact, so the residual
-    against the rebuilt family member can only exceed ``tol`` through an
-    implementation fault; if it does, extra passes run up to ``max_rounds``
-    before :class:`DidNotConvergeError` is raised.
+    The output is the family member with gamma = <psi-|rho|psi-> and alpha
+    the mean outer diagonal weight of ``rho``.  ``residual`` is the distance
+    between that output and the family member rebuilt from it.
     """
     if rho.dim_a != 2 or rho.dim_b < 3:
         raise ValueError(f"twirl needs a 2 x d state with d >= 3, got dims {rho.dims}")
-    trace: list[tuple[str, DensityMatrix]] = []
-
-    first = _pass_stages(rho)
-    trace.extend(first)
-    # The post-swap state of the first pass carries the level-resolved weights.
-    halfway = _halfway_weights(first[-3][1])
-
-    state = first[-1][1]
-    residual = np.inf
-    candidate = None
-    for _ in range(max_rounds):
-        stages = _pass_stages(state)
-        trace.extend(stages)
-        state = stages[-1][1]
-        candidate, residual = nearest_family_member(state)
-        if residual <= tol:
-            break
-    if residual > tol or candidate is None:
-        raise DidNotConvergeError(
-            f"residual {residual:.3e} still above {tol:.1e} after {max_rounds} extra passes",
-            residual=residual)
+    s, _ = nearest_family_member(rho)
+    output = build_state(s)
+    _, residual = nearest_family_member(output)
     return TwirlReport(
-        output=state,
-        alpha=candidate.alpha,
-        gamma=candidate.gamma,
-        intermediate_weights=halfway,
+        output=output,
+        alpha=s.alpha,
+        gamma=s.gamma,
+        intermediate_weights=_halfway_weights(rho),
         residual=residual,
-        stages=tuple(trace) if keep_stages else None,
     )
 
 

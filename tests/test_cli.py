@@ -238,6 +238,14 @@ class TestCheckCommand:
         assert cp.returncode == 2
         assert "trace" in cp.stderr.lower()
 
+    def test_nan_file_names_non_finite_value(self, tmp_path):
+        text = (FIXTURES / "family_2x3.json").read_text()
+        bad = tmp_path / "nan.json"
+        bad.write_text(text.replace("[0, 0]", "[NaN, 0]", 1))
+        cp = run_cli("check", "--in", str(bad))
+        assert cp.returncode == 2
+        assert "non-finite" in cp.stderr and "NaN" in cp.stderr
+
     def test_unparseable_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -5,6 +5,7 @@ import pytest
 
 from qucorr.operators import (
     DimensionMismatchError,
+    NonFiniteError,
     NonHermitianError,
     NonUnitTraceError,
     NotPositiveSemidefiniteError,
@@ -58,6 +59,21 @@ class TestValidateDensity:
         with pytest.raises(NotPositiveSemidefiniteError) as exc:
             validate_density(m, 2, 3)
         assert exc.value.residual > 0.1
+
+    def test_nan_off_diagonal_rejected(self):
+        m = np.eye(6, dtype=complex) / 6.0
+        m[0, 1] = m[1, 0] = np.nan
+        with pytest.raises(NonFiniteError) as exc:
+            validate_density(m, 2, 3)
+        assert exc.value.residual == 2.0
+        assert "nan" in str(exc.value)
+
+    def test_inf_diagonal_rejected(self):
+        m = np.eye(6, dtype=complex) / 6.0
+        m[2, 2] = np.inf
+        with pytest.raises(NonFiniteError) as exc:
+            validate_density(m, 2, 3)
+        assert "(2, 2)" in str(exc.value)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):

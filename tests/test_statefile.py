@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qucorr.family import TwoParamState, build_state
-from qucorr.operators import NonUnitTraceError, random_density_matrix
+from qucorr.operators import NonFiniteError, NonUnitTraceError, random_density_matrix
 from qucorr.statefile import StateFormatError, dumps_density, loads_density
 
 
@@ -82,6 +82,32 @@ class TestRejections:
         doc["matrix"][0][0] = ["x", 0]
         with pytest.raises(StateFormatError):
             loads_density(json.dumps(doc))
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_cell(self, flag):
+        doc = {"dims": [2, 2],
+               "matrix": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)]
+                          for i in range(4)]}
+        doc["matrix"][0][1] = [flag, 0]
+        with pytest.raises(StateFormatError):
+            loads_density(json.dumps(doc))
+
+    def test_boolean_dimension(self):
+        with pytest.raises(StateFormatError):
+            loads_density('{"dims": [2, true], "matrix": []}')
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token(self, token):
+        text = dumps_density(build_state(TwoParamState(3, 0.1, 0.2)))
+        text = text.replace("[0, 0]", f"[{token}, 0]", 1)
+        with pytest.raises(StateFormatError, match=token):
+            loads_density(text)
+
+    def test_overflowing_number_is_not_finite(self):
+        text = dumps_density(build_state(TwoParamState(3, 0.1, 0.2)))
+        text = text.replace("[0, 0]", "[1e400, 0]", 1)
+        with pytest.raises(NonFiniteError):
+            loads_density(text)
 
     def test_matrix_invariants_still_enforced(self):
         doc = {"dims": [2, 2],

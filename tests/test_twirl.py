@@ -18,6 +18,7 @@ from qucorr.operators import (
 )
 from qucorr.twirl import (
     LevelOutOfRangeError,
+    _halfway_weights,
     LocalUnitary,
     check_family_invariance,
     cycle_t,
@@ -25,6 +26,7 @@ from qucorr.twirl import (
     hadamard_mix,
     level_sign,
     level_sign_mix,
+    locc_stages,
     phase_mix,
     random_local_unitary,
     swap01,
@@ -291,9 +293,7 @@ class TestTwirl:
     def test_stage_snapshots_available_on_request(self):
         rng = np.random.default_rng(10)
         rho = random_density_matrix(2, 3, rng)
-        assert twirl(rho).stages is None
-        report = twirl(rho, keep_stages=True)
-        names = [name for name, _ in report.stages]
+        names = [name for name, _ in locc_stages(rho)]
         assert names[:2] == ["phase(pi)", "level_sign(2)"]
         assert names.count("hadamard") >= 2
 
@@ -302,6 +302,31 @@ class TestTwirl:
         rho = random_density_matrix(2, 2, rng)
         with pytest.raises(ValueError):
             twirl(rho)
+
+
+class TestLoccReference:
+    """The projection in ``twirl`` against the paper's stage sequence."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 8])
+    def test_stage_sequence_ends_at_projection(self, d):
+        rng = np.random.default_rng(1500 + d)
+        for _ in range(5):
+            rho = random_density_matrix(2, d, rng)
+            last = locc_stages(rho)[-1][1]
+            assert np.max(np.abs(last.matrix - twirl(rho).output.matrix)) < 1e-10
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 8])
+    def test_intermediate_weights_match_post_swap_snapshot(self, d):
+        rng = np.random.default_rng(1600 + d)
+        for _ in range(5):
+            rho = random_density_matrix(2, d, rng)
+            post_swap = next(state for name, state in locc_stages(rho) if name == "swap01")
+            want = _halfway_weights(post_swap)
+            got = twirl(rho).intermediate_weights
+            assert np.max(np.abs(np.subtract(got.level_weights, want.level_weights))) < 1e-12
+            assert abs(got.phi_pair - want.phi_pair) < 1e-12
+            assert abs(got.psi_plus - want.psi_plus) < 1e-12
+            assert abs(got.psi_minus - want.psi_minus) < 1e-12
 
 
 class TestFamilyInvariance:
