@@ -26,6 +26,7 @@ from .measurement import OptimizerConfig, classical_correlation_numeric
 from .operators import (
     DensityMatrix,
     MatrixValidationError,
+    _hermiticity_residual,
     commutator_condition,
     negativity_trace_norm,
     partial_transpose_a,
@@ -65,6 +66,7 @@ def _solve_point(d: int, known: dict[str, float]) -> tuple[float, float, float]:
 
 def cmd_corr(args: argparse.Namespace) -> int:
     s = fam.TwoParamState(d=args.dim, alpha=args.alpha, gamma=args.gamma)
+    config = OptimizerConfig(polar_steps=args.grid[0], azimuth_steps=args.grid[1])
     report = fam.correlation_report(s)
     print(f"d = {s.d}")
     print(f"alpha = {_fmt(s.alpha)}")
@@ -75,7 +77,6 @@ def cmd_corr(args: argparse.Namespace) -> int:
     print(f"discord = {_fmt(report.discord)}")
     print(f"negativity = {_fmt(report.negativity)}")
     if args.numeric:
-        config = OptimizerConfig(polar_steps=args.grid[0], azimuth_steps=args.grid[1])
         rho = fam.build_state(s)
         c_num, axis = classical_correlation_numeric(rho, config)
         q_num = quantum_mutual_information(rho) - c_num
@@ -152,7 +153,7 @@ def cmd_discord(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     rho = _read_state(args.infile)
     m = rho.matrix
-    print(f"hermiticity_residual = {_fmt(np.max(np.abs(m - m.conj().T)))}")
+    print(f"hermiticity_residual = {_fmt(_hermiticity_residual(m))}")
     print(f"trace_residual = {_fmt(abs(np.trace(m) - 1.0))}")
     print(f"min_eigenvalue = {_fmt(np.linalg.eigvalsh(m)[0])}")
     candidate, residual = fam.nearest_family_member(rho)

@@ -1,17 +1,21 @@
 """Projective qubit measurements, steered ensembles and numeric correlation.
 
-A von Neumann measurement of the qubit side is a pair of rank-1 projectors
-A_i = V |i><i| V^dag with V in SU(2).  Measuring leaves the qudit in one of
-two steered d x d states, and the classical correlation of a state is the
-supremum of
+A von Neumann measurement of the qubit is a projector pair A_i = V|i><i|V^dag
+with V = t*I + i*(y . sigma) in SU(2); A_0 = (I + n . sigma)/2 points along
 
-    S(rho_B) - sum_i p_i S(rho_i)
+    n = (2(y1 y3 - t y2), 2(y2 y3 + t y1), t^2 - y1^2 - y2^2 + y3^2)
 
-over all such measurements.  Because the projectors depend only on the Bloch
-direction V maps the z-axis to, the optimizer searches the 2-sphere (coarse
-grid, then Nelder-Mead refinement); the reported maximum is therefore a
-certified lower bound on the supremum for general states, and exact for the
-symmetric two-parameter family where the objective is axis-independent.
+and A_1 along -n.  The qudit is left in the unnormalized blocks
+
+    M+-(n) = (rho_B +- n . T) / 2,    T_k = tr_A[(sigma_k (x) I) rho],
+
+with probabilities tr M+-.  They are linear in n, and one private kernel,
+``_steer``, forms them from (rho_B, T) for every ensemble, entropy and
+spectrum below.  The classical correlation is the supremum over n of
+S(rho_B) - sum p S(M/p); the optimizer searches the 2-sphere (coarse grid,
+then Nelder-Mead refinement), so its maximum is a certified lower bound for
+general states and exact for the symmetric two-parameter family, where the
+objective is axis-independent.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .operators import (
     DensityMatrix,
     partial_trace_a,
     quantum_mutual_information,
-    tensor,
     von_neumann_entropy,
     xlog2x,
 )
@@ -33,12 +36,12 @@ from .family import TwoParamState, build_state
 
 # Outcomes with probability at or below this contribute zero entropy.
 DEGENERATE_TOL = 1e-12
+# Nelder-Mead stops once the simplex diameter drops below REFINE_TOL (radians)
+# or after REFINE_MAXITER iterations.
+REFINE_TOL = 1e-10
+REFINE_MAXITER = 500
 
-_PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class MeasurementAxis:
 
     def __post_init__(self):
         norm = self.t ** 2 + self.y1 ** 2 + self.y2 ** 2 + self.y3 ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"axis coefficients must have unit norm, got {norm!r}")
 
     def unitary(self) -> np.ndarray:
@@ -93,19 +96,23 @@ class ConditionalEnsemble:
 class OptimizerConfig:
     """Search resolution for the classical-correlation maximization.
 
-    ``polar_steps x azimuth_steps`` Bloch directions are scanned before a
-    Nelder-Mead refinement that stops once the simplex diameter drops below
-    ``refine_tol`` or after ``refine_maxiter`` iterations.  ``random_probes``
-    extra directions (seeded) can be mixed into the scan to guard against
-    grid aliasing on unusually structured states.
+    ``polar_steps x azimuth_steps`` Bloch directions (both at least 1) are
+    scanned before a Nelder-Mead refinement bounded by ``REFINE_TOL`` and
+    ``REFINE_MAXITER``.  ``random_probes >= 0`` extra directions (seeded) can
+    be mixed into the scan to guard against grid aliasing on unusually
+    structured states.
     """
 
     polar_steps: int = 64
     azimuth_steps: int = 128
-    refine_tol: float = 1e-10
-    refine_maxiter: int = 500
     random_probes: int = 0
     seed: int = 0
+
+    def __post_init__(self):
+        for name, least in (("polar_steps", 1), ("azimuth_steps", 1), ("random_probes", 0)):
+            value = getattr(self, name)
+            if not value >= least:
+                raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
 def axis_from_direction(polar: float, azimuth: float) -> MeasurementAxis:
@@ -134,6 +141,51 @@ def projectors(axis: MeasurementAxis) -> tuple[np.ndarray, np.ndarray]:
     return a0, a1
 
 
+def _bloch_blocks(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """rho_B and the stacked T_k = tr_A[(sigma_k (x) I) rho], shape (3, d, d)."""
+    blocks = rho.matrix.reshape(2, rho.dim_b, 2, rho.dim_b)
+    return partial_trace_a(rho), np.einsum('kab,bjal->kjl', _PAULI, blocks)
+
+
+def _axis_direction(axis: MeasurementAxis) -> np.ndarray:
+    """Bloch direction n_k = tr[A_0 sigma_k] of the axis, as a (1, 3) batch."""
+    return np.einsum('ab,kba->k', projectors(axis)[0], _PAULI).real[None]
+
+
+def _grid_directions(polar: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
+    """Bloch directions (g, 3) for polar and azimuth angles of shape (g,)."""
+    sin = np.sin(polar)
+    return np.stack([sin * np.cos(azimuth), sin * np.sin(azimuth), np.cos(polar)], axis=1)
+
+
+def _steer(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray):
+    """The steering kernel: yield (p, M, lam) for outcome +n, then for -n.
+
+    M = (rho_B +- n . T)/2 stacks the blocks for the (g, 3) directions ``n``,
+    p = tr M and lam = eigvalsh(M)/p, ascending (unnormalized if p is
+    degenerate).  M- overwrites M+ as rho_B - M+, so copy M+ to keep it.
+    """
+    d = rho_b.shape[0]
+    m = (n @ t.reshape(3, d * d)).reshape(-1, d, d)
+    m += rho_b
+    m *= 0.5
+    for outcome in range(2):
+        if outcome:
+            np.subtract(rho_b, m, out=m)
+        p = np.einsum('gjj->g', m).real
+        safe_p = np.where(p > DEGENERATE_TOL, p, 1.0)
+        yield p, m, np.linalg.eigvalsh(m) / safe_p[:, None]
+
+
+def _conditional_entropy_batch(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """sum_+- p S(M/p) in bits per direction; eigenvalues are clipped to [0, 1]."""
+    total = np.zeros(len(n))
+    for p, _, lam in _steer(rho_b, t, n):
+        entropy = -np.sum(xlog2x(np.clip(lam, 0.0, 1.0)), axis=1)
+        total += np.where(p > DEGENERATE_TOL, p * entropy, 0.0)
+    return total
+
+
 def conditional_ensemble(rho: DensityMatrix, axis: MeasurementAxis) -> ConditionalEnsemble:
     """Measure the qubit along ``axis`` and steer the qudit.
 
@@ -141,64 +193,24 @@ def conditional_ensemble(rho: DensityMatrix, axis: MeasurementAxis) -> Condition
     reductions of the projected blocks.  Outcomes with p_i <= DEGENERATE_TOL
     keep their unnormalized block so the ensemble is always returned.
     """
-    d = rho.dim_b
-    eye = np.eye(d)
-    probs: list[float] = []
-    states: list[np.ndarray] = []
-    for a in projectors(axis):
-        k = tensor(a, eye)
-        block = k @ rho.matrix @ k
-        p = float(np.trace(block).real)
-        reduced = np.einsum('ijil->jl', block.reshape(2, d, 2, d))
-        if p > DEGENERATE_TOL:
-            reduced = reduced / p
-        reduced.flags.writeable = False
-        probs.append(p)
-        states.append(reduced)
-    return ConditionalEnsemble(p0=probs[0], p1=probs[1], rho0=states[0], rho1=states[1])
+    outcomes = []
+    for p, m, _ in _steer(*_bloch_blocks(rho), _axis_direction(axis)):
+        state = m[0] / (p[0] if p[0] > DEGENERATE_TOL else 1.0)
+        state.flags.writeable = False
+        outcomes.append((float(p[0]), state))
+    (p0, rho0), (p1, rho1) = outcomes
+    return ConditionalEnsemble(p0=p0, p1=p1, rho0=rho0, rho1=rho1)
 
 
 def conditional_entropy(rho: DensityMatrix, axis: MeasurementAxis) -> float:
-    """sum_i p_i S(rho_i) in bits; degenerate outcomes contribute zero."""
-    ens = conditional_ensemble(rho, axis)
-    total = 0.0
-    for p, state in ens.outcomes():
-        if p > DEGENERATE_TOL:
-            total += p * von_neumann_entropy(state)
-    return total
+    """sum_i p_i S(rho_i) in bits, computed as the optimizer's objective is:
+    degenerate outcomes contribute zero, steered spectra are clipped to [0, 1]."""
+    return float(_conditional_entropy_batch(*_bloch_blocks(rho), _axis_direction(axis))[0])
 
 
 def measured_mutual_information(rho: DensityMatrix, axis: MeasurementAxis) -> float:
     """S(rho_B) minus the conditional entropy of the steered ensemble, in bits."""
     return von_neumann_entropy(partial_trace_a(rho)) - conditional_entropy(rho, axis)
-
-
-def _steered_entropy_batch(rho: DensityMatrix, polar: np.ndarray,
-                           azimuth: np.ndarray) -> np.ndarray:
-    """Conditional entropy for a batch of Bloch directions, vectorized.
-
-    With rho split into 2x2 blocks R[i, :, i', :] of size d x d, projecting
-    onto |v><v| leaves the qudit block  M(v) = sum_{i i'} conj(v_i) v_i' R[i,:,i',:]
-    with p = tr M.  Both outcomes use the two orthogonal eigenvectors of the
-    direction.
-    """
-    d = rho.dim_b
-    blocks = rho.matrix.reshape(2, d, 2, d)
-    half = 0.5 * polar
-    phase = np.exp(1j * azimuth)
-    # outcome 0 spinor and its orthogonal complement (outcome 1)
-    v0 = np.stack([np.cos(half).astype(complex), np.sin(half) * phase], axis=1)
-    v1 = np.stack([-np.sin(half) * phase.conj(), np.cos(half).astype(complex)], axis=1)
-    total = np.zeros(polar.shape, dtype=float)
-    for v in (v0, v1):
-        m = np.einsum('gi,gk,ijkl->gjl', v.conj(), v, blocks, optimize=True)
-        p = np.einsum('gjj->g', m).real
-        lam = np.linalg.eigvalsh(m)
-        safe_p = np.where(p > DEGENERATE_TOL, p, 1.0)
-        lam = np.clip(lam.real / safe_p[:, None], 0.0, 1.0)
-        entropy = -np.sum(xlog2x(lam), axis=1)
-        total += np.where(p > DEGENERATE_TOL, p * entropy, 0.0)
-    return total
 
 
 def classical_correlation_numeric(rho: DensityMatrix,
@@ -212,7 +224,8 @@ def classical_correlation_numeric(rho: DensityMatrix,
     """
     if config is None:
         config = OptimizerConfig()
-    entropy_b = von_neumann_entropy(partial_trace_a(rho))
+    rho_b, t = _bloch_blocks(rho)
+    entropy_b = von_neumann_entropy(rho_b)
 
     polar = np.linspace(0.0, np.pi, config.polar_steps)
     azimuth = np.linspace(0.0, 2.0 * np.pi, config.azimuth_steps, endpoint=False)
@@ -222,16 +235,15 @@ def classical_correlation_numeric(rho: DensityMatrix,
         pol_grid = np.r_[pol_grid, np.arccos(rng.uniform(-1.0, 1.0, config.random_probes))]
         azi_grid = np.r_[azi_grid, rng.uniform(0.0, 2.0 * np.pi, config.random_probes)]
 
-    cond = _steered_entropy_batch(rho, pol_grid, azi_grid)
+    cond = _conditional_entropy_batch(rho_b, t, _grid_directions(pol_grid, azi_grid))
     best = int(np.argmin(cond))
     x0 = np.array([pol_grid[best], azi_grid[best]])
 
     def objective(x: np.ndarray) -> float:
-        return float(_steered_entropy_batch(rho, x[:1], x[1:2])[0])
+        return float(_conditional_entropy_batch(rho_b, t, _grid_directions(x[:1], x[1:2]))[0])
 
     res = minimize(objective, x0, method='Nelder-Mead',
-                   options={'xatol': config.refine_tol, 'fatol': np.inf,
-                            'maxiter': config.refine_maxiter})
+                   options={'xatol': REFINE_TOL, 'fatol': np.inf, 'maxiter': REFINE_MAXITER})
     if res.fun <= cond[best]:
         x_best, cond_best = res.x, float(res.fun)
     else:
@@ -256,16 +268,12 @@ def ensemble_spectrum_spread(s: TwoParamState, samples: int, seed: int) -> float
     """
     if samples < 2:
         raise ValueError("need at least 2 sample axes")
-    rho = build_state(s)
     reference = np.sort(np.r_[[2.0 * s.alpha] * (s.d - 2), 2.0 * s.beta,
                               s.beta + s.gamma])[::-1]
     rng = np.random.default_rng(seed)
+    n = np.concatenate([_axis_direction(random_axis(rng)) for _ in range(samples)])
     worst = 0.0
-    for _ in range(samples):
-        ens = conditional_ensemble(rho, random_axis(rng))
-        for p, state in ens.outcomes():
-            if p <= DEGENERATE_TOL:
-                continue
-            lam = np.sort(np.linalg.eigvalsh(state))[::-1]
-            worst = max(worst, float(np.max(np.abs(lam - reference))))
+    for p, _, lam in _steer(*_bloch_blocks(build_state(s)), n):
+        deviation = np.max(np.abs(lam[:, ::-1] - reference), axis=1)
+        worst = max(worst, float(np.max(deviation[p > DEGENERATE_TOL], initial=0.0)))
     return worst

@@ -78,6 +78,25 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _hermiticity_residual(m: np.ndarray, tol: float = np.inf) -> float:
+    """max |M - M^dag| of a square matrix, the one Hermiticity check.
+
+    Raises :class:`NonFiniteError` on any NaN/inf entry and
+    :class:`NonHermitianError` unless the residual is at most ``tol``.
+    """
+    bad = ~np.isfinite(m)
+    if bad.any():
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NonFiniteError(
+            f"not finite: {int(bad.sum())} NaN/inf entries, first {m[where]} at {where}",
+            residual=float(bad.sum()))
+    herm = float(np.max(np.abs(m - m.conj().T)))
+    if not herm <= tol:
+        raise NonHermitianError(
+            f"not Hermitian: max |M - M^dag| = {herm:.3e} > {tol:.1e}", residual=herm)
+    return herm
+
+
 def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int,
                      tol: float = VALIDATION_TOL) -> DensityMatrix:
     """Check the density-operator invariants and wrap the matrix.
@@ -102,27 +121,18 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int,
     NonUnitTraceError, NotPositiveSemidefiniteError
         Named after the violated invariant; each carries the residual.
 
-    Finiteness is checked first.  Every tolerance comparison fails closed, so
-    a residual that cannot be compared is a violation.  The input is never
-    renormalized.
+    The shape is checked first, then finiteness, before any tolerance
+    comparison.  Every tolerance comparison fails closed, so a residual that
+    cannot be compared is a violation.  The input is never renormalized.
     """
     m = np.asarray(matrix, dtype=complex)
-    bad = ~np.isfinite(m)
-    if bad.any():
-        where = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise NonFiniteError(
-            f"not finite: {int(bad.sum())} NaN/inf entries, first {m[where]} at {where}",
-            residual=float(bad.sum()))
     n = dim_a * dim_b
     if m.ndim != 2 or m.shape != (n, n):
         raise DimensionMismatchError(
             f"expected a {n}x{n} matrix for dims ({dim_a}, {dim_b}), got shape {m.shape}",
             residual=float(abs(m.size - n * n)),
         )
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    if not herm <= tol:
-        raise NonHermitianError(
-            f"not Hermitian: max |M - M^dag| = {herm:.3e} > {tol:.1e}", residual=herm)
+    _hermiticity_residual(m, tol)
     tr = complex(np.trace(m))
     tr_resid = abs(tr - 1.0)
     if not tr_resid <= tol:
@@ -169,14 +179,12 @@ def negativity_trace_norm(rho: DensityMatrix) -> float:
 def hermitian_spectrum(m: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
-    Raises :class:`NonHermitianError` if the input deviates from Hermiticity
-    by more than ``tol``.
+    Raises :class:`NonFiniteError` on NaN/inf entries and
+    :class:`NonHermitianError` if the input deviates from Hermiticity by more
+    than ``tol``.
     """
     m = np.asarray(m, dtype=complex)
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    if herm > tol:
-        raise NonHermitianError(
-            f"not Hermitian: max |M - M^dag| = {herm:.3e} > {tol:.1e}", residual=herm)
+    _hermiticity_residual(m, tol)
     return np.linalg.eigvalsh(m)[::-1]
 
 

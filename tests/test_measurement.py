@@ -41,6 +41,19 @@ PAULI = (
 )
 
 
+def dense_ensemble(rho, axis):
+    """Reference steering straight from the definition: the qudit reductions of
+    (A_i (x) I) rho (A_i (x) I), each with its probability."""
+    d = rho.dim_b
+    out = []
+    for a in projectors(axis):
+        k = tensor(a, np.eye(d))
+        block = k @ rho.matrix @ k
+        p = float(np.trace(block).real)
+        out.append((p, np.einsum('ijil->jl', block.reshape(2, d, 2, d)) / p))
+    return out
+
+
 def product_state(rng, d=3):
     rho_a = random_density_matrix(1, 2, rng).matrix
     rho_b = random_density_matrix(1, d, rng).matrix
@@ -52,6 +65,13 @@ class TestMeasurementAxis:
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):
             MeasurementAxis(1.0, 0.5, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="unit norm"):
+            MeasurementAxis(bad, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="unit norm"):
+            MeasurementAxis(1.0, 0.0, bad, 0.0)
 
     def test_unitary_is_special_unitary(self):
         rng = np.random.default_rng(0)
@@ -108,6 +128,17 @@ class TestProjectors:
 
 
 class TestConditionalEnsemble:
+
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_matches_dense_projection_definition(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(10):
+            rho = random_density_matrix(2, d, rng)
+            axis = random_axis(rng)
+            ens = conditional_ensemble(rho, axis)
+            for (p, state), (p_ref, state_ref) in zip(ens.outcomes(), dense_ensemble(rho, axis)):
+                assert abs(p - p_ref) < 1e-14
+                assert np.max(np.abs(state - state_ref)) < 1e-14
 
     def test_family_outcomes_are_equiprobable(self):
         rng = np.random.default_rng(4)
@@ -249,6 +280,21 @@ class TestOptimizer:
         first, _ = classical_correlation_numeric(rho, config)
         second, _ = classical_correlation_numeric(rho, config)
         assert first == second
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("polar_steps", {"polar_steps": 0}),
+        ("azimuth_steps", {"azimuth_steps": 0}),
+        ("random_probes", {"random_probes": -3}),
+    ])
+    def test_config_rejects_bad_sizes(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**kwargs)
+
+    def test_smallest_config_still_optimizes(self):
+        rho = build_state(TwoParamState(3, 0.1, 0.3))
+        value, _ = classical_correlation_numeric(
+            rho, OptimizerConfig(polar_steps=1, azimuth_steps=1))
+        assert abs(value - classical_correlation(TwoParamState(3, 0.1, 0.3))) < 1e-7
 
 
 class TestDiscordNumeric:

@@ -204,6 +204,14 @@ class TestHermitianSpectrum:
         with pytest.raises(NonHermitianError):
             hermitian_spectrum(m)
 
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+    def test_nan_rejected(self, where):
+        m = np.diag([0.0, 1.0]).astype(complex)
+        m[where] = np.nan
+        with pytest.raises(NonFiniteError) as exc:
+            hermitian_spectrum(m)
+        assert "NaN" in str(exc.value)
+
     def test_sums_to_one_and_reconstructs(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
