@@ -5,7 +5,7 @@ Measuring the qubit: steered ensembles and the numeric optimizer
 Classical correlation is defined through a supremum over projective qubit
 measurements.  For family members the steered-ensemble spectrum is the same
 for every measurement direction, so the supremum is free; for arbitrary
-states the optimizer scans the Bloch sphere and refines with a simplex.
+states the optimizer scans a hemisphere grid and refines by compass search.
 """
 
 import numpy as np

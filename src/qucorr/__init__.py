@@ -9,7 +9,6 @@ projection maps any 2 x d state onto the family.
 """
 
 from .operators import (
-    RECONSTRUCTION_TOL,
     VALIDATION_TOL,
     DensityMatrix,
     DimensionMismatchError,

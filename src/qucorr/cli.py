@@ -66,7 +66,6 @@ def _solve_point(d: int, known: dict[str, float]) -> tuple[float, float, float]:
 
 def cmd_corr(args: argparse.Namespace) -> int:
     s = fam.TwoParamState(d=args.dim, alpha=args.alpha, gamma=args.gamma)
-    config = OptimizerConfig(polar_steps=args.grid[0], azimuth_steps=args.grid[1])
     report = fam.correlation_report(s)
     print(f"d = {s.d}")
     print(f"alpha = {_fmt(s.alpha)}")
@@ -78,7 +77,7 @@ def cmd_corr(args: argparse.Namespace) -> int:
     print(f"negativity = {_fmt(report.negativity)}")
     if args.numeric:
         rho = fam.build_state(s)
-        c_num, axis = classical_correlation_numeric(rho, config)
+        c_num, axis = classical_correlation_numeric(rho)
         q_num = quantum_mutual_information(rho) - c_num
         print(f"classical_numeric = {_fmt(c_num)}")
         print(f"discord_numeric = {_fmt(q_num)}")
@@ -136,8 +135,7 @@ def cmd_twirl(args: argparse.Namespace) -> int:
 
 def cmd_discord(args: argparse.Namespace) -> int:
     rho = _read_state(args.infile)
-    config = OptimizerConfig(polar_steps=args.grid[0], azimuth_steps=args.grid[1],
-                             random_probes=args.probes, seed=args.seed)
+    config = OptimizerConfig(random_probes=args.probes, seed=args.seed)
     c_num, axis = classical_correlation_numeric(rho, config)
     mutual = quantum_mutual_information(rho)
     print(f"mutual_info = {_fmt(mutual)}")
@@ -197,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=3, help="qudit dimension d >= 3")
     p.add_argument("--numeric", action="store_true",
                    help="also run the measurement optimizer and print both values")
-    p.add_argument("--grid", type=int, nargs=2, default=(64, 128),
-                   metavar=("POLAR", "AZIMUTH"), help="optimizer grid resolution")
     p.set_defaults(func=cmd_corr)
 
     p = sub.add_parser("sweep", help="CSV scan along one family parameter")
@@ -221,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discord", help="numeric correlation report for a state file")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--grid", type=int, nargs=2, default=(64, 128),
-                   metavar=("POLAR", "AZIMUTH"))
     p.add_argument("--probes", type=int, default=256,
                    help="extra random directions mixed into the scan")
     p.add_argument("--seed", type=int, default=0)

@@ -12,8 +12,10 @@ and A_1 along -n.  The qudit is left in the unnormalized blocks
 with probabilities tr M+-.  They are linear in n, and one private kernel,
 ``_steer``, forms them from (rho_B, T) for every ensemble, entropy and
 spectrum below.  The classical correlation is the supremum over n of
-S(rho_B) - sum p S(M/p); the optimizer searches the 2-sphere (coarse grid,
-then Nelder-Mead refinement), so its maximum is a certified lower bound for
+S(rho_B) - sum p S(M/p).  Directions n and -n give the same measurement, so
+the optimizer scans a Fibonacci grid on the upper hemisphere and then walks
+the compass stencil n +- step e_k on the sphere, halving the step whenever no
+neighbour is strictly better.  Its maximum is a certified lower bound for
 general states and exact for the symmetric two-parameter family, where the
 objective is axis-independent.
 """
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .operators import (
     DensityMatrix,
@@ -36,8 +37,12 @@ from .family import TwoParamState, build_state
 
 # Outcomes with probability at or below this contribute zero entropy.
 DEGENERATE_TOL = 1e-12
-# Nelder-Mead stops once the simplex diameter drops below REFINE_TOL (radians)
-# or after REFINE_MAXITER iterations.
+# Directions in the optimizer's first batch, a Fibonacci grid on the upper
+# hemisphere.
+GRID_POINTS = 2048
+# The compass search starts at stencil step REFINE_STEP and stops once the step
+# drops to REFINE_TOL, or after REFINE_MAXITER batches in all.
+REFINE_STEP = 0.1
 REFINE_TOL = 1e-10
 REFINE_MAXITER = 500
 
@@ -94,25 +99,20 @@ class ConditionalEnsemble:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search resolution for the classical-correlation maximization.
+    """Extra directions for the classical-correlation maximization.
 
-    ``polar_steps x azimuth_steps`` Bloch directions (both at least 1) are
-    scanned before a Nelder-Mead refinement bounded by ``REFINE_TOL`` and
-    ``REFINE_MAXITER``.  ``random_probes >= 0`` extra directions (seeded) can
-    be mixed into the scan to guard against grid aliasing on unusually
+    The optimizer always scans ``GRID_POINTS`` hemisphere directions before
+    its compass refinement.  ``random_probes >= 0`` extra directions (seeded)
+    can be mixed into that scan to guard against grid aliasing on unusually
     structured states.
     """
 
-    polar_steps: int = 64
-    azimuth_steps: int = 128
     random_probes: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("polar_steps", 1), ("azimuth_steps", 1), ("random_probes", 0)):
-            value = getattr(self, name)
-            if not value >= least:
-                raise ValueError(f"{name} must be at least {least}, got {value!r}")
+        if not self.random_probes >= 0:
+            raise ValueError(f"random_probes must be at least 0, got {self.random_probes!r}")
 
 
 def axis_from_direction(polar: float, azimuth: float) -> MeasurementAxis:
@@ -156,6 +156,12 @@ def _grid_directions(polar: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
     """Bloch directions (g, 3) for polar and azimuth angles of shape (g,)."""
     sin = np.sin(polar)
     return np.stack([sin * np.cos(azimuth), sin * np.sin(azimuth), np.cos(polar)], axis=1)
+
+
+def _hemisphere(count: int) -> np.ndarray:
+    """``count`` Fibonacci-spiral directions (count, 3) with equal area on z > 0."""
+    k = np.arange(count) + 0.5
+    return _grid_directions(np.arccos(1.0 - k / count), k * np.pi * (3.0 - np.sqrt(5.0)))
 
 
 def _steer(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray):
@@ -219,37 +225,33 @@ def classical_correlation_numeric(rho: DensityMatrix,
     """Maximize the measured mutual information over projective qubit measurements.
 
     Returns the best value found (a lower bound on the supremum; exact to
-    grid-plus-refinement precision for smooth objectives) together with the
-    maximizing axis.
+    rounding for smooth objectives) together with the maximizing axis.
     """
     if config is None:
         config = OptimizerConfig()
     rho_b, t = _bloch_blocks(rho)
-    entropy_b = von_neumann_entropy(rho_b)
-
-    polar = np.linspace(0.0, np.pi, config.polar_steps)
-    azimuth = np.linspace(0.0, 2.0 * np.pi, config.azimuth_steps, endpoint=False)
-    pol_grid, azi_grid = [a.ravel() for a in np.meshgrid(polar, azimuth, indexing='ij')]
+    batch = _hemisphere(GRID_POINTS)
     if config.random_probes > 0:
         rng = np.random.default_rng(config.seed)
-        pol_grid = np.r_[pol_grid, np.arccos(rng.uniform(-1.0, 1.0, config.random_probes))]
-        azi_grid = np.r_[azi_grid, rng.uniform(0.0, 2.0 * np.pi, config.random_probes)]
+        polar = np.arccos(rng.uniform(-1.0, 1.0, config.random_probes))
+        azimuth = rng.uniform(0.0, 2.0 * np.pi, config.random_probes)
+        batch = np.r_[batch, _grid_directions(polar, azimuth)]
 
-    cond = _conditional_entropy_batch(rho_b, t, _grid_directions(pol_grid, azi_grid))
-    best = int(np.argmin(cond))
-    x0 = np.array([pol_grid[best], azi_grid[best]])
-
-    def objective(x: np.ndarray) -> float:
-        return float(_conditional_entropy_batch(rho_b, t, _grid_directions(x[:1], x[1:2]))[0])
-
-    res = minimize(objective, x0, method='Nelder-Mead',
-                   options={'xatol': REFINE_TOL, 'fatol': np.inf, 'maxiter': REFINE_MAXITER})
-    if res.fun <= cond[best]:
-        x_best, cond_best = res.x, float(res.fun)
-    else:
-        x_best, cond_best = x0, float(cond[best])
-    axis = axis_from_direction(float(x_best[0]), float(x_best[1]) % (2.0 * np.pi))
-    return entropy_b - cond_best, axis
+    x, cond_x, step = None, np.inf, REFINE_STEP
+    for _ in range(REFINE_MAXITER):
+        cond = _conditional_entropy_batch(rho_b, t, batch)
+        best = int(np.argmin(cond))
+        if cond[best] < cond_x:
+            x, cond_x = batch[best], float(cond[best])
+        else:
+            step *= 0.5
+            if step <= REFINE_TOL:
+                break
+        batch = x + step * np.r_[np.eye(3), -np.eye(3)]
+        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+    axis = axis_from_direction(float(np.arccos(np.clip(x[2], -1.0, 1.0))),
+                               float(np.arctan2(x[1], x[0]) % (2.0 * np.pi)))
+    return von_neumann_entropy(rho_b) - cond_x, axis
 
 
 def discord_numeric(rho: DensityMatrix, config: OptimizerConfig | None = None) -> float:

@@ -15,8 +15,6 @@ import numpy as np
 
 # Validation tolerance for Hermiticity / trace / positivity residuals.
 VALIDATION_TOL = 1e-10
-# Eigendecomposition must reconstruct its input to this Frobenius residual.
-RECONSTRUCTION_TOL = 1e-9
 
 
 class MatrixValidationError(ValueError):

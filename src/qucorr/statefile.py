@@ -51,7 +51,7 @@ def loads_density(text: str) -> DensityMatrix:
     """
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise StateFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"dims", "matrix"}:
         raise StateFormatError('document must have exactly the keys "dims" and "matrix"')
@@ -77,5 +77,8 @@ def loads_density(text: str) -> DensityMatrix:
             if (not isinstance(cell, list) or len(cell) != 2
                     or not all(type(x) in (int, float) for x in cell)):
                 raise StateFormatError(f"entry ({i}, {j}) must be a [re, im] pair")
-            m[i, j] = complex(cell[0], cell[1])
+            try:
+                m[i, j] = complex(cell[0], cell[1])
+            except OverflowError as exc:
+                raise StateFormatError(f"entry ({i}, {j}) does not fit a double") from exc
     return validate_density(m, dim_a, dim_b)

@@ -85,13 +85,9 @@ class TestCorr:
 class TestOptimizerSizes:
 
     @pytest.mark.parametrize("args, field", [
-        (["corr", "--alpha", "0.1", "--gamma", "0.3", "--numeric", "--grid", "0", "8"],
-         "polar_steps"),
-        (["discord", "--in", str(FIXTURES / "family_2x3.json"), "--grid", "4", "0"],
-         "azimuth_steps"),
         (["discord", "--in", str(FIXTURES / "family_2x3.json"), "--probes", "-3"],
          "random_probes"),
-    ], ids=["corr_polar", "discord_azimuth", "discord_probes"])
+    ], ids=["discord_probes"])
     def test_bad_size_is_user_error_before_any_output(self, args, field):
         cp = run_cli(*args)
         assert cp.returncode == 2

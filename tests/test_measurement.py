@@ -1,5 +1,10 @@
 """Projective measurements, steered ensembles and the numeric optimizer."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +32,7 @@ from qucorr.measurement import (
     random_axis,
 )
 from qucorr.operators import (
+    partial_trace_a,
     partial_trace_b,
     random_density_matrix,
     tensor,
@@ -52,6 +58,78 @@ def dense_ensemble(rho, axis):
         p = float(np.trace(block).real)
         out.append((p, np.einsum('ijil->jl', block.reshape(2, d, 2, d)) / p))
     return out
+
+
+def sphere_point(polar, azimuth):
+    return np.array([np.sin(polar) * np.cos(azimuth),
+                     np.sin(polar) * np.sin(azimuth),
+                     np.cos(polar)])
+
+
+def oracle_classical_correlation(rho, candidates=3):
+    """Reference maximum of the measured mutual information by dense scan.
+
+    Each value comes straight from the definition (``dense_ensemble`` and
+    ``von_neumann_entropy``).  A polar x azimuth grid over the upper
+    hemisphere, pole and equator included, picks the best ``candidates``
+    directions; around each, a 9 x 9 tangent cap shrinks by 4 per round,
+    recentred on its best point, until its radius is below 1e-6.
+    """
+    entropy_b = von_neumann_entropy(partial_trace_a(rho))
+
+    def value(n):
+        axis = axis_from_direction(np.arccos(np.clip(n[2], -1.0, 1.0)),
+                                   np.arctan2(n[1], n[0]) % (2.0 * np.pi))
+        return entropy_b - sum(p * von_neumann_entropy(state)
+                               for p, state in dense_ensemble(rho, axis))
+
+    coarse = [sphere_point(0.0, 0.0)] + [
+        sphere_point(polar, azimuth)
+        for polar in np.linspace(0.0, np.pi / 2.0, 13)[1:]
+        for azimuth in np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)]
+    values = [value(n) for n in coarse]
+    offsets = np.linspace(-1.0, 1.0, 9)
+    best = -np.inf
+    for i in np.argsort(values)[-candidates:]:
+        center, radius = coarse[i], 0.15
+        while radius > 1e-6:
+            e1 = np.cross(center, [1.0, 0.0, 0.0] if abs(center[0]) < 0.9 else [0.0, 1.0, 0.0])
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(center, e1)
+            cap = [center + radius * (u * e1 + v * e2) for u in offsets for v in offsets]
+            cap = [n / np.linalg.norm(n) for n in cap]
+            cap_values = [value(n) for n in cap]
+            center = cap[int(np.argmax(cap_values))]
+            radius /= 4.0
+        best = max(best, max(cap_values))
+    return best
+
+
+def bit_entropy(lam):
+    lam = lam[lam > 0.0]
+    return float(-np.sum(lam * np.log2(lam)))
+
+
+def x_state_candidates(a, w, z):
+    """Measured mutual information of the two-qubit X state with diagonal ``a``
+    and coherences <00|rho|11> = w, <01|rho|10> = z, measured along z and along
+    the best equatorial direction (where the coherences' phases align)."""
+    entropy_b = bit_entropy(np.array([a[0] + a[2], a[1] + a[3]]))
+    along_z = entropy_b - sum(pair.sum() * bit_entropy(pair / pair.sum())
+                              for pair in (a[:2], a[2:]))
+    coherence = abs(w) + abs(z)
+    steered = np.array([[a[0] + a[2], coherence], [coherence, a[1] + a[3]]])
+    return along_z, entropy_b - bit_entropy(np.linalg.eigvalsh(steered))
+
+
+def embedded_x_state(a, w, z, d):
+    """The two-qubit X state placed on qudit levels {0, 1} of a 2 x d system."""
+    x = np.diag(a).astype(complex)
+    x[0, 3], x[3, 0], x[1, 2], x[2, 1] = w, np.conj(w), z, np.conj(z)
+    m = np.zeros((2 * d, 2 * d), dtype=complex)
+    levels = [0, 1, d, d + 1]
+    m[np.ix_(levels, levels)] = x
+    return validate_density(m, 2, d)
 
 
 def product_state(rng, d=3):
@@ -275,26 +353,73 @@ class TestOptimizer:
     def test_random_probes_are_reproducible(self):
         rng = np.random.default_rng(15)
         rho = random_density_matrix(2, 3, rng)
-        config = OptimizerConfig(polar_steps=16, azimuth_steps=32,
-                                 random_probes=64, seed=7)
+        config = OptimizerConfig(random_probes=64, seed=7)
         first, _ = classical_correlation_numeric(rho, config)
         second, _ = classical_correlation_numeric(rho, config)
         assert first == second
 
     @pytest.mark.parametrize("field, kwargs", [
-        ("polar_steps", {"polar_steps": 0}),
-        ("azimuth_steps", {"azimuth_steps": 0}),
         ("random_probes", {"random_probes": -3}),
     ])
     def test_config_rejects_bad_sizes(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(**kwargs)
 
-    def test_smallest_config_still_optimizes(self):
-        rho = build_state(TwoParamState(3, 0.1, 0.3))
-        value, _ = classical_correlation_numeric(
-            rho, OptimizerConfig(polar_steps=1, azimuth_steps=1))
-        assert abs(value - classical_correlation(TwoParamState(3, 0.1, 0.3))) < 1e-7
+    def test_import_loads_numpy_only(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, qucorr; print('scipy' in sys.modules)"
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert cp.stdout.strip() == "False"
+
+
+class TestOptimizerOracle:
+    """The optimizer against ``oracle_classical_correlation`` on adversarial states."""
+
+    @staticmethod
+    def assert_matches_oracle(rho):
+        value, _ = classical_correlation_numeric(rho)
+        reference = oracle_classical_correlation(rho)
+        assert abs(value - reference) <= 1e-7
+        assert value >= reference - 1e-12
+        return reference
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("gap", [2e-4, -2e-4], ids=["z_wins", "equator_wins"])
+    def test_x_state_at_crossover(self, d, gap):
+        # Coherences scaled by s: at s = 0 measuring along z is optimal, at
+        # s = 1 (chosen so) the equator wins; bisect s to the requested lead of
+        # z over the equator, so the two maxima differ by only |gap|.
+        rng = np.random.default_rng(300 + d)
+        while True:
+            a = rng.dirichlet(np.ones(4))
+            w = np.sqrt(a[0] * a[3]) * np.exp(2j * np.pi * rng.uniform())
+            z = np.sqrt(a[1] * a[2]) * np.exp(2j * np.pi * rng.uniform())
+            along_z, equator = x_state_candidates(a, w, z)
+            if along_z - equator < -1e-3:
+                break
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            s = 0.5 * (lo + hi)
+            along_z, equator = x_state_candidates(a, s * w, s * z)
+            lo, hi = (s, hi) if along_z - equator > gap else (lo, s)
+        along_z, equator = x_state_candidates(a, lo * w, lo * z)
+        assert abs(along_z - equator - gap) < 1e-9
+        reference = self.assert_matches_oracle(embedded_x_state(a, lo * w, lo * z, d))
+        assert abs(reference - max(along_z, equator)) < 1e-9
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_perturbed_family_member(self, d):
+        rng = np.random.default_rng(310 + d)
+        m = (0.97 * build_state(random_family_state(d, rng)).matrix
+             + 0.03 * random_density_matrix(2, d, rng).matrix)
+        self.assert_matches_oracle(validate_density(m, 2, d))
+
+    def test_rank_two_state(self):
+        rng = np.random.default_rng(320)
+        g = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
+        m = g @ g.conj().T
+        self.assert_matches_oracle(validate_density(m / np.trace(m).real, 2, 5))
 
 
 class TestDiscordNumeric:

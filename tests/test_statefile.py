@@ -4,9 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qucorr.family import TwoParamState, build_state
-from qucorr.operators import NonFiniteError, NonUnitTraceError, random_density_matrix
+from qucorr.operators import (
+    MatrixValidationError,
+    NonFiniteError,
+    NonUnitTraceError,
+    random_density_matrix,
+)
 from qucorr.statefile import StateFormatError, dumps_density, loads_density
 
 
@@ -109,9 +116,72 @@ class TestRejections:
         with pytest.raises(NonFiniteError):
             loads_density(text)
 
+    def test_integer_beyond_double_range(self):
+        text = dumps_density(build_state(TwoParamState(3, 0.1, 0.2)))
+        text = text.replace("[0, 0]", f"[{10 ** 400}, 0]", 1)
+        with pytest.raises(StateFormatError, match="double"):
+            loads_density(text)
+
+    def test_deeply_nested_document(self):
+        with pytest.raises(StateFormatError):
+            loads_density("[" * 100_000)
+
     def test_matrix_invariants_still_enforced(self):
         doc = {"dims": [2, 2],
                "matrix": [[[1.0 if i == j else 0.0, 0.0] for j in range(4)]
                           for i in range(4)]}
         with pytest.raises(NonUnitTraceError):
             loads_density(json.dumps(doc))
+
+
+# Any JSON value: scalars (NaN and infinities included) nested in lists and objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def shaped_documents(draw):
+    """Documents with the right keys and a 2d x 2d matrix of arbitrary numbers;
+    the dims and one cell may be any JSON value instead."""
+    d = draw(st.integers(2, 3))
+    n = 2 * d
+    cell = st.lists(st.integers() | st.floats(), min_size=2, max_size=2)
+    matrix = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    matrix[i][j] = draw(st.just(matrix[i][j]) | JSON_VALUES)
+    dims = draw(st.just([2, d]) | JSON_VALUES)
+    return json.dumps({"dims": dims, "matrix": matrix})
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid state document with one span replaced by a few JSON-ish characters."""
+    rng = np.random.default_rng(draw(SEEDS))
+    text = dumps_density(random_density_matrix(2, draw(st.integers(2, 4)), rng))
+    start = draw(st.integers(0, len(text)))
+    stop = draw(st.integers(start, min(len(text), start + 8)))
+    patch = draw(st.text(alphabet='0123456789.-+eE[]{},:" tfnrueals', max_size=4))
+    return text[:start] + patch + text[stop:]
+
+
+class TestProperties:
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 8), seed=SEEDS)
+    def test_round_trip_is_bit_exact(self, d, seed):
+        rho = random_density_matrix(2, d, np.random.default_rng(seed))
+        back = loads_density(dumps_density(rho))
+        assert back.dims == (2, d)
+        assert np.array_equal(back.matrix, rho.matrix)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=st.one_of(JSON_VALUES.map(json.dumps), st.text(max_size=20),
+                          shaped_documents(), mutated_documents()))
+    def test_bad_documents_raise_only_format_or_validation_errors(self, text):
+        try:
+            loads_density(text)
+        except (StateFormatError, MatrixValidationError):
+            pass
