@@ -24,6 +24,7 @@ import numpy as np
 from . import family as fam
 from .measurement import OptimizerConfig, classical_correlation_numeric
 from .operators import (
+    VALIDATION_TOL,
     DensityMatrix,
     MatrixValidationError,
     _hermiticity_residual,
@@ -91,6 +92,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fixed_name, fixed_value = args.fix
     if fixed_name == args.vary:
         raise ValueError(f"cannot both fix and vary '{fixed_name}'")
+    if args.dim < 3:
+        raise fam.ParameterOutOfRangeError(
+            f"the family needs qudit dimension d >= 3, got --dim {args.dim}")
+    if not np.isfinite(args.stop - args.start):
+        raise ValueError(f"sweep span from {args.start!r} to {args.stop!r} overflows")
     grid = np.linspace(args.start, args.stop, args.steps)
     lines = [CSV_HEADER]
     for x in grid:
@@ -151,18 +157,18 @@ def cmd_discord(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     rho = _read_state(args.infile)
     m = rho.matrix
+    candidate, residual = fam.nearest_family_member(rho)
     print(f"hermiticity_residual = {_fmt(_hermiticity_residual(m))}")
     print(f"trace_residual = {_fmt(abs(np.trace(m) - 1.0))}")
     print(f"min_eigenvalue = {_fmt(np.linalg.eigvalsh(m)[0])}")
-    candidate, residual = fam.nearest_family_member(rho)
-    if residual <= args.tol:
+    if residual <= fam.MEMBERSHIP_TOL:
         print(f"in_family = yes (alpha = {_fmt(candidate.alpha)}, "
               f"gamma = {_fmt(candidate.gamma)})")
     else:
         print("in_family = no")
     print(f"family_residual = {_fmt(residual)}")
     pt_min = float(np.linalg.eigvalsh(partial_transpose_a(rho))[0])
-    if pt_min >= -1e-10:
+    if pt_min >= -VALIDATION_TOL:
         print("ppt = yes")
     else:
         print("ppt = no")
@@ -170,15 +176,22 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite number {text!r} is not allowed")
+    return value
+
+
 def _parse_fix(text: str) -> tuple[str, float]:
     name, sep, value = text.partition("=")
     if not sep or name not in _PARAM_NAMES:
         raise argparse.ArgumentTypeError(
             f"expected one of {'/'.join(_PARAM_NAMES)}=VALUE, got {text!r}")
-    try:
-        return name, float(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad number in {text!r}") from exc
+    return name, _finite_float(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix", type=_parse_fix, required=True, metavar="NAME=VALUE",
                    help="parameter held fixed (alpha, beta or gamma)")
     p.add_argument("--vary", choices=_PARAM_NAMES, required=True)
-    p.add_argument("--from", dest="start", type=float, required=True)
-    p.add_argument("--to", dest="stop", type=float, required=True)
+    p.add_argument("--from", dest="start", type=_finite_float, required=True)
+    p.add_argument("--to", dest="stop", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_sweep)
@@ -224,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a state file, report membership and PPT")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--tol", type=float, default=fam.MEMBERSHIP_TOL,
-                   help="family membership residual tolerance")
     p.set_defaults(func=cmd_check)
     return parser
 

@@ -31,8 +31,8 @@ from .operators import DensityMatrix, validate_density, xlog2x
 # despite float rounding while staying far below the matrix validation tol.
 PARAM_TOL = 1e-12
 
-# Default Frobenius residual under which a state counts as a family member:
-# well above eigensolver noise, well below any structural deviation.
+# Frobenius residual under which a state counts as a family member: well
+# above eigensolver noise, well below any structural deviation.
 MEMBERSHIP_TOL = 1e-8
 
 
@@ -196,26 +196,29 @@ def correlation_report(s: TwoParamState) -> CorrelationReport:
     )
 
 
-def classify_family(rho: DensityMatrix, tol: float = MEMBERSHIP_TOL) -> TwoParamState:
+def classify_family(rho: DensityMatrix) -> TwoParamState:
     """Recover (alpha, gamma) if ``rho`` is a family member.
 
     alpha is the mean of the 2(d-2) diagonal entries outside the qubit block,
     gamma the singlet weight; membership holds iff rebuilding the family
-    state from those parameters reproduces ``rho`` to ``tol`` in Frobenius
-    norm.  Raises :class:`NotInFamilyError` (carrying the residual) otherwise.
+    state from those parameters reproduces ``rho`` to ``MEMBERSHIP_TOL`` in
+    Frobenius norm; otherwise :class:`NotInFamilyError` carries the residual.
     """
     s, residual = nearest_family_member(rho)
-    if residual > tol:
+    if not residual <= MEMBERSHIP_TOL:
         raise NotInFamilyError(
             f"Frobenius distance {residual:.3e} to nearest family member "
-            f"(alpha={s.alpha:.6g}, gamma={s.gamma:.6g}) exceeds {tol:.1e}",
+            f"(alpha={s.alpha:.6g}, gamma={s.gamma:.6g}) exceeds {MEMBERSHIP_TOL:.1e}",
             residual=residual)
     return s
 
 
-def nearest_family_member(rho: DensityMatrix) -> tuple[TwoParamState, float]:
-    """Best-guess family parameters for ``rho`` and the rebuild residual."""
+def _projected_params(rho: DensityMatrix) -> TwoParamState:
+    """alpha = mean outer diagonal weight and gamma = singlet weight of ``rho``,
+    clipped into range; raises :class:`ParameterOutOfRangeError` for d < 3."""
     d = rho.dim_b
+    if d < 3:
+        raise ParameterOutOfRangeError(f"the family needs qudit dimension d >= 3, got d={d}")
     diag = np.real(np.diagonal(rho.matrix))
     outer = [diag[i * d + j] for i in (0, 1) for j in range(2, d)]
     alpha = float(np.mean(outer))
@@ -223,7 +226,12 @@ def nearest_family_member(rho: DensityMatrix) -> tuple[TwoParamState, float]:
     # The extracted values can stray below a bound by float rounding only.
     alpha = min(max(alpha, 0.0), 1.0 / (2.0 * (d - 2)))
     gamma = min(max(gamma, 0.0), 1.0)
-    s = TwoParamState(d=d, alpha=alpha, gamma=gamma)
+    return TwoParamState(d=d, alpha=alpha, gamma=gamma)
+
+
+def nearest_family_member(rho: DensityMatrix) -> tuple[TwoParamState, float]:
+    """Best-guess family parameters for ``rho`` and the rebuild residual."""
+    s = _projected_params(rho)
     residual = float(np.linalg.norm(rho.matrix - build_state(s).matrix))
     return s, residual
 

@@ -88,15 +88,16 @@ def _hermiticity_residual(m: np.ndarray, tol: float = np.inf) -> float:
         raise NonFiniteError(
             f"not finite: {int(bad.sum())} NaN/inf entries, first {m[where]} at {where}",
             residual=float(bad.sum()))
-    herm = float(np.max(np.abs(m - m.conj().T)))
+    # Entries near the double range overflow to an inf residual, which fails.
+    with np.errstate(over="ignore"):
+        herm = float(np.max(np.abs(m - m.conj().T)))
     if not herm <= tol:
         raise NonHermitianError(
             f"not Hermitian: max |M - M^dag| = {herm:.3e} > {tol:.1e}", residual=herm)
     return herm
 
 
-def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int,
-                     tol: float = VALIDATION_TOL) -> DensityMatrix:
+def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int) -> DensityMatrix:
     """Check the density-operator invariants and wrap the matrix.
 
     Parameters
@@ -105,9 +106,6 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int,
         Square complex matrix of size ``dim_a * dim_b``.
     dim_a, dim_b : int
         Subsystem dimensions; ``dim_a * dim_b`` must match the matrix size.
-    tol : float
-        Residual allowed for Hermiticity, unit trace and the most negative
-        eigenvalue.
 
     Returns
     -------
@@ -119,9 +117,9 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int,
     NonUnitTraceError, NotPositiveSemidefiniteError
         Named after the violated invariant; each carries the residual.
 
-    The shape is checked first, then finiteness, before any tolerance
-    comparison.  Every tolerance comparison fails closed, so a residual that
-    cannot be compared is a violation.  The input is never renormalized.
+    The shape is checked first, then finiteness.  Hermiticity, the trace and
+    the smallest eigenvalue must then be within ``VALIDATION_TOL``; a residual
+    that overflows or cannot be compared fails.  Never renormalizes the input.
     """
     m = np.asarray(matrix, dtype=complex)
     n = dim_a * dim_b
@@ -130,16 +128,18 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int,
             f"expected a {n}x{n} matrix for dims ({dim_a}, {dim_b}), got shape {m.shape}",
             residual=float(abs(m.size - n * n)),
         )
-    _hermiticity_residual(m, tol)
-    tr = complex(np.trace(m))
+    _hermiticity_residual(m, VALIDATION_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = complex(np.trace(m))
     tr_resid = abs(tr - 1.0)
-    if not tr_resid <= tol:
+    if not tr_resid <= VALIDATION_TOL:
         raise NonUnitTraceError(
-            f"trace is {tr:.12g}, |tr - 1| = {tr_resid:.3e} > {tol:.1e}", residual=tr_resid)
+            f"trace is {tr:.12g}, |tr - 1| = {tr_resid:.3e} > {VALIDATION_TOL:.1e}",
+            residual=tr_resid)
     lam_min = float(np.linalg.eigvalsh(m)[0])
-    if not lam_min >= -tol:
+    if not lam_min >= -VALIDATION_TOL:
         raise NotPositiveSemidefiniteError(
-            f"smallest eigenvalue {lam_min:.3e} < -{tol:.1e}", residual=-lam_min)
+            f"smallest eigenvalue {lam_min:.3e} < -{VALIDATION_TOL:.1e}", residual=-lam_min)
     return DensityMatrix(dim_a=dim_a, dim_b=dim_b, matrix=_freeze(m))
 
 
@@ -174,15 +174,15 @@ def negativity_trace_norm(rho: DensityMatrix) -> float:
     return max(0.0, float(np.sum(np.abs(lam)) - 1.0))
 
 
-def hermitian_spectrum(m: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
+def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
     Raises :class:`NonFiniteError` on NaN/inf entries and
     :class:`NonHermitianError` if the input deviates from Hermiticity by more
-    than ``tol``.
+    than ``VALIDATION_TOL``.
     """
     m = np.asarray(m, dtype=complex)
-    _hermiticity_residual(m, tol)
+    _hermiticity_residual(m, VALIDATION_TOL)
     return np.linalg.eigvalsh(m)[::-1]
 
 
@@ -194,18 +194,18 @@ def xlog2x(x: np.ndarray | float) -> np.ndarray | float:
     return out if arr.ndim else float(out)
 
 
-def von_neumann_entropy(m: np.ndarray, tol: float = VALIDATION_TOL) -> float:
+def von_neumann_entropy(m: np.ndarray) -> float:
     """Entropy -sum(lam * log2(lam)) of a density operator, in bits.
 
-    Eigenvalues in [-tol, 0) are treated as exact zeros and all eigenvalues
-    are clipped to [0, 1] before the logarithm, so numerically tiny negative
-    values never produce NaNs.  Eigenvalues below ``-tol`` raise
-    :class:`NotPositiveSemidefiniteError`.
+    Eigenvalues in [-VALIDATION_TOL, 0) are treated as exact zeros and all
+    eigenvalues are clipped to [0, 1] before the logarithm, so numerically
+    tiny negative values never produce NaNs.  Eigenvalues below
+    ``-VALIDATION_TOL`` raise :class:`NotPositiveSemidefiniteError`.
     """
     lam = np.linalg.eigvalsh(np.asarray(m, dtype=complex))
-    if lam[0] < -tol:
+    if lam[0] < -VALIDATION_TOL:
         raise NotPositiveSemidefiniteError(
-            f"smallest eigenvalue {lam[0]:.3e} < -{tol:.1e}", residual=float(-lam[0]))
+            f"smallest eigenvalue {lam[0]:.3e} < -{VALIDATION_TOL:.1e}", residual=float(-lam[0]))
     lam = np.clip(lam, 0.0, 1.0)
     return float(-np.sum(xlog2x(lam)))
 
@@ -229,10 +229,10 @@ def commutator_condition(rho: DensityMatrix) -> float:
     return float(np.linalg.norm(comm))
 
 
-def is_classical_diagonal(rho: DensityMatrix, tol: float = VALIDATION_TOL) -> bool:
-    """True iff every off-diagonal entry has modulus <= tol in the product basis."""
+def is_classical_diagonal(rho: DensityMatrix) -> bool:
+    """True iff every off-diagonal entry in the product basis has modulus <= VALIDATION_TOL."""
     off = rho.matrix - np.diag(np.diagonal(rho.matrix))
-    return bool(np.max(np.abs(off)) <= tol)
+    return bool(np.max(np.abs(off)) <= VALIDATION_TOL)
 
 
 def random_density_matrix(dim_a: int, dim_b: int,

@@ -27,6 +27,7 @@ import numpy as np
 from .operators import DensityMatrix, random_unitary, tensor, validate_density
 from .family import (
     TwoParamState,
+    _projected_params,
     bell_vectors,
     build_state,
     nearest_family_member,
@@ -39,18 +40,22 @@ class LevelOutOfRangeError(ValueError):
 
 @dataclass(frozen=True)
 class LocalUnitary:
-    """An identified local pair: a 2x2 unitary and a d x d unitary acting alike
-    on the qudit levels {0, 1}."""
+    """An identified local pair: a d x d unitary ``matrix_b`` whose {0, 1}
+    block, the qubit factor ``matrix_a``, is unitary too, so that the pair is
+    block-diagonal and acts alike on the qubit and the qudit levels {0, 1}."""
 
     name: str
-    matrix_a: np.ndarray
     matrix_b: np.ndarray
 
     def __post_init__(self):
-        for m in (self.matrix_a, self.matrix_b):
+        for m in (self.matrix_b, self.matrix_a):
             n = m.shape[0]
-            if np.max(np.abs(m @ m.conj().T - np.eye(n))) > 1e-12:
+            if not np.max(np.abs(m @ m.conj().T - np.eye(n))) <= 1e-12:
                 raise ValueError(f"{self.name}: factor is not unitary to 1e-12")
+
+    @property
+    def matrix_a(self) -> np.ndarray:
+        return self.matrix_b[:2, :2]
 
     def full(self) -> np.ndarray:
         return tensor(self.matrix_a, self.matrix_b)
@@ -81,9 +86,7 @@ def u_theta(theta: float, d: int) -> LocalUnitary:
     if d < 3:
         raise ValueError(f"qudit dimension must be >= 3, got d={d}")
     phases = np.exp(1j * theta * np.arange(d))
-    return LocalUnitary(name=f"u_theta({theta:g})",
-                        matrix_a=np.diag(phases[:2]),
-                        matrix_b=np.diag(phases))
+    return LocalUnitary(name=f"u_theta({theta:g})", matrix_b=np.diag(phases))
 
 
 def level_sign(k: int, d: int) -> LocalUnitary:
@@ -92,9 +95,7 @@ def level_sign(k: int, d: int) -> LocalUnitary:
         raise LevelOutOfRangeError(f"level k={k} outside {{2, ..., {d - 1}}}")
     diag = np.ones(d, dtype=complex)
     diag[k] = -1.0
-    return LocalUnitary(name=f"level_sign({k})",
-                        matrix_a=np.eye(2, dtype=complex),
-                        matrix_b=np.diag(diag))
+    return LocalUnitary(name=f"level_sign({k})", matrix_b=np.diag(diag))
 
 
 def swap01(d: int) -> LocalUnitary:
@@ -102,7 +103,7 @@ def swap01(d: int) -> LocalUnitary:
     b = np.eye(d, dtype=complex)
     b[0, 0] = b[1, 1] = 0.0
     b[0, 1] = b[1, 0] = 1.0
-    return LocalUnitary(name="swap01", matrix_a=b[:2, :2].copy(), matrix_b=b)
+    return LocalUnitary(name="swap01", matrix_b=b)
 
 
 def cycle_t(d: int) -> LocalUnitary:
@@ -111,7 +112,7 @@ def cycle_t(d: int) -> LocalUnitary:
     b[0, 0] = b[1, 1] = 1.0
     for j in range(2, d):
         b[2 + (j - 1) % (d - 2), j] = 1.0
-    return LocalUnitary(name="cycle_t", matrix_a=np.eye(2, dtype=complex), matrix_b=b)
+    return LocalUnitary(name="cycle_t", matrix_b=b)
 
 
 def hadamard(d: int) -> LocalUnitary:
@@ -119,7 +120,7 @@ def hadamard(d: int) -> LocalUnitary:
     h2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
     b = np.eye(d, dtype=complex)
     b[:2, :2] = h2
-    return LocalUnitary(name="hadamard", matrix_a=h2, matrix_b=b)
+    return LocalUnitary(name="hadamard", matrix_b=b)
 
 
 def _mix(rho: DensityMatrix, unitary: LocalUnitary, p: float) -> DensityMatrix:
@@ -211,7 +212,7 @@ def twirl(rho: DensityMatrix) -> TwirlReport:
     """
     if rho.dim_a != 2 or rho.dim_b < 3:
         raise ValueError(f"twirl needs a 2 x d state with d >= 3, got dims {rho.dims}")
-    s, _ = nearest_family_member(rho)
+    s = _projected_params(rho)
     output = build_state(s)
     _, residual = nearest_family_member(output)
     return TwirlReport(
@@ -229,11 +230,10 @@ def random_local_unitary(d: int, rng: np.random.Generator) -> LocalUnitary:
     The 2x2 block is shared between the qubit factor and the qudit's first
     two levels; the complement block is an independent Haar unitary.
     """
-    v = random_unitary(2, rng)
     b = np.zeros((d, d), dtype=complex)
-    b[:2, :2] = v
+    b[:2, :2] = random_unitary(2, rng)
     b[2:, 2:] = random_unitary(d - 2, rng)
-    return LocalUnitary(name="random_block", matrix_a=v, matrix_b=b)
+    return LocalUnitary(name="random_block", matrix_b=b)
 
 
 def check_family_invariance(s: TwoParamState, trials: int, seed: int) -> float:

@@ -1,15 +1,23 @@
-"""End-to-end CLI checks through subprocess, matching real usage."""
+"""End-to-end CLI checks through subprocess, matching real usage, and an
+in-process property over every subcommand's exit code."""
 
+import io
+import json
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qucorr import cli
 from qucorr.family import TwoParamState, classical_correlation, discord
-from qucorr.operators import partial_trace_b, von_neumann_entropy
-from qucorr.statefile import loads_density
+from qucorr.operators import partial_trace_b, validate_density, von_neumann_entropy
+from qucorr.statefile import dumps_density, loads_density
 from qucorr.family import singlet_weight
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -156,6 +164,33 @@ class TestSweep:
                      "--from", "0", "--to", "0.5", "--steps", "5")
         assert cp.returncode == 2
 
+    @pytest.mark.parametrize("fix, vary", [("beta=0.1", "gamma"), ("gamma=0", "alpha")])
+    def test_qudit_dimension_two_is_user_error(self, fix, vary):
+        cp = run_cli("sweep", "--dim", "2", "--fix", fix, "--vary", vary,
+                     "--from", "0", "--to", "0.5", "--steps", "5")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "d >= 3" in cp.stderr
+
+    @pytest.mark.parametrize("option, value, named", [
+        ("--from", "inf", "'inf'"), ("--from", "nan", "'nan'"), ("--to", "-inf", "'-inf'"),
+        ("--fix", "alpha=nan", "'nan'")])
+    def test_non_finite_value_is_user_error(self, option, value, named):
+        args = {"--fix": "beta=0.05", "--from": "0", "--to": "0.5", option: value}
+        cp = run_cli("sweep", "--dim", "3", "--vary", "gamma", "--steps", "5",
+                     *(f"{k}={v}" for k, v in args.items()))
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "non-finite" in cp.stderr and named in cp.stderr
+        assert "Warning" not in cp.stderr
+
+    def test_overflowing_span_is_user_error(self):
+        cp = run_cli("sweep", "--dim", "3", "--fix", "beta=0.05", "--vary", "gamma",
+                     "--from=-1e308", "--to=1e308", "--steps", "5")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "overflows" in cp.stderr and "Warning" not in cp.stderr
+
 
 class TestTwirlCommand:
 
@@ -264,3 +299,141 @@ class TestCheckCommand:
         bad.write_text("{not json")
         cp = run_cli("check", "--in", str(bad))
         assert cp.returncode == 2
+
+    def test_qudit_dimension_two_is_user_error(self, tmp_path):
+        path = tmp_path / "qubits.json"
+        path.write_text(dumps_density(validate_density(np.eye(4) / 4.0, 2, 2)))
+        cp = run_cli("check", "--in", str(path))
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "d >= 3" in cp.stderr
+
+    @pytest.mark.parametrize("cells, invariant", [
+        ({(0, 1): 1.7e308, (1, 0): -1.7e308}, "Hermitian"),
+        ({(0, 0): 1.7e308, (1, 1): 1.7e308}, "trace"),
+    ], ids=["hermiticity", "trace"])
+    def test_overflowing_file_gives_one_error_line(self, tmp_path, cells, invariant):
+        path = tmp_path / "huge.json"
+        path.write_text(_with_cells(cells))
+        cp = run_cli("check", "--in", str(path))
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert len(cp.stderr.splitlines()) == 1
+        assert invariant in cp.stderr
+
+    def test_help_lists_no_tolerance_option(self):
+        cp = run_cli("check", "--help")
+        assert cp.returncode == 0
+        assert "--tol" not in cp.stdout
+
+
+# Inputs for the exit-code property: the fixtures plus files that break each
+# read step (file system, encoding, JSON, structure, validation, d >= 3).
+_HUGE = 1.7e308
+
+
+def _family_doc() -> dict:
+    return json.loads((FIXTURES / "family_2x3.json").read_text())
+
+
+def _with_cells(cells: dict) -> str:
+    """The family fixture with the given (row, column) cells set to real values."""
+    doc = _family_doc()
+    for (i, j), value in cells.items():
+        doc["matrix"][i][j] = [value, 0]
+    return json.dumps(doc)
+
+
+BAD_INPUTS = {
+    "empty": "",
+    "not_json": "{not json",
+    "not_utf8": b"\xff\xfe\x00{",
+    "nan_token": (FIXTURES / "family_2x3.json").read_text().replace("[0, 0]", "[NaN, 0]", 1),
+    "qubit_pair": dumps_density(validate_density(np.eye(4) / 4.0, 2, 2)),
+    "qudit_dim_one": json.dumps({"dims": [2, 1], "matrix": [[[0.5, 0], [0, 0]],
+                                                            [[0, 0], [0.5, 0]]]}),
+    "wrong_rows": json.dumps({"dims": [2, 3], "matrix": _family_doc()["matrix"][:4]}),
+    "not_psd": _with_cells({(0, 0): 1.5, (1, 1): -0.5}),
+    "hermiticity_overflow": _with_cells({(0, 1): _HUGE, (1, 0): -_HUGE}),
+    "trace_overflow": _with_cells({(0, 0): _HUGE, (1, 1): _HUGE}),
+    "cancelling_huge_diagonal": _with_cells({(0, 0): _HUGE, (1, 1): -_HUGE}),
+}
+INPUT_NAMES = sorted(p.name for p in FIXTURES.glob("*.json")) + sorted(BAD_INPUTS) + [
+    "missing", "directory"]
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_inputs")
+    paths = {p.name: p for p in FIXTURES.glob("*.json")}
+    for name, content in BAD_INPUTS.items():
+        paths[name] = root / name
+        if isinstance(content, bytes):
+            paths[name].write_bytes(content)
+        else:
+            paths[name].write_text(content)
+    paths["missing"] = root / "missing.json"
+    paths["directory"] = root
+    return paths
+
+
+NUMBERS = st.one_of(st.floats(), st.floats(0.0, 1.0), st.sampled_from(
+    [0.0, 0.05, 0.5, 1.0, _HUGE, -_HUGE, float("nan"), float("inf"), float("-inf")]))
+DIMS = st.integers(-1, 6)
+PARAMS = st.sampled_from(("alpha", "beta", "gamma"))
+INPUTS = st.sampled_from(INPUT_NAMES)
+
+
+def assert_exits_0_or_2(argv: list[str]) -> None:
+    """Run ``cli.main`` in this process: it must return 0, or 2 with an error
+    on stderr and nothing on stdout.  An argparse exit counts as its code, and
+    a numpy RuntimeWarning is raised as an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().strip(), argv
+
+
+class TestExitCodeProperty:
+    """Options are passed as --name=value so that values such as -inf reach
+    the parser instead of being read as options."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(alpha=NUMBERS, gamma=NUMBERS, dim=DIMS, numeric=st.booleans())
+    def test_corr(self, alpha, gamma, dim, numeric):
+        assert_exits_0_or_2(["corr", f"--alpha={alpha!r}", f"--gamma={gamma!r}",
+                             f"--dim={dim}"] + ["--numeric"] * numeric)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dim=DIMS, fix=PARAMS, fixed=NUMBERS, vary=PARAMS, start=NUMBERS, stop=NUMBERS,
+           steps=st.integers(0, 20))
+    @example(dim=2, fix="beta", fixed=0.1, vary="gamma", start=0.0, stop=1.0, steps=5)
+    def test_sweep(self, dim, fix, fixed, vary, start, stop, steps):
+        assert_exits_0_or_2(["sweep", f"--dim={dim}", f"--fix={fix}={fixed!r}",
+                             f"--vary={vary}", f"--from={start!r}",
+                             f"--to={stop!r}", f"--steps={steps}"])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(name=INPUTS, report=st.booleans())
+    def test_twirl(self, cli_inputs, name, report):
+        assert_exits_0_or_2(["twirl", f"--in={cli_inputs[name]}",
+                             f"--out={cli_inputs['directory'] / 'twirled.json'}"]
+                            + ["--report"] * report)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(name=INPUTS, probes=st.integers(-3, 16), seed=st.integers(-2, 5))
+    def test_discord(self, cli_inputs, name, probes, seed):
+        assert_exits_0_or_2(["discord", f"--in={cli_inputs[name]}", f"--probes={probes}",
+                             f"--seed={seed}"])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(name=INPUTS)
+    @example(name="qubit_pair")
+    def test_check(self, cli_inputs, name):
+        assert_exits_0_or_2(["check", f"--in={cli_inputs[name]}"])

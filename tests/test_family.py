@@ -30,8 +30,14 @@ from qucorr.operators import (
     partial_trace_a,
     quantum_mutual_information,
     random_density_matrix,
+    validate_density,
     von_neumann_entropy,
 )
+
+
+def max_off_diagonal(rho):
+    """Largest off-diagonal modulus in the product basis."""
+    return np.max(np.abs(rho.matrix - np.diag(np.diagonal(rho.matrix))))
 
 
 def valid_grid(d, n=25):
@@ -80,7 +86,8 @@ class TestBuildState:
         rho = build_state(TwoParamState(3, 1 / 6, 1 / 6))
         expected = np.kron(np.eye(2) / 2.0, np.diag([1 / 3, 1 / 3, 1 / 3]))
         assert np.allclose(rho.matrix, expected, atol=1e-14)
-        assert is_classical_diagonal(rho, 1e-12)
+        assert is_classical_diagonal(rho)
+        assert max_off_diagonal(rho) <= 1e-12
 
 
 class TestSpectra:
@@ -201,7 +208,8 @@ class TestCorrelationMeasures:
                 assert abs(classical_correlation(s)) < 1e-12
                 assert abs(discord(s)) < 1e-12
                 assert negativity(s) == 0.0
-                assert is_classical_diagonal(build_state(s), 1e-12)
+                assert is_classical_diagonal(build_state(s))
+                assert max_off_diagonal(build_state(s)) <= 1e-12
 
     def test_discord_exceeds_classical_on_gamma_zero_line(self):
         for alpha in np.linspace(0.0, 0.5, 1002)[1:-1]:
@@ -243,6 +251,12 @@ class TestClassifyFamily:
         got = classify_family(validate_density(np.eye(6) / 6.0, 2, 3))
         assert np.isclose(got.alpha, 1.0 / 6.0, atol=1e-12)
         assert np.isclose(got.gamma, 1.0 / 6.0, atol=1e-12)
+
+    @pytest.mark.parametrize("read", [classify_family, nearest_family_member])
+    def test_qubit_pair_is_out_of_range(self, read):
+        # A valid 2 x 2 state: the family and its alpha range need d >= 3.
+        with pytest.raises(ParameterOutOfRangeError, match="d >= 3"):
+            read(validate_density(np.eye(4) / 4.0, 2, 2))
 
     def test_generic_state_is_rejected_with_residual(self):
         rng = np.random.default_rng(4)

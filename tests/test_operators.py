@@ -1,5 +1,7 @@
 """Operator-algebra contracts: validation, tensor structure, spectra, entropy."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,27 @@ class TestValidateDensity:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             validate_density(np.eye(4) / 4.0, 2, 3)
+
+    def test_overflowing_hermiticity_residual_fails_without_warning(self):
+        # M - M^dag overflows at (0, 1); the inf residual must still fail.
+        m = np.eye(6, dtype=complex) / 6.0
+        m[0, 1], m[1, 0] = 1.7e308, -1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonHermitianError) as exc:
+                validate_density(m, 2, 3)
+        assert exc.value.residual == np.inf
+
+    @pytest.mark.parametrize("diagonal", [
+        [1.7e308, 1.7e308, 0.0, 0.0, 0.0, 0.0],
+        [1.7e308, 1.7e308, -1.7e308, -1.7e308, 0.5, 0.5, 0.0, 0.0],
+    ], ids=["inf_trace", "nan_trace"])
+    def test_overflowing_trace_fails_without_warning(self, diagonal):
+        m = np.diag(diagonal).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonUnitTraceError):
+                validate_density(m, 2, len(diagonal) // 2)
 
     def test_never_renormalizes(self):
         m = np.eye(6) / 6.0
@@ -287,14 +310,16 @@ class TestDiscordPredicates:
 
     def test_classical_diagonal_predicate(self):
         diag = validate_density(np.diag([0.5, 0.5, 0.0, 0.0, 0.0, 0.0]), 2, 3)
-        assert is_classical_diagonal(diag, 1e-10)
+        assert is_classical_diagonal(diag)
         singlet = validate_density(singlet_projector(3), 2, 3)
-        assert not is_classical_diagonal(singlet, 1e-10)
+        assert not is_classical_diagonal(singlet)
 
     def test_family_with_equal_psi_weights_is_classical_diagonal(self):
         # beta == gamma collapses the Bell projectors to the block identity
         s = TwoParamState(3, 1.0 / 6.0, 1.0 / 6.0)
-        assert is_classical_diagonal(build_state(s), 1e-12)
+        rho = build_state(s)
+        assert is_classical_diagonal(rho)
+        assert np.max(np.abs(rho.matrix - np.diag(np.diagonal(rho.matrix)))) <= 1e-12
 
 
 class TestNegativityTraceNorm:

@@ -74,7 +74,18 @@ class TestStageUnitaries:
 
     def test_non_unitary_factor_rejected(self):
         with pytest.raises(ValueError):
-            LocalUnitary("broken", np.eye(2) * 2.0, np.eye(3))
+            LocalUnitary("broken", np.eye(3) * 2.0)
+
+    @pytest.mark.parametrize("matrix_b", [
+        np.full((3, 3), np.nan), np.diag([1.0, 1.0, np.nan])], ids=["qubit_block", "outer_level"])
+    def test_nan_factor_rejected(self, matrix_b):
+        with pytest.raises(ValueError, match="not unitary"):
+            LocalUnitary("nan", matrix_b)
+
+    def test_pair_must_keep_qubit_levels_apart(self):
+        # The cycle 0 -> 1 -> 2 -> 0 is unitary, but its {0, 1} block is not.
+        with pytest.raises(ValueError, match="not unitary"):
+            LocalUnitary("cycle", np.roll(np.eye(3), 1, axis=0))
 
     def test_level_sign_range_checked(self):
         with pytest.raises(LevelOutOfRangeError):
