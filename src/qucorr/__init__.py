@@ -6,6 +6,10 @@ along two independent routes: closed forms for a highly symmetric
 two-parameter family of states, and a numeric optimization over projective
 qubit measurements that works for arbitrary states.  An LOCC twirling
 projection maps any 2 x d state onto the family.
+
+The function :func:`twirl` shadows its module ``qucorr.twirl`` as a package
+attribute, so ``import qucorr.twirl as T`` binds the function; use
+``from qucorr.twirl import ...`` to reach the module.
 """
 
 from .operators import (
@@ -68,23 +72,12 @@ from .measurement import (
 )
 from .twirl import (
     IntermediateWeights,
-    LevelOutOfRangeError,
     LocalUnitary,
     TwirlReport,
     check_family_invariance,
-    cycle_t,
-    hadamard,
-    hadamard_mix,
-    level_sign,
-    level_sign_mix,
     locc_stages,
-    phase_mix,
     random_local_unitary,
-    swap01,
-    swap_mix,
-    t_twirl,
     twirl,
-    u_theta,
 )
 from .statefile import StateFormatError, dumps_density, loads_density
 

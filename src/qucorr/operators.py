@@ -200,10 +200,13 @@ def von_neumann_entropy(m: np.ndarray) -> float:
     Eigenvalues in [-VALIDATION_TOL, 0) are treated as exact zeros and all
     eigenvalues are clipped to [0, 1] before the logarithm, so numerically
     tiny negative values never produce NaNs.  Eigenvalues below
-    ``-VALIDATION_TOL`` raise :class:`NotPositiveSemidefiniteError`.
+    ``-VALIDATION_TOL`` raise :class:`NotPositiveSemidefiniteError`, and NaN/inf
+    entries :class:`NonFiniteError`.
     """
-    lam = np.linalg.eigvalsh(np.asarray(m, dtype=complex))
-    if lam[0] < -VALIDATION_TOL:
+    m = np.asarray(m, dtype=complex)
+    _hermiticity_residual(m)
+    lam = np.linalg.eigvalsh(m)
+    if not lam[0] >= -VALIDATION_TOL:
         raise NotPositiveSemidefiniteError(
             f"smallest eigenvalue {lam[0]:.3e} < -{VALIDATION_TOL:.1e}", residual=float(-lam[0]))
     lam = np.clip(lam, 0.0, 1.0)

@@ -10,12 +10,25 @@ block, so the output parameters are determined by the input:
 :func:`twirl` therefore computes the output directly as this closed-form
 projection: the family member with those two parameters.
 
-:func:`locc_stages` keeps the stage sequence itself, realized as exact convex
-mixtures rather than sampled trajectories, as the reference the projection
-is tested against.  One full pass produces a state that is Bell-diagonal on
-the qubit block; the second pass equalizes the three triplet weights
-exactly, after which the state is the projection up to floating-point
-rounding.
+:func:`locc_stages` keeps the stage sequence itself, as exact convex mixtures
+rather than sampled trajectories, as the reference the projection is tested
+against.  One pass is this table; each stage applies the mixture
+rho -> sum_k p_k U_k rho U_k^dag with U_k = b_k[:2, :2] (x) b_k:
+
+    phase(pi)                   {(1/2, I), (1/2, diag(e^(i pi j)))}
+    level_sign(k), k = 2..d-1   {(1/2, I), (1/2, I - 2|k><k|)}
+    phase(pi/2)                 {(1/2, I), (1/2, diag(e^(i pi j / 2)))}
+    swap01                      {(1/2, I), (1/2, levels 0 and 1 exchanged)}
+    cycle_avg                   {(1/(d-2), T^k)}, k = 0..d-3, T: 2 -> 3 -> ... -> d-1 -> 2
+    hadamard                    {(1/3, I), (2/3, Hadamard on levels 0 and 1)}
+
+One full pass produces a state that is Bell-diagonal on the qubit block; the
+second pass equalizes the three triplet weights exactly, after which the
+state is the projection up to floating-point rounding.
+
+The package re-exports the function :func:`twirl` under this module's name,
+so ``import qucorr.twirl as T`` binds the function; ``from qucorr.twirl
+import ...`` still reaches the module.
 """
 
 from __future__ import annotations
@@ -32,10 +45,6 @@ from .family import (
     build_state,
     nearest_family_member,
 )
-
-
-class LevelOutOfRangeError(ValueError):
-    """Sign-flip level must lie in {2, ..., d-1}."""
 
 
 @dataclass(frozen=True)
@@ -81,107 +90,46 @@ class TwirlReport:
     residual: float
 
 
-def u_theta(theta: float, d: int) -> LocalUnitary:
-    """Phase ladder |j> -> e^(i*theta*j) |j> on both factors."""
-    if d < 3:
-        raise ValueError(f"qudit dimension must be >= 3, got d={d}")
-    phases = np.exp(1j * theta * np.arange(d))
-    return LocalUnitary(name=f"u_theta({theta:g})", matrix_b=np.diag(phases))
+def _stage_table(d: int) -> list[tuple[str, list[tuple[float, np.ndarray]]]]:
+    """One pass of the protocol: (stage name, [(p_k, qudit unitary b_k)]) rows."""
+    eye = np.eye(d, dtype=complex)
+
+    def coin(p: float, b: np.ndarray) -> list[tuple[float, np.ndarray]]:
+        return [(1.0 - p, eye), (p, b)]
+
+    cycle = eye[[0, 1, d - 1, *range(2, d - 1)]]   # outer levels j -> j+1, d-1 -> 2
+    hadamard = eye.copy()
+    hadamard[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    return [
+        ("phase(pi)", coin(0.5, np.diag(np.exp(1j * np.pi * np.arange(d))))),
+        *((f"level_sign({k})", coin(0.5, eye * np.where(np.arange(d) == k, -1.0, 1.0)))
+          for k in range(2, d)),
+        ("phase(pi/2)", coin(0.5, np.diag(np.exp(1j * (np.pi / 2.0) * np.arange(d))))),
+        ("swap01", coin(0.5, eye[[1, 0, *range(2, d)]])),
+        ("cycle_avg", [(1.0 / (d - 2), np.linalg.matrix_power(cycle, k)) for k in range(d - 2)]),
+        ("hadamard", coin(2.0 / 3.0, hadamard)),
+    ]
 
 
-def level_sign(k: int, d: int) -> LocalUnitary:
-    """Sign flip of qudit level k (k >= 2); acts as the identity on the qubit."""
-    if not 2 <= k <= d - 1:
-        raise LevelOutOfRangeError(f"level k={k} outside {{2, ..., {d - 1}}}")
-    diag = np.ones(d, dtype=complex)
-    diag[k] = -1.0
-    return LocalUnitary(name=f"level_sign({k})", matrix_b=np.diag(diag))
-
-
-def swap01(d: int) -> LocalUnitary:
-    """Exchange of levels 0 and 1 on both factors."""
-    b = np.eye(d, dtype=complex)
-    b[0, 0] = b[1, 1] = 0.0
-    b[0, 1] = b[1, 0] = 1.0
-    return LocalUnitary(name="swap01", matrix_b=b)
-
-
-def cycle_t(d: int) -> LocalUnitary:
-    """Cyclic shift of the qudit levels 2, ..., d-1; identity on the qubit."""
-    b = np.zeros((d, d), dtype=complex)
-    b[0, 0] = b[1, 1] = 1.0
-    for j in range(2, d):
-        b[2 + (j - 1) % (d - 2), j] = 1.0
-    return LocalUnitary(name="cycle_t", matrix_b=b)
-
-
-def hadamard(d: int) -> LocalUnitary:
-    """Hadamard on levels 0 and 1 of both factors; identity elsewhere."""
-    h2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    b = np.eye(d, dtype=complex)
-    b[:2, :2] = h2
-    return LocalUnitary(name="hadamard", matrix_b=b)
-
-
-def _mix(rho: DensityMatrix, unitary: LocalUnitary, p: float) -> DensityMatrix:
-    """Exact convex mixture p * U rho U^dag + (1-p) * rho."""
-    u = unitary.full()
-    mixed = p * (u @ rho.matrix @ u.conj().T) + (1.0 - p) * rho.matrix
-    return validate_density(mixed, rho.dim_a, rho.dim_b)
-
-
-def phase_mix(rho: DensityMatrix, theta: float) -> DensityMatrix:
-    """Apply the phase ladder with probability 1/2."""
-    return _mix(rho, u_theta(theta, rho.dim_b), 0.5)
-
-
-def level_sign_mix(rho: DensityMatrix, k: int) -> DensityMatrix:
-    """Flip the sign of qudit level k with probability 1/2, erasing its coherences."""
-    return _mix(rho, level_sign(k, rho.dim_b), 0.5)
-
-
-def swap_mix(rho: DensityMatrix) -> DensityMatrix:
-    """Exchange levels 0 and 1 on both sides with probability 1/2."""
-    return _mix(rho, swap01(rho.dim_b), 0.5)
-
-
-def t_twirl(rho: DensityMatrix) -> DensityMatrix:
-    """Average over all powers of the outer-level cycle, equalizing the outer weights."""
-    d = rho.dim_b
-    t = cycle_t(d)
-    acc = np.zeros_like(rho.matrix)
-    u = np.eye(2 * d, dtype=complex)
-    step = t.full()
-    for _ in range(d - 2):
-        acc += u @ rho.matrix @ u.conj().T
-        u = step @ u
-    return validate_density(acc / (d - 2), rho.dim_a, rho.dim_b)
-
-
-def hadamard_mix(rho: DensityMatrix) -> DensityMatrix:
-    """Apply the two-sided Hadamard with probability 2/3."""
-    return _mix(rho, hadamard(rho.dim_b), 2.0 / 3.0)
+def _apply(rho: DensityMatrix, name: str,
+           mixture: list[tuple[float, np.ndarray]]) -> DensityMatrix:
+    """One stage: sum_k p_k U_k rho U_k^dag with U_k = b_k[:2, :2] (x) b_k, validated."""
+    m = np.zeros_like(rho.matrix)
+    for p, b in mixture:
+        u = LocalUnitary(name, b).full()
+        m += p * (u @ rho.matrix @ u.conj().T)
+    return validate_density(m, rho.dim_a, rho.dim_b)
 
 
 def locc_stages(rho: DensityMatrix) -> list[tuple[str, DensityMatrix]]:
-    """The paper's protocol: two full passes of the stage sequence, returning
+    """The paper's protocol: two full passes of the stage table, returning
     every stage output in order.  The last snapshot is the twirled state."""
-    d = rho.dim_b
+    if rho.dim_a != 2 or rho.dim_b < 3:
+        raise ValueError(f"locc_stages needs a 2 x d state with d >= 3, got dims {rho.dims}")
     out: list[tuple[str, DensityMatrix]] = []
-    for _ in range(2):
-        rho = phase_mix(rho, np.pi)
-        out.append(("phase(pi)", rho))
-        for k in range(2, d):
-            rho = level_sign_mix(rho, k)
-            out.append((f"level_sign({k})", rho))
-        rho = phase_mix(rho, np.pi / 2.0)
-        out.append(("phase(pi/2)", rho))
-        rho = swap_mix(rho)
-        out.append(("swap01", rho))
-        rho = t_twirl(rho)
-        out.append(("cycle_avg", rho))
-        rho = hadamard_mix(rho)
-        out.append(("hadamard", rho))
+    for name, mixture in 2 * _stage_table(rho.dim_b):
+        rho = _apply(rho, name, mixture)
+        out.append((name, rho))
     return out
 
 
@@ -242,6 +190,8 @@ def check_family_invariance(s: TwoParamState, trials: int, seed: int) -> float:
     Values at rounding level certify the family's invariance; generic states
     move by order one.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rho = build_state(s)
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -267,6 +267,15 @@ class TestEntropy:
         with pytest.raises(NotPositiveSemidefiniteError):
             von_neumann_entropy(np.diag([1.2, -0.2]))
 
+    @pytest.mark.parametrize("m", [
+        np.full((2, 2), np.nan),
+        np.array([[0.5, np.nan], [np.nan, 0.5]]),
+        np.array([[0.5, np.inf], [np.inf, 0.5]]),
+    ], ids=["all_nan", "nan_off_diagonal", "inf_off_diagonal"])
+    def test_non_finite_input_rejected(self, m):
+        with pytest.raises(NonFiniteError):
+            von_neumann_entropy(m)
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -1,4 +1,4 @@
-"""Twirling pipeline: stage maps, exactness, invariance, monotonicity."""
+"""Twirling pipeline: the stage table, exactness, invariance, monotonicity."""
 
 import numpy as np
 import pytest
@@ -17,33 +17,29 @@ from qucorr.operators import (
     validate_density,
 )
 from qucorr.twirl import (
-    LevelOutOfRangeError,
+    _apply,
     _halfway_weights,
+    _stage_table,
     LocalUnitary,
     check_family_invariance,
-    cycle_t,
-    hadamard,
-    hadamard_mix,
-    level_sign,
-    level_sign_mix,
     locc_stages,
-    phase_mix,
     random_local_unitary,
-    swap01,
-    swap_mix,
-    t_twirl,
     twirl,
-    u_theta,
 )
 
-MIXES = (
-    lambda rho: phase_mix(rho, np.pi),
-    lambda rho: phase_mix(rho, np.pi / 2.0),
-    lambda rho: level_sign_mix(rho, 2),
-    swap_mix,
-    t_twirl,
-    hadamard_mix,
-)
+STAGES_D4 = [name for name, _ in _stage_table(4)]
+STAGE_IDS = [name.replace("(", "_").replace(")", "").replace("/", "_") for name in STAGES_D4]
+
+
+def stage(rho, name):
+    """Apply the named row of the one-pass stage table to rho."""
+    return _apply(rho, name, dict(_stage_table(rho.dim_b))[name])
+
+
+def stage_unitary(d, name):
+    """The non-identity unitary of a table row, as an identified pair."""
+    mixture = dict(_stage_table(d))[name]
+    return LocalUnitary(name, mixture[-1][1])
 
 
 def basis_projector(d, i, j):
@@ -55,22 +51,13 @@ def basis_projector(d, i, j):
 class TestStageUnitaries:
 
     def test_phase_ladder_at_pi(self):
-        u = u_theta(np.pi, 3)
+        u = stage_unitary(3, "phase(pi)")
         assert np.allclose(u.matrix_b, np.diag([1.0, -1.0, 1.0]), atol=1e-14)
         assert np.allclose(u.matrix_a, np.diag([1.0, -1.0]), atol=1e-14)
 
-    def test_phase_ladder_at_zero_is_identity(self):
-        u = u_theta(0.0, 4)
-        assert np.allclose(u.full(), np.eye(8), atol=1e-14)
-
     def test_phase_ladder_at_half_pi(self):
-        u = u_theta(np.pi / 2.0, 3)
+        u = stage_unitary(3, "phase(pi/2)")
         assert np.allclose(u.matrix_b, np.diag([1.0, 1.0j, -1.0]), atol=1e-14)
-
-    def test_factors_act_alike_on_shared_levels(self):
-        for make in (lambda: u_theta(0.7, 4), lambda: swap01(4), lambda: hadamard(4)):
-            u = make()
-            assert np.allclose(u.matrix_a, u.matrix_b[:2, :2], atol=1e-14)
 
     def test_non_unitary_factor_rejected(self):
         with pytest.raises(ValueError):
@@ -87,14 +74,8 @@ class TestStageUnitaries:
         with pytest.raises(ValueError, match="not unitary"):
             LocalUnitary("cycle", np.roll(np.eye(3), 1, axis=0))
 
-    def test_level_sign_range_checked(self):
-        with pytest.raises(LevelOutOfRangeError):
-            level_sign(1, 4)
-        with pytest.raises(LevelOutOfRangeError):
-            level_sign(4, 4)
-
     def test_cycle_shifts_outer_levels(self):
-        b = cycle_t(4).matrix_b
+        b = stage_unitary(4, "cycle_avg").matrix_b
         e2, e3 = np.zeros(4), np.zeros(4)
         e2[2], e3[3] = 1.0, 1.0
         assert np.allclose(b @ e2, e3, atol=1e-14)
@@ -105,12 +86,12 @@ class TestPhaseMix:
 
     def test_family_member_is_fixed(self):
         rho = build_state(TwoParamState(3, 0.1, 0.3))
-        out = phase_mix(rho, np.pi)
+        out = stage(rho, "phase(pi)")
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
 
     def test_maximally_mixed_is_fixed(self):
         rho = validate_density(np.eye(6) / 6.0, 2, 3)
-        out = phase_mix(rho, 1.234)
+        out = stage(rho, "phase(pi/2)")
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-14
 
     def test_odd_parity_coherences_cancel(self):
@@ -118,7 +99,7 @@ class TestPhaseMix:
         v = np.zeros(6, dtype=complex)
         v[0] = v[3] = 1.0 / np.sqrt(2.0)
         rho = validate_density(np.outer(v, v.conj()), 2, 3)
-        out = phase_mix(rho, np.pi)
+        out = stage(rho, "phase(pi)")
         assert abs(out.matrix[0, 3]) < 1e-15
         assert abs(rho.matrix[0, 3] - 0.5) < 1e-15
 
@@ -129,19 +110,19 @@ class TestLevelSignMix:
         v = np.zeros(6, dtype=complex)
         v[0] = v[2] = 1.0 / np.sqrt(2.0)   # |0 0> + |0 2>
         rho = validate_density(np.outer(v, v.conj()), 2, 3)
-        out = level_sign_mix(rho, 2)
+        out = stage(rho, "level_sign(2)")
         assert abs(out.matrix[0, 2]) < 1e-15
 
     def test_diagonal_state_unchanged(self):
         rho = validate_density(np.diag([0.3, 0.2, 0.1, 0.1, 0.2, 0.1]), 2, 3)
-        out = level_sign_mix(rho, 2)
+        out = stage(rho, "level_sign(2)")
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-14
 
     def test_projects_after_one_application(self):
         rng = np.random.default_rng(0)
         rho = random_density_matrix(2, 4, rng)
-        once = level_sign_mix(rho, 3)
-        twice = level_sign_mix(once, 3)
+        once = stage(rho, "level_sign(3)")
+        twice = stage(once, "level_sign(3)")
         assert np.max(np.abs(twice.matrix - once.matrix)) < 1e-14
 
 
@@ -150,18 +131,18 @@ class TestSwapMix:
     def test_swap_symmetric_state_unchanged(self):
         phi_p = bell_vectors(3)[0]
         rho = validate_density(np.outer(phi_p, phi_p.conj()), 2, 3)
-        out = swap_mix(rho)
+        out = stage(rho, "swap01")
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-14
 
     def test_basis_state_splits_evenly(self):
         rho = validate_density(basis_projector(3, 0, 0), 2, 3)
-        out = swap_mix(rho)
+        out = stage(rho, "swap01")
         expected = 0.5 * basis_projector(3, 0, 0) + 0.5 * basis_projector(3, 1, 1)
         assert np.max(np.abs(out.matrix - expected)) < 1e-14
 
     def test_family_member_is_fixed(self):
         rho = build_state(TwoParamState(4, 0.1, 0.25))
-        out = swap_mix(rho)
+        out = stage(rho, "swap01")
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
 
 
@@ -170,21 +151,21 @@ class TestCycleAverage:
     def test_identity_for_qutrit(self):
         rng = np.random.default_rng(1)
         rho = random_density_matrix(2, 3, rng)
-        out = t_twirl(rho)
+        out = stage(rho, "cycle_avg")
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-14
 
     def test_equalizes_outer_weights(self):
         m = (0.3 * basis_projector(4, 0, 2) + 0.1 * basis_projector(4, 0, 3)
              + 0.6 * basis_projector(4, 0, 0))
         rho = validate_density(m, 2, 4)
-        out = t_twirl(rho)
+        out = stage(rho, "cycle_avg")
         assert np.isclose(out.matrix[2, 2].real, 0.2, atol=1e-14)
         assert np.isclose(out.matrix[3, 3].real, 0.2, atol=1e-14)
         assert np.isclose(out.matrix[0, 0].real, 0.6, atol=1e-14)
 
     def test_family_member_is_fixed(self):
         rho = build_state(TwoParamState(5, 0.05, 0.3))
-        out = t_twirl(rho)
+        out = stage(rho, "cycle_avg")
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
 
 
@@ -192,47 +173,47 @@ class TestHadamardMix:
 
     def test_singlet_is_fixed(self):
         rho = build_state(TwoParamState(3, 0.0, 1.0))
-        out = hadamard_mix(rho)
+        out = stage(rho, "hadamard")
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-14
 
     def test_phi_plus_is_fixed(self):
         phi_p = bell_vectors(3)[0]
         rho = validate_density(np.outer(phi_p, phi_p.conj()), 2, 3)
-        out = hadamard_mix(rho)
+        out = stage(rho, "hadamard")
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-14
 
     def test_phi_minus_mixes_with_psi_plus(self):
         _, phi_m, psi_p, _ = bell_vectors(3)
         rho = validate_density(np.outer(phi_m, phi_m.conj()), 2, 3)
-        out = hadamard_mix(rho)
+        out = stage(rho, "hadamard")
         expected = (2.0 / 3.0) * np.outer(psi_p, psi_p.conj()) \
             + (1.0 / 3.0) * np.outer(phi_m, phi_m.conj())
         assert np.max(np.abs(out.matrix - expected)) < 1e-14
 
     def test_maximally_mixed_is_fixed(self):
         rho = validate_density(np.eye(8) / 8.0, 2, 4)
-        out = hadamard_mix(rho)
+        out = stage(rho, "hadamard")
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-14
 
 
 class TestStageProperties:
 
-    def test_every_mix_preserves_density_invariants(self):
+    @pytest.mark.parametrize("name", STAGES_D4, ids=STAGE_IDS)
+    def test_every_mix_preserves_density_invariants(self, name):
         rng = np.random.default_rng(2)
-        for mix in MIXES:
-            rho = random_density_matrix(2, 4, rng)
-            out = mix(rho)
-            m = out.matrix
-            assert np.max(np.abs(m - m.conj().T)) < 1e-12
-            assert abs(np.trace(m).real - 1.0) < 1e-12
-            assert np.linalg.eigvalsh(m)[0] > -1e-12
+        rho = random_density_matrix(2, 4, rng)
+        out = stage(rho, name)
+        m = out.matrix
+        assert np.max(np.abs(m - m.conj().T)) < 1e-12
+        assert abs(np.trace(m).real - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(m)[0] > -1e-12
 
-    def test_every_mix_preserves_singlet_weight(self):
+    @pytest.mark.parametrize("name", STAGES_D4, ids=STAGE_IDS)
+    def test_every_mix_preserves_singlet_weight(self, name):
         rng = np.random.default_rng(3)
-        for mix in MIXES:
-            rho = random_density_matrix(2, 4, rng)
-            before = singlet_weight(rho)
-            assert abs(singlet_weight(mix(rho)) - before) < 1e-12
+        rho = random_density_matrix(2, 4, rng)
+        before = singlet_weight(rho)
+        assert abs(singlet_weight(stage(rho, name)) - before) < 1e-12
 
 
 class TestTwirl:
@@ -365,3 +346,11 @@ class TestFamilyInvariance:
         assert np.allclose(u.matrix_a, u.matrix_b[:2, :2], atol=1e-14)
         assert np.max(np.abs(u.matrix_b[:2, 2:])) == 0.0
         assert np.max(np.abs(u.matrix_b[2:, :2])) == 0.0
+
+
+class TestInvarianceTrials:
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_fewer_than_one_trial_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            check_family_invariance(TwoParamState(3, 0.1, 0.3), trials=trials, seed=0)
