@@ -60,6 +60,7 @@ from .measurement import (
     ConditionalEnsemble,
     MeasurementAxis,
     OptimizerConfig,
+    OptimizerResult,
     axis_from_direction,
     classical_correlation_numeric,
     conditional_ensemble,
@@ -67,6 +68,7 @@ from .measurement import (
     discord_numeric,
     ensemble_spectrum_spread,
     measured_mutual_information,
+    optimize_measurement,
     projectors,
     random_axis,
 )

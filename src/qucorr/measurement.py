@@ -12,16 +12,23 @@ and A_1 along -n.  The qudit is left in the unnormalized blocks
 with probabilities tr M+-.  They are linear in n, and one private kernel,
 ``_steer``, forms them from (rho_B, T) for every ensemble, entropy and
 spectrum below.  The classical correlation is the supremum over n of
-S(rho_B) - sum p S(M/p).  Directions n and -n give the same measurement, so
-the optimizer scans a Fibonacci grid on the upper hemisphere and then walks
-the compass stencil n +- step e_k on the sphere, halving the step whenever no
-neighbour is strictly better.  Its maximum is a certified lower bound for
-general states and exact for the symmetric two-parameter family, where the
-objective is axis-independent.
+S(rho_B) - sum p S(M/p).
+
+The optimizer is a multi-start search.  Directions n and -n give the same
+measurement, so its first batch is a Fibonacci grid on the upper hemisphere
+(plus any seeded probes).  If that batch is flat, the objective does not
+depend on the axis (as for every member of the two-parameter family), and the
+search stops at the first grid direction.  Otherwise every grid point that is
+no worse than its nearest neighbours on the whole sphere starts a compass walk
+n +- step e_k, best first, and all walks advance together, one kernel batch
+per iteration; each halves its own step whenever no neighbour is strictly
+better.  The maximum is a certified lower bound for general states and exact
+for the family.  ``optimize_measurement`` reports what the search did.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +46,16 @@ from .family import TwoParamState, build_state
 DEGENERATE_TOL = 1e-12
 # Directions in the optimizer's first batch, a Fibonacci grid on the upper
 # hemisphere.
-GRID_POINTS = 2048
-# The compass search starts at stencil step REFINE_STEP and stops once the step
-# drops to REFINE_TOL, or after REFINE_MAXITER batches in all.
+GRID_POINTS = 128
+# A first batch whose conditional entropies spread by at most FLAT_TOL bits is
+# an axis-independent objective: the search stops there.
+FLAT_TOL = 1e-13
+# Grid points no worse than their NEIGHBOURS nearest directions on the sphere
+# start a compass walk, best first, at most MAX_STARTS of them.
+NEIGHBOURS = 6
+MAX_STARTS = 8
+# Each walk starts at stencil step REFINE_STEP and stops once its step drops to
+# REFINE_TOL; REFINE_MAXITER caps the batches of the whole search.
 REFINE_STEP = 0.1
 REFINE_TOL = 1e-10
 REFINE_MAXITER = 500
@@ -104,7 +118,8 @@ class OptimizerConfig:
     The optimizer always scans ``GRID_POINTS`` hemisphere directions before
     its compass refinement.  ``random_probes >= 0`` extra directions (seeded)
     can be mixed into that scan to guard against grid aliasing on unusually
-    structured states.
+    structured states; the best first-batch direction always starts a walk,
+    so a probe that beats the grid is refined too.
     """
 
     random_probes: int = 0
@@ -113,6 +128,31 @@ class OptimizerConfig:
     def __post_init__(self):
         if not self.random_probes >= 0:
             raise ValueError(f"random_probes must be at least 0, got {self.random_probes!r}")
+
+
+@dataclass(frozen=True)
+class OptimizerResult:
+    """What ``optimize_measurement`` found, and what the search cost.
+
+    ``value`` is the best measured mutual information in bits, reached along
+    ``axis``; ``grid_value`` is the first batch's best, so ``refine_gain =
+    value - grid_value >= 0``.  On a flat first batch the search stops with
+    ``starts = 0`` and returns the first grid direction and its own value.
+    ``batches`` counts kernel calls and ``evaluations`` the directions passed
+    to them; ``converged`` is False only if ``REFINE_MAXITER`` cut the search.
+    ``grid_s`` and ``refine_s`` are the wall times of the two phases.
+    """
+
+    value: float
+    axis: MeasurementAxis
+    grid_value: float
+    refine_gain: float
+    starts: int
+    batches: int
+    evaluations: int
+    converged: bool
+    grid_s: float
+    refine_s: float
 
 
 def axis_from_direction(polar: float, azimuth: float) -> MeasurementAxis:
@@ -152,6 +192,12 @@ def _axis_direction(axis: MeasurementAxis) -> np.ndarray:
     return np.einsum('ab,kba->k', projectors(axis)[0], _PAULI).real[None]
 
 
+def _direction_axis(n: np.ndarray) -> MeasurementAxis:
+    """Axis whose first projector points along the unit Bloch vector ``n``."""
+    return axis_from_direction(float(np.arccos(np.clip(n[2], -1.0, 1.0))),
+                               float(np.arctan2(n[1], n[0]) % (2.0 * np.pi)))
+
+
 def _grid_directions(polar: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
     """Bloch directions (g, 3) for polar and azimuth angles of shape (g,)."""
     sin = np.sin(polar)
@@ -162,6 +208,18 @@ def _hemisphere(count: int) -> np.ndarray:
     """``count`` Fibonacci-spiral directions (count, 3) with equal area on z > 0."""
     k = np.arange(count) + 0.5
     return _grid_directions(np.arccos(1.0 - k / count), k * np.pi * (3.0 - np.sqrt(5.0)))
+
+
+def _neighbour_table(grid: np.ndarray) -> np.ndarray:
+    """Grid indices (g, NEIGHBOURS) of each point's nearest directions on the
+    whole sphere, the grid and its antipodes; -n is the same measurement as n."""
+    cos = grid @ np.r_[grid, -grid].T
+    np.fill_diagonal(cos, -np.inf)
+    return np.argpartition(-cos, NEIGHBOURS - 1, axis=1)[:, :NEIGHBOURS] % len(grid)
+
+
+_GRID = _hemisphere(GRID_POINTS)
+_NEIGHBOURS = _neighbour_table(_GRID)
 
 
 def _steer(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray):
@@ -219,39 +277,76 @@ def measured_mutual_information(rho: DensityMatrix, axis: MeasurementAxis) -> fl
     return von_neumann_entropy(partial_trace_a(rho)) - conditional_entropy(rho, axis)
 
 
-def classical_correlation_numeric(rho: DensityMatrix,
-                                  config: OptimizerConfig | None = None,
-                                  ) -> tuple[float, MeasurementAxis]:
+def optimize_measurement(rho: DensityMatrix,
+                         config: OptimizerConfig | None = None) -> OptimizerResult:
     """Maximize the measured mutual information over projective qubit measurements.
 
-    Returns the best value found (a lower bound on the supremum; exact to
-    rounding for smooth objectives) together with the maximizing axis.
+    The value is the best one found: a lower bound on the supremum, exact to
+    rounding for smooth objectives.  See the module docstring for the search.
     """
     if config is None:
         config = OptimizerConfig()
+    start = time.perf_counter()
     rho_b, t = _bloch_blocks(rho)
-    batch = _hemisphere(GRID_POINTS)
+    entropy_b = von_neumann_entropy(rho_b)
+    batch = _GRID
     if config.random_probes > 0:
         rng = np.random.default_rng(config.seed)
         polar = np.arccos(rng.uniform(-1.0, 1.0, config.random_probes))
         azimuth = rng.uniform(0.0, 2.0 * np.pi, config.random_probes)
         batch = np.r_[batch, _grid_directions(polar, azimuth)]
+    first = _conditional_entropy_batch(rho_b, t, batch)
+    batches, evaluations = 1, len(batch)
+    if np.ptp(first) <= FLAT_TOL:
+        value = entropy_b - float(first[0])
+        return OptimizerResult(value=value, axis=_direction_axis(batch[0]), grid_value=value,
+                               refine_gain=0.0, starts=0, batches=batches,
+                               evaluations=evaluations, converged=True,
+                               grid_s=time.perf_counter() - start, refine_s=0.0)
 
-    x, cond_x, step = None, np.inf, REFINE_STEP
-    for _ in range(REFINE_MAXITER):
-        cond = _conditional_entropy_batch(rho_b, t, batch)
-        best = int(np.argmin(cond))
-        if cond[best] < cond_x:
-            x, cond_x = batch[best], float(cond[best])
-        else:
-            step *= 0.5
-            if step <= REFINE_TOL:
-                break
-        batch = x + step * np.r_[np.eye(3), -np.eye(3)]
-        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-    axis = axis_from_direction(float(np.arccos(np.clip(x[2], -1.0, 1.0))),
-                               float(np.arctan2(x[1], x[0]) % (2.0 * np.pi)))
-    return von_neumann_entropy(rho_b) - cond_x, axis
+    # Starts: the best first-batch direction (it may be a probe), then the grid's
+    # local minima on the sphere, best first.
+    best = int(np.argmin(first))
+    grid = first[:GRID_POINTS]
+    minima = np.flatnonzero(np.all(grid[:, None] <= grid[_NEIGHBOURS], axis=1))
+    minima = minima[np.argsort(grid[minima], kind="stable")]
+    starts = [best] + [int(i) for i in minima if i != best][:MAX_STARTS - 1]
+    x, fx = batch[starts], first[starts]
+    step = np.full(len(starts), REFINE_STEP)
+    active = np.ones(len(starts), dtype=bool)
+    stencil = np.r_[np.eye(3), -np.eye(3)]
+    grid_s = time.perf_counter() - start
+
+    while active.any() and batches < REFINE_MAXITER:
+        walks = np.flatnonzero(active)
+        probes = x[walks, None] + step[walks, None, None] * stencil
+        probes /= np.linalg.norm(probes, axis=2, keepdims=True)
+        cond = _conditional_entropy_batch(rho_b, t, probes.reshape(-1, 3))
+        cond = cond.reshape(len(walks), len(stencil))
+        batches, evaluations = batches + 1, evaluations + cond.size
+        pick = np.argmin(cond, axis=1)
+        new = cond[np.arange(len(walks)), pick]
+        moved = new < fx[walks]
+        x[walks[moved]] = probes[moved, pick[moved]]
+        fx[walks[moved]] = new[moved]
+        stuck = walks[~moved]
+        step[stuck] *= 0.5
+        active[stuck] = step[stuck] > REFINE_TOL
+
+    top = int(np.argmin(fx))
+    value, grid_value = entropy_b - float(fx[top]), entropy_b - float(first[best])
+    return OptimizerResult(value=value, axis=_direction_axis(x[top]), grid_value=grid_value,
+                           refine_gain=value - grid_value, starts=len(starts), batches=batches,
+                           evaluations=evaluations, converged=not active.any(),
+                           grid_s=grid_s, refine_s=time.perf_counter() - start - grid_s)
+
+
+def classical_correlation_numeric(rho: DensityMatrix,
+                                  config: OptimizerConfig | None = None,
+                                  ) -> tuple[float, MeasurementAxis]:
+    """``optimize_measurement``'s best value and the axis that attains it."""
+    result = optimize_measurement(rho, config)
+    return result.value, result.axis
 
 
 def discord_numeric(rho: DensityMatrix, config: OptimizerConfig | None = None) -> float:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qucorr import measurement
 from qucorr.family import (
     TwoParamState,
     bell_vectors,
@@ -18,9 +19,12 @@ from qucorr.family import (
     random_family_state,
 )
 from qucorr.measurement import (
+    GRID_POINTS,
+    MAX_STARTS,
     ConditionalEnsemble,
     MeasurementAxis,
     OptimizerConfig,
+    OptimizerResult,
     axis_from_direction,
     classical_correlation_numeric,
     conditional_ensemble,
@@ -28,6 +32,7 @@ from qucorr.measurement import (
     discord_numeric,
     ensemble_spectrum_spread,
     measured_mutual_information,
+    optimize_measurement,
     projectors,
     random_axis,
 )
@@ -420,6 +425,88 @@ class TestOptimizerOracle:
         g = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
         m = g @ g.conj().T
         self.assert_matches_oracle(validate_density(m / np.trace(m).real, 2, 5))
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_slightly_perturbed_family_member(self, d):
+        # A 1e-6 admixture tilts the family's flat objective: the flat stop
+        # must not fire, so the search refines past its first batch.
+        rng = np.random.default_rng(330 + d)
+        m = ((1.0 - 1e-6) * build_state(random_family_state(d, rng)).matrix
+             + 1e-6 * random_density_matrix(2, d, rng).matrix)
+        rho = validate_density(m, 2, d)
+        self.assert_matches_oracle(rho)
+        assert optimize_measurement(rho).batches > 1
+
+    def test_product_state(self):
+        rng = np.random.default_rng(340)
+        rho, _, _ = product_state(rng, d=4)
+        self.assert_matches_oracle(rho)
+        result = optimize_measurement(rho)
+        assert result.batches == 1
+        assert abs(result.value) <= 1e-12
+
+    def test_product_state_with_correlated_admixture(self):
+        rng = np.random.default_rng(341)
+        rho, _, _ = product_state(rng, d=4)
+        m = (1.0 - 1e-6) * rho.matrix + 1e-6 * random_density_matrix(2, 4, rng).matrix
+        self.assert_matches_oracle(validate_density(m, 2, 4))
+
+
+class TestOptimizeMeasurement:
+
+    @staticmethod
+    def counted_kernel(monkeypatch):
+        """Record the number of directions in every kernel batch."""
+        sizes = []
+        kernel = measurement._conditional_entropy_batch
+
+        def counting(rho_b, t, n):
+            sizes.append(len(n))
+            return kernel(rho_b, t, n)
+
+        monkeypatch.setattr(measurement, "_conditional_entropy_batch", counting)
+        return sizes
+
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_family_member_stops_after_the_grid(self, d):
+        s = random_family_state(d, np.random.default_rng(360 + d))
+        result = optimize_measurement(build_state(s))
+        assert result.batches == 1
+        assert result.refine_gain == 0.0
+        assert result.evaluations == GRID_POINTS
+        assert result.starts == 0
+        assert result.converged
+        assert abs(result.value - classical_correlation(s)) < 1e-7
+
+    def test_random_state_diagnostics(self, monkeypatch):
+        sizes = self.counted_kernel(monkeypatch)
+        rho = random_density_matrix(2, 4, np.random.default_rng(370))
+        result = optimize_measurement(rho)
+        assert isinstance(result, OptimizerResult)
+        assert 1 <= result.starts <= MAX_STARTS
+        assert result.converged
+        assert result.value >= result.grid_value
+        assert result.refine_gain == result.value - result.grid_value
+        assert result.batches == len(sizes)
+        assert result.evaluations == sum(sizes)
+        assert result.grid_s >= 0.0 and result.refine_s >= 0.0
+        assert classical_correlation_numeric(rho) == (result.value, result.axis)
+
+    def test_probes_join_the_first_batch(self, monkeypatch):
+        sizes = self.counted_kernel(monkeypatch)
+        rho = random_density_matrix(2, 3, np.random.default_rng(371))
+        result = optimize_measurement(rho, OptimizerConfig(random_probes=64, seed=3))
+        assert sizes[0] == GRID_POINTS + 64
+        assert result.evaluations == sum(sizes)
+
+    def test_flat_objective_axis_is_fixed(self):
+        # On an axis-independent objective every direction is optimal; the
+        # optimizer returns the same one for every such state.
+        rng = np.random.default_rng(380)
+        first, second = random_family_state(5, rng), random_family_state(5, rng)
+        _, axis_a = classical_correlation_numeric(build_state(first))
+        _, axis_b = classical_correlation_numeric(build_state(second))
+        assert axis_a == axis_b
 
 
 class TestDiscordNumeric:
