@@ -26,14 +26,13 @@ from .measurement import OptimizerConfig, classical_correlation_numeric
 from .operators import (
     VALIDATION_TOL,
     DensityMatrix,
-    MatrixValidationError,
     _hermiticity_residual,
     commutator_condition,
     negativity_trace_norm,
     partial_transpose_a,
     quantum_mutual_information,
 )
-from .statefile import StateFormatError, dumps_density, loads_density
+from .statefile import dumps_density, loads_density
 from .twirl import twirl
 
 CSV_HEADER = "param,alpha,beta,gamma,classical,discord,mutual_info,negativity,invalid"
@@ -245,8 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (fam.ParameterOutOfRangeError, MatrixValidationError, StateFormatError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

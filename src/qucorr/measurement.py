@@ -22,8 +22,9 @@ search stops at the first grid direction.  Otherwise every grid point that is
 no worse than its nearest neighbours on the whole sphere starts a compass walk
 n +- step e_k, best first, and all walks advance together, one kernel batch
 per iteration; each halves its own step whenever no neighbour is strictly
-better.  The maximum is a certified lower bound for general states and exact
-for the family.  ``optimize_measurement`` reports what the search did.
+better, until its stencil is flat.  The maximum is a certified lower bound for
+general states and exact for the family.  ``optimize_measurement`` reports
+what the search did.
 """
 
 from __future__ import annotations
@@ -47,17 +48,17 @@ DEGENERATE_TOL = 1e-12
 # Directions in the optimizer's first batch, a Fibonacci grid on the upper
 # hemisphere.
 GRID_POINTS = 128
-# A first batch whose conditional entropies spread by at most FLAT_TOL bits is
-# an axis-independent objective: the search stops there.
+# Evaluations that spread by at most FLAT_TOL bits are flat.  A flat first
+# batch is an axis-independent objective and stops the search; a walk whose
+# stencil is flat around it ends.
 FLAT_TOL = 1e-13
 # Grid points no worse than their NEIGHBOURS nearest directions on the sphere
 # start a compass walk, best first, at most MAX_STARTS of them.
 NEIGHBOURS = 6
 MAX_STARTS = 8
-# Each walk starts at stencil step REFINE_STEP and stops once its step drops to
-# REFINE_TOL; REFINE_MAXITER caps the batches of the whole search.
+# Each walk starts at stencil step REFINE_STEP; REFINE_MAXITER caps the batches
+# of the whole search.
 REFINE_STEP = 0.1
-REFINE_TOL = 1e-10
 REFINE_MAXITER = 500
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
@@ -193,7 +194,10 @@ def _axis_direction(axis: MeasurementAxis) -> np.ndarray:
 
 
 def _direction_axis(n: np.ndarray) -> MeasurementAxis:
-    """Axis whose first projector points along the unit Bloch vector ``n``."""
+    """Axis whose first projector points along the unit Bloch vector ``n``, or
+    along -n (the same measurement) if (n_z, n_y, n_x) < (0, 0, 0)."""
+    if tuple(n[::-1]) < (0.0, 0.0, 0.0):
+        n = -n
     return axis_from_direction(float(np.arccos(np.clip(n[2], -1.0, 1.0))),
                                float(np.arctan2(n[1], n[0]) % (2.0 * np.pi)))
 
@@ -327,11 +331,10 @@ def optimize_measurement(rho: DensityMatrix,
         pick = np.argmin(cond, axis=1)
         new = cond[np.arange(len(walks)), pick]
         moved = new < fx[walks]
+        active[walks] = np.ptp(np.c_[cond, fx[walks]], axis=1) > FLAT_TOL
         x[walks[moved]] = probes[moved, pick[moved]]
         fx[walks[moved]] = new[moved]
-        stuck = walks[~moved]
-        step[stuck] *= 0.5
-        active[stuck] = step[stuck] > REFINE_TOL
+        step[walks[~moved]] *= 0.5
 
     top = int(np.argmin(fx))
     value, grid_value = entropy_b - float(fx[top]), entropy_b - float(first[best])

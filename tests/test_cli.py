@@ -256,6 +256,14 @@ class TestDiscordCommand:
         got = parse_report(cp.stdout)
         assert abs(got["discord_numeric"] - expected) < 1e-6
 
+    def test_axis_on_the_upper_hemisphere(self):
+        # n and -n are one measurement; the printed axis is the one with
+        # Bloch z = t^2 - y1^2 - y2^2 + y3^2 >= 0.
+        cp = run_cli("discord", "--in", str(FIXTURES / "random_2x4.json"))
+        assert cp.returncode == 0, cp.stderr
+        t, y1, y2, y3 = map(float, parse_report(cp.stdout)["axis"].strip("()").split(","))
+        assert t ** 2 - y1 ** 2 - y2 ** 2 + y3 ** 2 >= 0.0
+
 
 class TestCheckCommand:
 

@@ -508,6 +508,35 @@ class TestOptimizeMeasurement:
         _, axis_b = classical_correlation_numeric(build_state(second))
         assert axis_a == axis_b
 
+    def test_antipodal_directions_give_one_axis(self):
+        # n and -n are one measurement; the returned axis must not depend on
+        # which of the two the search ended at.
+        rng = np.random.default_rng(390)
+        directions = [n / np.linalg.norm(n) for n in rng.standard_normal((20, 3))]
+        for n in directions + [np.array([1.0, 0.0, 0.0])]:
+            assert measurement._direction_axis(-n) == measurement._direction_axis(n)
+
+    def test_walks_end_on_a_flat_stencil(self):
+        # The product state with a 1e-6 admixture of the oracle tests: its
+        # grid spreads by only ~3e-12 bits, so the walks' stencils are flat to
+        # FLAT_TOL after a few batches, long before their steps are tiny.
+        rng = np.random.default_rng(341)
+        rho, _, _ = product_state(rng, d=4)
+        m = (1.0 - 1e-6) * rho.matrix + 1e-6 * random_density_matrix(2, 4, rng).matrix
+        result = optimize_measurement(validate_density(m, 2, 4))
+        assert result.converged
+        assert result.batches <= 10
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_slightly_perturbed_family_member_stops_early(self, d):
+        # The 1e-6-perturbed family members of the oracle tests.
+        rng = np.random.default_rng(330 + d)
+        m = ((1.0 - 1e-6) * build_state(random_family_state(d, rng)).matrix
+             + 1e-6 * random_density_matrix(2, d, rng).matrix)
+        result = optimize_measurement(validate_density(m, 2, d))
+        assert result.converged
+        assert result.batches <= 30
+
 
 class TestDiscordNumeric:
 
