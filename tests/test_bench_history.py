@@ -1,0 +1,31 @@
+"""The committed perf history: every BENCH_*.json at the repository root.
+
+Each file holds the runs of one commit (see ROADMAP item 1): the revision,
+the command, and for every workload one run without tracing and one with,
+each with the launcher's context line and its result line.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+HISTORY = sorted(ROOT.glob("BENCH_*.json"))
+WORKLOADS = ("family-optimize", "generic-discord", "twirl-pipeline", "cli-cold")
+
+
+def test_history_is_committed():
+    assert HISTORY
+
+
+@pytest.mark.parametrize("path", HISTORY, ids=lambda path: path.name)
+def test_bench_file(path):
+    doc = json.loads(path.read_text())
+    assert isinstance(doc["revision"], str) and doc["revision"]
+    assert doc["command"].startswith("python3 perfbench/run.py ")
+    runs = doc["runs"]
+    assert sorted((run["workload"], run["trace"]) for run in runs) == sorted(
+        (workload, trace) for workload in WORKLOADS for trace in (0, 1))
+    for run in runs:
+        assert run["result"]["correct"] is True, (run["workload"], run["trace"])

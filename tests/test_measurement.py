@@ -44,6 +44,7 @@ from qucorr.operators import (
     validate_density,
     von_neumann_entropy,
 )
+from qucorr.statefile import loads_density
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -135,6 +136,24 @@ def embedded_x_state(a, w, z, d):
     levels = [0, 1, d, d + 1]
     m[np.ix_(levels, levels)] = x
     return validate_density(m, 2, d)
+
+
+def crossover_x_state(rng, d, gap):
+    """An embedded X state whose optima along z and on the equator differ by
+    ``gap``, built as in ``TestOptimizerOracle.test_x_state_at_crossover``."""
+    while True:
+        a = rng.dirichlet(np.ones(4))
+        w = np.sqrt(a[0] * a[3]) * np.exp(2j * np.pi * rng.uniform())
+        z = np.sqrt(a[1] * a[2]) * np.exp(2j * np.pi * rng.uniform())
+        along_z, equator = x_state_candidates(a, w, z)
+        if along_z - equator < -1e-3:
+            break
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        s = 0.5 * (lo + hi)
+        along_z, equator = x_state_candidates(a, s * w, s * z)
+        lo, hi = (s, hi) if along_z - equator > gap else (lo, s)
+    return embedded_x_state(a, lo * w, lo * z, d)
 
 
 def product_state(rng, d=3):
@@ -518,8 +537,8 @@ class TestOptimizeMeasurement:
 
     def test_walks_end_on_a_flat_stencil(self):
         # The product state with a 1e-6 admixture of the oracle tests: its
-        # grid spreads by only ~3e-12 bits, so the walks' stencils are flat to
-        # FLAT_TOL after a few batches, long before their steps are tiny.
+        # grid spreads by only ~3e-12 bits, so the models fitted from the
+        # walks' stencils predict a gain of at most FLAT_TOL after a few batches.
         rng = np.random.default_rng(341)
         rho, _, _ = product_state(rng, d=4)
         m = (1.0 - 1e-6) * rho.matrix + 1e-6 * random_density_matrix(2, 4, rng).matrix
@@ -536,6 +555,41 @@ class TestOptimizeMeasurement:
         result = optimize_measurement(validate_density(m, 2, d))
         assert result.converged
         assert result.batches <= 30
+
+    def test_converges_where_the_compass_walk_stalled(self):
+        # A compass search of step +-e_k ran this state into REFINE_MAXITER,
+        # 9.8e-10 bits below the oracle; the model's steps reach it in a few.
+        rho = random_density_matrix(2, 8, np.random.default_rng(788))
+        result = optimize_measurement(rho)
+        assert result.converged
+        assert abs(result.value - oracle_classical_correlation(rho)) <= 1e-12
+
+    def test_batch_counts(self):
+        # A count, not a timing: Newton steps on the walks' models converge in a
+        # few batches, where a compass search took a median of ~37 on random
+        # states and ~150 on X states near their crossover.  One of these X
+        # states needs its radius shrunk after a rejected trial.
+        rng = np.random.default_rng(420)
+        randoms = [random_density_matrix(2, d, rng) for d in (3, 8, 16) for _ in range(8)]
+        fixture = Path(__file__).parent / "fixtures" / "classical_diag_2x3.json"
+        rng = np.random.default_rng(77)
+        others = [loads_density(fixture.read_text())] + [
+            crossover_x_state(rng, d, gap) for d in (3, 5) for gap in (1e-4, -1e-4, 1e-3, -1e-3)]
+        results = [optimize_measurement(rho) for rho in randoms + others]
+        assert all(result.converged for result in results)
+        assert np.median([result.batches for result in results[:len(randoms)]]) <= 12
+
+    def test_nearly_flat_objective(self):
+        # A product state with a 1e-6 correlated admixture, C ~ 5e-11 bits.  The
+        # stencil widens as the first batch's spread shrinks; at the spacing
+        # fit for a spread of 1 bit, rounding swamps the model and the search
+        # ends 6e-12 bits short.
+        rng = np.random.default_rng(15073)
+        rho, _, _ = product_state(rng, d=3)
+        m = (1.0 - 1e-6) * rho.matrix + 1e-6 * random_density_matrix(2, 3, rng).matrix
+        rho = validate_density(m, 2, 3)
+        value, _ = classical_correlation_numeric(rho)
+        assert abs(value - oracle_classical_correlation(rho)) <= 1e-12
 
 
 class TestDiscordNumeric:
