@@ -6,9 +6,9 @@ Classical correlation is defined through a supremum over projective qubit
 measurements.  For family members the steered-ensemble spectrum is the same
 for every measurement direction, so the supremum is free: the optimizer sees a
 flat hemisphere grid and stops there.  For arbitrary states it refines every
-local minimum of the grid by trust-region steps on a quadratic model fitted
-from a small stencil around each walk's trial point, all starts in one batch
-per step.
+local minimum of the grid by damped Newton steps on a quadratic model fitted
+from a small stencil around each walk's trial point; the damping keeps each
+step within the walk's trust radius.  All starts share one batch per step.
 """
 
 import numpy as np

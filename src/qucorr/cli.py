@@ -41,8 +41,9 @@ _PARAM_NAMES = ("alpha", "beta", "gamma")
 
 
 def _fmt(x: float) -> str:
-    # 12 significant digits, locale-independent: stable golden files.
-    return format(float(x), ".12g")
+    # 12 significant digits, locale-independent: stable golden files; adding
+    # 0.0 prints -0.0 as 0.
+    return format(float(x) + 0.0, ".12g")
 
 
 def _read_state(path: str) -> DensityMatrix:

@@ -238,6 +238,8 @@ def nearest_family_member(rho: DensityMatrix) -> tuple[TwoParamState, float]:
 
 def random_family_state(d: int, rng: np.random.Generator) -> TwoParamState:
     """Uniform rejection sample of (alpha, gamma) from the valid region."""
+    if d < 3:
+        raise ParameterOutOfRangeError(f"the family needs qudit dimension d >= 3, got d={d}")
     alpha_max = 1.0 / (2.0 * (d - 2))
     while True:
         alpha = rng.uniform(0.0, alpha_max)

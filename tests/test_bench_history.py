@@ -2,7 +2,8 @@
 
 Each file holds the runs of one commit (see ROADMAP item 1): the revision,
 the command, and for every workload one run without tracing and one with,
-each with the launcher's context line and its result line.
+each with the launcher's context line and its result line.  Every
+BENCH_N.json has a BENCH_N_parent.json taken with the same command.
 """
 
 import json
@@ -29,3 +30,14 @@ def test_bench_file(path):
         (workload, trace) for workload in WORKLOADS for trace in (0, 1))
     for run in runs:
         assert run["result"]["correct"] is True, (run["workload"], run["trace"])
+        assert run["context"]["git_sha"].startswith(doc["revision"]), (run["workload"],
+                                                                       run["trace"])
+
+
+@pytest.mark.parametrize("path", [path for path in HISTORY if not path.stem.endswith("_parent")],
+                         ids=lambda path: path.name)
+def test_head_file_has_a_parent_file(path):
+    # A perf PR commits its parent's runs and its own, taken the same way.
+    parent = path.with_name(f"{path.stem}_parent.json")
+    assert parent.exists()
+    assert json.loads(parent.read_text())["command"] == json.loads(path.read_text())["command"]

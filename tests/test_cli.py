@@ -256,6 +256,15 @@ class TestDiscordCommand:
         got = parse_report(cp.stdout)
         assert abs(got["discord_numeric"] - expected) < 1e-6
 
+    def test_axis_prints_no_negative_zero(self):
+        # The search ends on the z axis, where axis_from_direction(0, phi)
+        # gives y2 = -0.0.
+        cp = run_cli("discord", "--in", str(FIXTURES / "classical_diag_2x3.json"))
+        assert cp.returncode == 0, cp.stderr
+        axis = parse_report(cp.stdout)["axis"].strip("()").split(", ")
+        assert "-0" not in axis
+        assert "0" in axis
+
     def test_axis_on_the_upper_hemisphere(self):
         # n and -n are one measurement; the printed axis is the one with
         # Bloch z = t^2 - y1^2 - y2^2 + y3^2 >= 0.

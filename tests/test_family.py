@@ -238,6 +238,14 @@ class TestCorrelationMeasures:
                    report.discord, report.negativity) >= -1e-12
 
 
+class TestRandomFamilyState:
+
+    @pytest.mark.parametrize("d", [2, 1, 0])
+    def test_small_dimension_is_out_of_range(self, d):
+        with pytest.raises(ParameterOutOfRangeError, match="d >= 3"):
+            random_family_state(d, np.random.default_rng(5))
+
+
 class TestClassifyFamily:
 
     def test_round_trip(self):

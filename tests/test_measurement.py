@@ -471,6 +471,58 @@ class TestOptimizerOracle:
         self.assert_matches_oracle(validate_density(m, 2, 4))
 
 
+class TestTrustStep:
+
+    @staticmethod
+    def models(definite, count=200, seed=440):
+        """Seeded gradients (count, 2), symmetric Hessians (count, 2, 2) with
+        eigenvalues in (0.01, 10), or of both signs, and radii in (1e-3, 1)."""
+        rng = np.random.default_rng(seed + definite)
+        g = rng.standard_normal((count, 2)) * 10.0 ** rng.uniform(-3, 1, (count, 1))
+        lam = 10.0 ** rng.uniform(-2, 1, (count, 2))
+        if not definite:
+            lam[:, 0] *= -1.0
+        angle = rng.uniform(0.0, np.pi, count)
+        q = np.stack([np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)],
+                     axis=1).reshape(-1, 2, 2)
+        h = q @ (lam[:, :, None] * q.transpose(0, 2, 1))
+        return g, h, 10.0 ** rng.uniform(-3, 0, count)
+
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_step_stays_in_the_radius(self, definite):
+        g, h, radius = self.models(definite)
+        s, _ = measurement._trust_step(g, h, radius)
+        assert np.all(np.linalg.norm(s, axis=1) <= radius * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_predicted_decrease(self, definite):
+        g, h, radius = self.models(definite)
+        s, pred = measurement._trust_step(g, h, radius)
+        model = np.einsum('wi,wi->w', g, s) + 0.5 * np.einsum('wi,wij,wj->w', s, h, s)
+        np.testing.assert_allclose(pred, -model, rtol=0.0, atol=1e-12)
+        assert np.all(pred > 0.0)
+
+    def test_newton_step_when_the_gradient_is_small(self):
+        # mu = 0 exactly when |g| <= lambda_min(h) * radius; the Newton step
+        # -h^-1 g is then no longer than |g| / lambda_min, so it fits.
+        g, h, radius = self.models(True)
+        small = np.linalg.norm(g, axis=1) <= np.linalg.eigvalsh(h)[:, 0] * radius
+        assert small.sum() >= 20
+        s, _ = measurement._trust_step(g[small], h[small], radius[small])
+        np.testing.assert_allclose(s, -np.linalg.solve(h[small], g[small][:, :, None])[:, :, 0],
+                                   rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_zero_gradient(self, definite):
+        _, h, radius = self.models(definite, count=20)
+        h = np.r_[h, [-np.eye(2), np.zeros((2, 2))]]
+        radius = np.r_[radius, 0.1, 0.1]
+        with np.errstate(all="raise"):
+            s, pred = measurement._trust_step(np.zeros((len(h), 2)), h, radius)
+        assert np.all(s == 0.0)
+        assert np.all(pred == 0.0)
+
+
 class TestOptimizeMeasurement:
 
     @staticmethod
