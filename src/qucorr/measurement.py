@@ -130,8 +130,8 @@ class OptimizerConfig:
     its trust-region refinement.  ``random_probes >= 0`` extra directions (seeded)
     can be mixed into that scan; the best first-batch direction always starts a
     walk.  On 564 mixed test states 256 probes moved no value by more than
-    9.4e-14 bits; the class stays while ``discord --probes/--seed`` and the
-    benchmark's ``cli-cold`` oracle still build it.
+    9.4e-14 bits.  Only the ``discord`` subcommand's fixed config and the
+    benchmark's ``cli-cold`` oracle, which mirrors it, build one.
     """
 
     random_probes: int = 0
@@ -284,31 +284,29 @@ def _trust_step(g: np.ndarray, h: np.ndarray, radius: np.ndarray):
 
 
 def _steer(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray):
-    """The steering kernel: yield (p, M, lam) for outcome +n, then for -n.
+    """The steering kernel: p (2, g), M (2, g, d, d) and lam (2, g, d) for the
+    outcomes +n (index 0) and -n (index 1) of the (g, 3) directions ``n``.
 
-    M = (rho_B +- n . T)/2 stacks the blocks for the (g, 3) directions ``n``,
-    p = tr M and lam = eigvalsh(M)/p, ascending (unnormalized if p is
-    degenerate).  M- overwrites M+ as rho_B - M+, so copy M+ to keep it.
+    M = (rho_B +- n . T)/2, p = tr M and lam = eigvalsh(M)/p, ascending
+    (unnormalized if p is degenerate).
     """
     d = rho_b.shape[0]
-    m = (n @ t.reshape(3, d * d)).reshape(-1, d, d)
-    m += rho_b
-    m *= 0.5
-    for outcome in range(2):
-        if outcome:
-            np.subtract(rho_b, m, out=m)
-        p = np.einsum('gjj->g', m).real
-        safe_p = np.where(p > DEGENERATE_TOL, p, 1.0)
-        yield p, m, np.linalg.eigvalsh(m) / safe_p[:, None]
+    m = np.empty((2, len(n), d * d), dtype=complex)
+    np.matmul(n, t.reshape(3, d * d), out=m[0])
+    m = m.reshape(2, -1, d, d)
+    m[0] += rho_b
+    m[0] *= 0.5
+    np.subtract(rho_b, m[0], out=m[1])
+    p = np.einsum('ogjj->og', m).real
+    safe_p = np.where(p > DEGENERATE_TOL, p, 1.0)
+    return p, m, np.linalg.eigvalsh(m) / safe_p[:, :, None]
 
 
 def _conditional_entropy_batch(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray) -> np.ndarray:
     """sum_+- p S(M/p) in bits per direction; eigenvalues are clipped to [0, 1]."""
-    total = np.zeros(len(n))
-    for p, _, lam in _steer(rho_b, t, n):
-        entropy = -np.sum(xlog2x(np.clip(lam, 0.0, 1.0)), axis=1)
-        total += np.where(p > DEGENERATE_TOL, p * entropy, 0.0)
-    return total
+    p, _, lam = _steer(rho_b, t, n)
+    entropy = -np.sum(xlog2x(np.clip(lam, 0.0, 1.0)), axis=2)
+    return np.sum(np.where(p > DEGENERATE_TOL, p * entropy, 0.0), axis=0)
 
 
 def conditional_ensemble(rho: DensityMatrix, axis: MeasurementAxis) -> ConditionalEnsemble:
@@ -318,13 +316,11 @@ def conditional_ensemble(rho: DensityMatrix, axis: MeasurementAxis) -> Condition
     reductions of the projected blocks.  Outcomes with p_i <= DEGENERATE_TOL
     keep their unnormalized block so the ensemble is always returned.
     """
-    outcomes = []
-    for p, m, _ in _steer(*_bloch_blocks(rho), _axis_direction(axis)):
-        state = m[0] / (p[0] if p[0] > DEGENERATE_TOL else 1.0)
-        state.flags.writeable = False
-        outcomes.append((float(p[0]), state))
-    (p0, rho0), (p1, rho1) = outcomes
-    return ConditionalEnsemble(p0=p0, p1=p1, rho0=rho0, rho1=rho1)
+    p, m, _ = _steer(*_bloch_blocks(rho), _axis_direction(axis))
+    p = p[:, 0]
+    states = m[:, 0] / np.where(p > DEGENERATE_TOL, p, 1.0)[:, None, None]
+    states.flags.writeable = False
+    return ConditionalEnsemble(p0=float(p[0]), p1=float(p[1]), rho0=states[0], rho1=states[1])
 
 
 def conditional_entropy(rho: DensityMatrix, axis: MeasurementAxis) -> float:
@@ -446,8 +442,6 @@ def ensemble_spectrum_spread(s: TwoParamState, samples: int, seed: int) -> float
                               s.beta + s.gamma])[::-1]
     rng = np.random.default_rng(seed)
     n = np.concatenate([_axis_direction(random_axis(rng)) for _ in range(samples)])
-    worst = 0.0
-    for p, _, lam in _steer(*_bloch_blocks(build_state(s)), n):
-        deviation = np.max(np.abs(lam[:, ::-1] - reference), axis=1)
-        worst = max(worst, float(np.max(deviation[p > DEGENERATE_TOL], initial=0.0)))
-    return worst
+    p, _, lam = _steer(*_bloch_blocks(build_state(s)), n)
+    deviation = np.max(np.abs(lam[:, :, ::-1] - reference), axis=2)
+    return float(np.max(deviation[p > DEGENERATE_TOL], initial=0.0))

@@ -3,7 +3,8 @@
 Each file holds the runs of one commit (see ROADMAP item 1): the revision,
 the command, and for every workload one run without tracing and one with,
 each with the launcher's context line and its result line.  Every
-BENCH_N.json has a BENCH_N_parent.json taken with the same command.
+BENCH_N.json has a BENCH_N_parent.json taken with the same command, and every
+OPT_N.json (tools/optimizer_suite.py) an OPT_N_parent.json over the same states.
 """
 
 import json
@@ -13,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 HISTORY = sorted(ROOT.glob("BENCH_*.json"))
+OPT_HISTORY = sorted(ROOT.glob("OPT_*.json"))
 WORKLOADS = ("family-optimize", "generic-discord", "twirl-pipeline", "cli-cold")
 
 
@@ -41,3 +43,13 @@ def test_head_file_has_a_parent_file(path):
     parent = path.with_name(f"{path.stem}_parent.json")
     assert parent.exists()
     assert json.loads(parent.read_text())["command"] == json.loads(path.read_text())["command"]
+
+
+@pytest.mark.parametrize("path", [path for path in OPT_HISTORY
+                                  if not path.stem.endswith("_parent")],
+                         ids=lambda path: path.name)
+def test_suite_file_has_a_parent_file(path):
+    parent = path.with_name(f"{path.stem}_parent.json")
+    assert parent.exists()
+    key = lambda doc: [(row["class"], row["index"], row["d"]) for row in doc["states"]]
+    assert key(json.loads(parent.read_text())) == key(json.loads(path.read_text()))

@@ -90,19 +90,6 @@ class TestCorr:
         assert "alpha" in cp.stderr
 
 
-class TestOptimizerSizes:
-
-    @pytest.mark.parametrize("args, field", [
-        (["discord", "--in", str(FIXTURES / "family_2x3.json"), "--probes", "-3"],
-         "random_probes"),
-    ], ids=["discord_probes"])
-    def test_bad_size_is_user_error_before_any_output(self, args, field):
-        cp = run_cli(*args)
-        assert cp.returncode == 2
-        assert cp.stdout == ""
-        assert field in cp.stderr
-
-
 class TestSweep:
 
     def test_gamma_zero_line(self, tmp_path):
@@ -272,6 +259,14 @@ class TestDiscordCommand:
         assert cp.returncode == 0, cp.stderr
         t, y1, y2, y3 = map(float, parse_report(cp.stdout)["axis"].strip("()").split(","))
         assert t ** 2 - y1 ** 2 - y2 ** 2 + y3 ** 2 >= 0.0
+
+    def test_probe_options_are_gone(self):
+        cp = run_cli("discord", "--help")
+        assert cp.returncode == 0
+        assert "--probes" not in cp.stdout and "--seed" not in cp.stdout
+        cp = run_cli("discord", "--in", str(FIXTURES / "family_2x3.json"), "--probes", "5")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
 
 
 class TestCheckCommand:
@@ -444,10 +439,9 @@ class TestExitCodeProperty:
                             + ["--report"] * report)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(name=INPUTS, probes=st.integers(-3, 16), seed=st.integers(-2, 5))
-    def test_discord(self, cli_inputs, name, probes, seed):
-        assert_exits_0_or_2(["discord", f"--in={cli_inputs[name]}", f"--probes={probes}",
-                             f"--seed={seed}"])
+    @given(name=INPUTS)
+    def test_discord(self, cli_inputs, name):
+        assert_exits_0_or_2(["discord", f"--in={cli_inputs[name]}"])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(name=INPUTS)

@@ -241,6 +241,15 @@ class TestConditionalEnsemble:
             for (p, state), (p_ref, state_ref) in zip(ens.outcomes(), dense_ensemble(rho, axis)):
                 assert abs(p - p_ref) < 1e-14
                 assert np.max(np.abs(state - state_ref)) < 1e-14
+                assert not state.flags.writeable
+            # Two directions make the outcome and direction axes equally long,
+            # so a sum over the wrong one still has the right shape.
+            axes = (axis, axis_from_direction(1.0, 2.0))
+            batch = measurement._conditional_entropy_batch(
+                *measurement._bloch_blocks(rho),
+                np.concatenate([measurement._axis_direction(a) for a in axes]))
+            np.testing.assert_allclose(batch, [conditional_entropy(rho, a) for a in axes],
+                                       rtol=0.0, atol=1e-14)
 
     def test_family_outcomes_are_equiprobable(self):
         rng = np.random.default_rng(4)

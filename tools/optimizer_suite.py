@@ -1,0 +1,153 @@
+"""The optimizer state suite: ``optimize_measurement`` on fixed-seed state classes.
+
+Run the suite and write one JSON file, or compare two such files:
+
+    python3 tools/optimizer_suite.py run --out OPT.json [--src PATH]
+    python3 tools/optimizer_suite.py compare PARENT.json HEAD.json
+
+``run`` imports ``qucorr`` from ``--src`` (a tree's ``src`` directory; this
+tree's by default), so one checkout's tool can run a parent and a head on the
+same states.  Every class draws its states from its own fixed seed, with the
+X-state and product-state helpers of ``tests/test_measurement.py``.  For each
+state the file holds its class, index, d, the value (a JSON float is its
+``repr``), batches, starts and ``converged``, and per class the batch median
+and maximum.  ``compare`` prints the worst drop and the largest gain of the
+value, the states whose batch counts differ, and the per-class median (max)
+batch table.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+GAPS = (1e-4, -1e-4, 1e-3, -1e-3)
+
+
+def load(src: Path):
+    """``qucorr`` imported from ``src``, and the test module's state helpers."""
+    sys.path.insert(0, str(src))
+    q = importlib.import_module("qucorr")
+    spec = importlib.util.spec_from_file_location(
+        "_optimizer_suite_helpers", ROOT / "tests" / "test_measurement.py")
+    helpers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(helpers)
+    return q, helpers
+
+
+def classes(q, helpers) -> dict:
+    """Class name -> (seed, parameters cycled over the states, count, builder)."""
+
+    def mix(rho, eps, rng):
+        m = (1.0 - eps) * rho.matrix + eps * q.random_density_matrix(2, rho.dim_b, rng).matrix
+        return q.validate_density(m, 2, rho.dim_b)
+
+    def rank(r):
+        def build(rng, d):
+            g = rng.standard_normal((2 * d, r)) + 1j * rng.standard_normal((2 * d, r))
+            m = g @ g.conj().T
+            return q.validate_density(m / np.trace(m).real, 2, d)
+        return build
+
+    def family(rng, d):
+        return q.build_state(q.random_family_state(d, rng))
+
+    def product(rng, d):
+        return helpers.product_state(rng, d)[0]
+
+    fixture = ROOT / "tests" / "fixtures" / "classical_diag_2x3.json"
+    return {
+        "random": (101, (3, 5, 8), 60, lambda rng, d: q.random_density_matrix(2, d, rng)),
+        "random-d16": (116, (16,), 20, lambda rng, d: q.random_density_matrix(2, d, rng)),
+        "rank1": (201, (3, 5, 8), 36, rank(1)),
+        "rank2": (202, (3, 5, 8), 36, rank(2)),
+        "rank3": (203, (3, 5, 8), 36, rank(3)),
+        "family": (301, (3, 5, 8, 16), 40, family),
+        "family+3%": (302, (3, 5, 8), 36, lambda rng, d: mix(family(rng, d), 0.03, rng)),
+        "family+1e-6": (303, (3, 5, 8, 16), 40, lambda rng, d: mix(family(rng, d), 1e-6, rng)),
+        "product": (401, (3, 4), 20, product),
+        "product+1e-6": (402, (3, 4), 20, lambda rng, d: mix(product(rng, d), 1e-6, rng)),
+        "x-crossover": (77, [(d, gap) for d in (3, 5) for gap in GAPS], 32,
+                        lambda rng, dg: helpers.crossover_x_state(rng, *dg)),
+        "rng788": (788, (8,), 1, lambda rng, d: q.random_density_matrix(2, d, rng)),
+        "classical-diag-2x3": (0, (3,), 1, lambda rng, d: q.loads_density(fixture.read_text())),
+    }
+
+
+def summarize(states: list[dict]) -> dict:
+    out = {}
+    for name in dict.fromkeys(row["class"] for row in states):
+        batches = [row["batches"] for row in states if row["class"] == name]
+        out[name] = {"states": len(batches), "batches_median": float(np.median(batches)),
+                     "batches_max": max(batches)}
+    return out
+
+
+def run(q, helpers, per_class: int | None = None) -> dict:
+    """The suite's JSON document; ``per_class`` keeps the first states of each class."""
+    states = []
+    for name, (seed, params, count, build) in classes(q, helpers).items():
+        rng = np.random.default_rng(seed)
+        for index in range(count if per_class is None else min(count, per_class)):
+            rho = build(rng, params[index % len(params)])
+            result = q.optimize_measurement(rho)
+            states.append({"class": name, "index": index, "d": rho.dim_b,
+                           "value": result.value, "batches": result.batches,
+                           "starts": result.starts, "converged": result.converged})
+    git = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                         cwd=Path(q.__file__).parent)
+    return {"revision": git.stdout.strip() if git.returncode == 0 else None,
+            "states": states, "summary": summarize(states)}
+
+
+def compare(old: dict, new: dict) -> str:
+    """A report of ``new`` against ``old``; both must hold the same states."""
+    key = lambda row: (row["class"], row["index"], row["d"])
+    if [key(row) for row in old["states"]] != [key(row) for row in new["states"]]:
+        raise ValueError("the two files hold different states")
+    pairs = list(zip(old["states"], new["states"]))
+    delta = [b["value"] - a["value"] for a, b in pairs]
+    lines = [
+        f"states: {len(pairs)}",
+        f"worst drop: {max(0.0, -min(delta)):.3g} bits",
+        f"largest gain: {max(0.0, max(delta)):.3g} bits",
+        f"batch counts differ: {sum(a['batches'] != b['batches'] for a, b in pairs)} states",
+        f"not converged: {sum(not a['converged'] for a, _ in pairs)} old, "
+        f"{sum(not b['converged'] for _, b in pairs)} new",
+        f"{'class':<20}{'states':>7}{'old batches':>14}{'new batches':>14}",
+    ]
+    cell = lambda row: f"{row['batches_median']:g} ({row['batches_max']})"
+    for name, a in old["summary"].items():
+        lines.append(f"{name:<20}{a['states']:>7}{cell(a):>14}{cell(new['summary'][name]):>14}")
+    return "\n".join(lines)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("run", help="run the suite and write its JSON")
+    p.add_argument("--out", required=True, type=Path)
+    p.add_argument("--src", default=ROOT / "src", type=Path,
+                   help="directory that holds the qucorr package")
+    p = sub.add_parser("compare", help="compare two suite files")
+    p.add_argument("old", type=Path)
+    p.add_argument("new", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        doc = run(*load(args.src.resolve()))
+        args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        print(f"{len(doc['states'])} states written to {args.out}")
+    else:
+        print(compare(*(json.loads(path.read_text()) for path in (args.old, args.new))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
