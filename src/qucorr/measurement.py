@@ -22,13 +22,13 @@ search stops at the first grid direction.  Otherwise every grid point that is
 no worse than its nearest neighbours on the whole sphere starts a trust-region
 walk, best first, and all walks advance together, one kernel batch per
 iteration.  Each walk evaluates its trial point and a six-point stencil around
-it on the tangent plane; the stencil gives the gradient and Hessian of a
-quadratic model there.  A better trial becomes the walk's point; the next is
-a damped Newton step on the model, inside the walk's radius (which shrinks or
-grows with the ratio of actual to predicted decrease).  A walk ends when its
-model predicts a decrease of at most FLAT_TOL bits.  The maximum is a certified
-lower bound for general states and exact for the family.
-``optimize_measurement`` reports what the search did.
+it, along the point's unit polar and azimuth vectors, and fits a quadratic
+model there.  A better trial becomes the walk's point; the next is a damped
+Newton step on the model in the same frame, inside the walk's radius (half
+the grid's spacing at first, then shrunk or grown with the ratio of actual to
+predicted decrease).  A walk ends when its model predicts a decrease of at
+most FLAT_TOL bits.  The maximum is a certified lower bound for general states
+and exact for the family.  ``optimize_measurement`` reports what the search did.
 """
 
 from __future__ import annotations
@@ -60,9 +60,10 @@ FLAT_TOL = 1e-13
 # start a walk, best first, at most MAX_STARTS of them.
 NEIGHBOURS = 6
 MAX_STARTS = 8
-# Each walk starts with trust radius REFINE_STEP on the tangent plane, about
-# half the grid's spacing; REFINE_MAXITER caps the batches of the whole search.
-REFINE_STEP = 0.1
+# Each walk starts with trust radius REFINE_STEP on the tangent plane, half the
+# grid's spacing (GRID_POINTS directions share the hemisphere's area 2 pi);
+# REFINE_MAXITER caps the batches of the whole search.
+REFINE_STEP = 0.5 * np.sqrt(2.0 * np.pi / GRID_POINTS)
 REFINE_MAXITER = 500
 # The stencil spacing is STENCIL_STEP * spread**-0.25 for a first batch that
 # spreads by `spread` bits: the model's rounding error grows as 1/spacing**2
@@ -209,20 +210,24 @@ def _direction_axis(n: np.ndarray) -> MeasurementAxis:
     along -n (the same measurement) if (n_z, n_y, n_x) < (0, 0, 0)."""
     if tuple(n[::-1]) < (0.0, 0.0, 0.0):
         n = -n
-    return axis_from_direction(float(np.arccos(np.clip(n[2], -1.0, 1.0))),
-                               float(np.arctan2(n[1], n[0]) % (2.0 * np.pi)))
+    # The quaternion itself: t >= 1/sqrt(2), and no angle, since arccos(n_z)
+    # loses the precision of n near the pole.
+    t = np.sqrt(0.5 * (1.0 + n[2]))
+    return MeasurementAxis(float(t), float(n[1] / (2.0 * t)), float(-n[0] / (2.0 * t)), 0.0)
 
 
-def _grid_directions(polar: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
-    """Bloch directions (g, 3) for polar and azimuth angles of shape (g,)."""
-    sin = np.sin(polar)
-    return np.stack([sin * np.cos(azimuth), sin * np.sin(azimuth), np.cos(polar)], axis=1)
+def _sphere(polar: np.ndarray, azimuth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch directions (g, 3) at polar and azimuth angles of shape (g,), and
+    their tangent frames (g, 2, 3): the unit polar and azimuth vectors."""
+    cp, sp, ca, sa = np.cos(polar), np.sin(polar), np.cos(azimuth), np.sin(azimuth)
+    frame = np.stack([cp * ca, cp * sa, -sp, -sa, ca, np.zeros_like(sa)], axis=1)
+    return np.stack([sp * ca, sp * sa, cp], axis=1), frame.reshape(-1, 2, 3)
 
 
 def _hemisphere(count: int) -> np.ndarray:
     """``count`` Fibonacci-spiral directions (count, 3) with equal area on z > 0."""
     k = np.arange(count) + 0.5
-    return _grid_directions(np.arccos(1.0 - k / count), k * np.pi * (3.0 - np.sqrt(5.0)))
+    return _sphere(np.arccos(1.0 - k / count), k * np.pi * (3.0 - np.sqrt(5.0)))[0]
 
 
 def _neighbour_table(grid: np.ndarray) -> np.ndarray:
@@ -249,19 +254,12 @@ _FIT = np.array([[0, 0, -2, 2, -2],
                  [0, 0, 0, 1, 0]], float) / [2, 2, 1, 2, 1]
 
 
-def _frames(p: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent frames (w, 2, 3) at the unit vectors ``p`` (w, 3), by
-    the branch-free construction of Duff et al., JCGT 6(1), 2017."""
-    a, b, c = p.T
-    sign = np.where(c < 0.0, -1.0, 1.0)
-    k = -1.0 / (sign + c)
-    m = a * b * k
-    return np.stack([1.0 + sign * a * a * k, sign * m, -sign * a,
-                     m, sign + b * b * k, -b], axis=1).reshape(-1, 2, 3)
-
-
-def _retract(p: np.ndarray, frame: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Unit vectors along p + s . frame for tangent steps ``s`` (w, k, 2)."""
+def _retract(p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Unit vectors along p + s . F for tangent steps ``s`` (w, k, 2) at unit vectors
+    ``p`` (w, 3); F is the polar/azimuth frame at p's angles, a function of p."""
+    # Any orthonormal frame would do: the damped Newton step and its predicted
+    # decrease turn with the frame, so the search differs only by rounding.
+    _, frame = _sphere(np.arccos(np.clip(p[:, 2], -1.0, 1.0)), np.arctan2(p[:, 1], p[:, 0]))
     q = p[:, None] + s @ frame
     return q / np.sqrt(np.einsum('wki,wki->wk', q, q))[:, :, None]
 
@@ -351,7 +349,7 @@ def optimize_measurement(rho: DensityMatrix,
         rng = np.random.default_rng(config.seed)
         polar = np.arccos(rng.uniform(-1.0, 1.0, config.random_probes))
         azimuth = rng.uniform(0.0, 2.0 * np.pi, config.random_probes)
-        batch = np.r_[batch, _grid_directions(polar, azimuth)]
+        batch = np.r_[batch, _sphere(polar, azimuth)[0]]
     first = _conditional_entropy_batch(rho_b, t, batch)
     batches, evaluations = 1, len(batch)
     if np.ptp(first) <= FLAT_TOL:
@@ -369,11 +367,11 @@ def optimize_measurement(rho: DensityMatrix,
     minima = minima[np.argsort(grid[minima], kind="stable")]
     starts = [best] + [int(i) for i in minima if i != best][:MAX_STARTS - 1]
     count = len(starts)
-    # Walk k sits at x[k] with value fx[k], tangent frame and model (g, hess) at
-    # x[k], trust radius, and trial y[k] = x[k] + s[k] whose model decrease is
-    # pred[k].  Each walk's first trial is its start; fx = inf accepts it.
+    # Walk k sits at x[k] with value fx[k], model (g, hess) at x[k], trust
+    # radius, and trial y[k] = x[k] + s[k] whose model decrease is pred[k].
+    # Each walk's first trial is its start; fx = inf accepts it.
     y = batch[starts]
-    x, fx, frame = y.copy(), np.full(count, np.inf), np.zeros((count, 2, 3))
+    x, fx = y.copy(), np.full(count, np.inf)
     g, hess = np.zeros((count, 2)), np.zeros((count, 2, 2))
     s, pred = np.zeros((count, 2)), np.ones(count)
     radius = np.full(count, REFINE_STEP)
@@ -384,8 +382,7 @@ def optimize_measurement(rho: DensityMatrix,
 
     while active.any() and batches < REFINE_MAXITER:
         walks = np.flatnonzero(active)
-        trial_frame = _frames(y[walks])
-        points = np.concatenate([y[walks, None], _retract(y[walks], trial_frame, stencil)], axis=1)
+        points = np.concatenate([y[walks, None], _retract(y[walks], stencil)], axis=1)
         cond = _conditional_entropy_batch(rho_b, t, points.reshape(-1, 3))
         cond = cond.reshape(len(walks), -1)
         batches, evaluations = batches + 1, evaluations + cond.size
@@ -399,12 +396,12 @@ def optimize_measurement(rho: DensityMatrix,
                                           radius[walks]))
         moved = cond[:, 0] < fx[walks]
         walk = walks[moved]
-        x[walk], fx[walk], frame[walk] = y[walk], cond[moved, 0], trial_frame[moved]
+        x[walk], fx[walk] = y[walk], cond[moved, 0]
         model = cond[moved] @ fit
         g[walk], hess[walk] = model[:, :2], model[:, [[2, 3], [3, 4]]]
         s[walks], pred[walks] = _trust_step(g[walks], hess[walks], radius[walks])
         active[walks] = pred[walks] > FLAT_TOL
-        y[walks] = _retract(x[walks], frame[walks], s[walks, None])[:, 0]
+        y[walks] = _retract(x[walks], s[walks, None])[:, 0]
 
     top = int(np.argmin(fx))
     value, grid_value = entropy_b - float(fx[top]), entropy_b - float(first[best])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qucorr import cli
+from qucorr import cli, measurement
 from qucorr.family import TwoParamState, classical_correlation, discord
 from qucorr.operators import partial_trace_b, validate_density, von_neumann_entropy
 from qucorr.statefile import dumps_density, loads_density
@@ -244,13 +244,18 @@ class TestDiscordCommand:
         assert abs(got["discord_numeric"] - expected) < 1e-6
 
     def test_axis_prints_no_negative_zero(self):
-        # The search ends on the z axis, where axis_from_direction(0, phi)
-        # gives y2 = -0.0.
+        # The search ends about 2e-9 from the z axis, with y3 = 0.0.
         cp = run_cli("discord", "--in", str(FIXTURES / "classical_diag_2x3.json"))
         assert cp.returncode == 0, cp.stderr
         axis = parse_report(cp.stdout)["axis"].strip("()").split(", ")
         assert "-0" not in axis
         assert "0" in axis
+
+    def test_negative_zero_axis_component_prints_0(self):
+        # On the z axis itself the axis has y2 = -n_x / (2t) = -0.0.
+        axis = measurement._direction_axis(np.array([0.0, 0.0, 1.0]))
+        assert axis.y2 == 0.0 and np.signbit(axis.y2)
+        assert cli._fmt(axis.y2) == "0"
 
     def test_axis_on_the_upper_hemisphere(self):
         # n and -n are one measurement; the printed axis is the one with

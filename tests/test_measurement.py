@@ -532,6 +532,62 @@ class TestTrustStep:
         assert np.all(pred == 0.0)
 
 
+class TestRetract:
+
+    @staticmethod
+    def points():
+        """The poles (one with x = -0.0), an equator point and 20 seeded random
+        unit vectors, shape (24, 3)."""
+        rng = np.random.default_rng(500)
+        random = rng.standard_normal((20, 3))
+        random /= np.linalg.norm(random, axis=1)[:, None]
+        return np.r_[[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 1.0],
+                      [np.cos(0.7), np.sin(0.7), 0.0]], random]
+
+    @staticmethod
+    def steps(count, length):
+        """Seeded tangent steps (count, 1, 2) of the given length."""
+        s = np.random.default_rng(501).standard_normal((count, 1, 2))
+        return length * s / np.linalg.norm(s, axis=2)[:, :, None]
+
+    @pytest.mark.parametrize("length", [0.0, 1e-6, 0.1, 2.0])
+    def test_unit_norm(self, length):
+        p = self.points()
+        q = measurement._retract(p, self.steps(len(p), length))
+        np.testing.assert_allclose(np.linalg.norm(q, axis=2), 1.0, rtol=0.0, atol=1e-15)
+
+    def test_zero_step_returns_the_point(self):
+        # Within one unit in the last place of 1, the rounding of the
+        # normalization.
+        p = self.points()
+        q = measurement._retract(p, np.zeros((len(p), 1, 2)))[:, 0]
+        np.testing.assert_allclose(q, p, rtol=0.0, atol=np.spacing(1.0))
+
+    def test_small_step_is_tangent(self):
+        # The displacement of a step s leaves the tangent plane only by the
+        # normalization, |s|^2/2 = 5e-13 along -p, and has length |s|.
+        p = self.points()
+        s = self.steps(len(p), 1e-6)
+        move = measurement._retract(p, s)[:, 0] - p
+        np.testing.assert_allclose(np.einsum('wi,wi->w', move, p), 0.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(move, axis=1), 1e-6, rtol=0.0, atol=1e-12)
+
+    def test_frame_at_the_angles_of_the_point(self):
+        # The frame _retract uses: the polar and azimuth unit vectors at p's
+        # angles.  They are orthonormal and orthogonal to p, and the same
+        # angles give p back.
+        p = self.points()
+        n, frame = measurement._sphere(np.arccos(np.clip(p[:, 2], -1.0, 1.0)),
+                                       np.arctan2(p[:, 1], p[:, 0]))
+        np.testing.assert_allclose(n, p, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(frame @ frame.transpose(0, 2, 1) - np.eye(2), 0.0,
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(frame @ p[:, :, None], 0.0, rtol=0.0, atol=1e-15)
+        steps = np.array([[[1e-6, 0.0], [0.0, 1e-6]]]).repeat(len(p), axis=0)
+        move = measurement._retract(p, steps) - p[:, None]
+        np.testing.assert_allclose(move, 1e-6 * frame, rtol=0.0, atol=1e-12)
+
+
 class TestOptimizeMeasurement:
 
     @staticmethod
@@ -595,6 +651,16 @@ class TestOptimizeMeasurement:
         directions = [n / np.linalg.norm(n) for n in rng.standard_normal((20, 3))]
         for n in directions + [np.array([1.0, 0.0, 0.0])]:
             assert measurement._direction_axis(-n) == measurement._direction_axis(n)
+
+    @pytest.mark.parametrize("n", [
+        sphere_point(1e-3, 0.3), sphere_point(1e-5, 2.0), sphere_point(1e-7, -2.5),
+        sphere_point(np.pi / 2.0, 1.1), np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]),
+    ], ids=["1e-3", "1e-5", "1e-7", "equator", "+z", "-z"])
+    def test_direction_round_trip(self, n):
+        # n -> axis -> n, up to the sign the axis folds away.  An axis whose
+        # angle came from arccos(n_z) was off by 3.2e-11 at 1e-7 from the pole.
+        back = measurement._axis_direction(measurement._direction_axis(n))[0]
+        assert min(np.max(np.abs(back - n)), np.max(np.abs(back + n))) <= 1e-15
 
     def test_walks_end_on_a_flat_stencil(self):
         # The product state with a 1e-6 admixture of the oracle tests: its

@@ -13,7 +13,11 @@ state the file holds its class, index, d, the value (a JSON float is its
 ``repr``), batches, starts and ``converged``, and per class the batch median
 and maximum.  ``compare`` prints the worst drop and the largest gain of the
 value, the states whose batch counts differ, and the per-class median (max)
-batch table.
+batch table.  It then checks the gates an optimizer change must keep against
+its parent, prints a ``FAIL:`` line for each one broken and exits 1 if any is:
+no value drops by more than DROP_TOL bits, every search that converged in OLD
+converges in NEW, and no class's median batch count rises by more than
+MEDIAN_RISE.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +34,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 GAPS = (1e-4, -1e-4, 1e-3, -1e-3)
+DROP_TOL = 1e-12
+MEDIAN_RISE = 1
 
 
 def load(src: Path):
@@ -107,12 +114,34 @@ def run(q, helpers, per_class: int | None = None) -> dict:
             "states": states, "summary": summarize(states)}
 
 
-def compare(old: dict, new: dict) -> str:
-    """A report of ``new`` against ``old``; both must hold the same states."""
+def _pairs(old: dict, new: dict) -> list[tuple[dict, dict]]:
     key = lambda row: (row["class"], row["index"], row["d"])
     if [key(row) for row in old["states"]] != [key(row) for row in new["states"]]:
         raise ValueError("the two files hold different states")
-    pairs = list(zip(old["states"], new["states"]))
+    return list(zip(old["states"], new["states"]))
+
+
+def failures(old: dict, new: dict) -> list[str]:
+    """One ``FAIL:`` line for each gate that ``new`` breaks against ``old``."""
+    out = []
+    for a, b in _pairs(old, new):
+        state = f"{a['class']} #{a['index']} (d = {a['d']})"
+        if b["value"] < a["value"] - DROP_TOL:
+            out.append(f"FAIL: {state}: value dropped by {a['value'] - b['value']:.3g} bits")
+        if a["converged"] and not b["converged"]:
+            out.append(f"FAIL: {state}: converged before, not now")
+    for name, a in old["summary"].items():
+        b = new["summary"][name]
+        if b["batches_median"] > a["batches_median"] + MEDIAN_RISE:
+            out.append(f"FAIL: {name}: median batches rose from {a['batches_median']:g} "
+                       f"to {b['batches_median']:g}")
+    return out
+
+
+def compare(old: dict, new: dict) -> str:
+    """A report of ``new`` against ``old``, ending with ``failures``; both must
+    hold the same states."""
+    pairs = _pairs(old, new)
     delta = [b["value"] - a["value"] for a, b in pairs]
     lines = [
         f"states: {len(pairs)}",
@@ -126,7 +155,7 @@ def compare(old: dict, new: dict) -> str:
     cell = lambda row: f"{row['batches_median']:g} ({row['batches_max']})"
     for name, a in old["summary"].items():
         lines.append(f"{name:<20}{a['states']:>7}{cell(a):>14}{cell(new['summary'][name]):>14}")
-    return "\n".join(lines)
+    return "\n".join(lines + failures(old, new))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -144,9 +173,15 @@ def main(argv: list[str] | None = None) -> int:
         doc = run(*load(args.src.resolve()))
         args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         print(f"{len(doc['states'])} states written to {args.out}")
-    else:
-        print(compare(*(json.loads(path.read_text()) for path in (args.old, args.new))))
-    return 0
+        return 0
+    old, new = (json.loads(path.read_text()) for path in (args.old, args.new))
+    try:
+        print(compare(old, new), flush=True)
+    except BrokenPipeError:
+        # The reader left early (``| head``); send the rest, and the final
+        # flush at exit, to /dev/null instead of raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1 if failures(old, new) else 0
 
 
 if __name__ == "__main__":
