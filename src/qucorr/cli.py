@@ -27,6 +27,7 @@ from .operators import (
     VALIDATION_TOL,
     DensityMatrix,
     _hermiticity_residual,
+    _negativity,
     commutator_condition,
     negativity_trace_norm,
     partial_transpose_a,
@@ -170,12 +171,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         print("in_family = no")
     print(f"family_residual = {_fmt(residual)}")
-    pt_min = float(np.linalg.eigvalsh(partial_transpose_a(rho))[0])
-    if pt_min >= -VALIDATION_TOL:
+    pt_spectrum = np.linalg.eigvalsh(partial_transpose_a(rho))
+    if pt_spectrum[0] >= -VALIDATION_TOL:
         print("ppt = yes")
     else:
         print("ppt = no")
-    print(f"negativity = {_fmt(negativity_trace_norm(rho))}")
+    print(f"negativity = {_fmt(_negativity(pt_spectrum))}")
     return 0
 
 

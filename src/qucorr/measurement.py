@@ -16,19 +16,22 @@ S(rho_B) - sum p S(M/p).
 
 The optimizer is a multi-start search.  Directions n and -n give the same
 measurement, so its first batch is a Fibonacci grid on the upper hemisphere
-(plus any seeded probes).  If that batch is flat, the objective does not
-depend on the axis (as for every member of the two-parameter family), and the
-search stops at the first grid direction.  Otherwise every grid point that is
-no worse than its nearest neighbours on the whole sphere starts a trust-region
-walk, best first, and all walks advance together, one kernel batch per
-iteration.  Each walk evaluates its trial point and a six-point stencil around
-it, along the point's unit polar and azimuth vectors, and fits a quadratic
-model there.  A better trial becomes the walk's point; the next is a damped
-Newton step on the model in the same frame, inside the walk's radius (half
-the grid's spacing at first, then shrunk or grown with the ratio of actual to
-predicted decrease).  A walk ends when its model predicts a decrease of at
-most FLAT_TOL bits.  The maximum is a certified lower bound for general states
-and exact for the family.  ``optimize_measurement`` reports what the search did.
+(plus any seeded probes), evaluated in two kernel calls.  The first is a look
+at every eighth grid direction, one turn of the spiral from the pole to near
+the equator.  If the look is flat, the objective does not depend on the axis
+(as for every member of the two-parameter family), and the search stops at
+the first grid direction.  Otherwise the second call evaluates the rest of the
+grid and the probes, and every grid point that is no worse than its nearest
+neighbours on the whole sphere starts a trust-region walk, best first, and all
+walks advance together, one kernel batch per iteration.  Each walk evaluates
+its trial point and a six-point stencil around it, along the point's unit
+polar and azimuth vectors, and fits a quadratic model there.  A better trial
+becomes the walk's point; the next is a damped Newton step on the model in the
+same frame, inside the walk's radius (half the grid's spacing at first, then
+shrunk or grown with the ratio of actual to predicted decrease).  A walk ends
+when its model predicts a decrease of at most FLAT_TOL bits.  The maximum is a
+certified lower bound for general states and exact for the family.
+``optimize_measurement`` reports what the search did.
 """
 
 from __future__ import annotations
@@ -50,10 +53,10 @@ from .family import TwoParamState, build_state
 # Outcomes with probability at or below this contribute zero entropy.
 DEGENERATE_TOL = 1e-12
 # Directions in the optimizer's first batch, a Fibonacci grid on the upper
-# hemisphere.
+# hemisphere.  Every eighth of them is the look that can stop the search.
 GRID_POINTS = 128
-# Evaluations that spread by at most FLAT_TOL bits are flat.  A flat first
-# batch is an axis-independent objective and stops the search; a walk whose
+# Evaluations that spread by at most FLAT_TOL bits are flat.  A flat look is
+# an axis-independent objective and stops the search; a walk whose
 # model predicts a decrease of at most FLAT_TOL ends.
 FLAT_TOL = 1e-13
 # Grid points no worse than their NEIGHBOURS nearest directions on the sphere
@@ -130,9 +133,11 @@ class OptimizerConfig:
     The optimizer always scans ``GRID_POINTS`` hemisphere directions before
     its trust-region refinement.  ``random_probes >= 0`` extra directions (seeded)
     can be mixed into that scan; the best first-batch direction always starts a
-    walk.  On 564 mixed test states 256 probes moved no value by more than
-    9.4e-14 bits.  Only the ``discord`` subcommand's fixed config and the
-    benchmark's ``cli-cold`` oracle, which mirrors it, build one.
+    walk.  Probes join the second kernel call of the first batch, so a flat
+    look stops the search before any probe is evaluated.  On 564 mixed test
+    states 256 probes moved no value by more than 9.4e-14 bits.  Only the
+    ``discord`` subcommand's fixed config and the benchmark's ``cli-cold``
+    oracle, which mirrors it, build one.
     """
 
     random_probes: int = 0
@@ -149,10 +154,12 @@ class OptimizerResult:
 
     ``value`` is the best measured mutual information in bits, reached along
     ``axis``; ``grid_value`` is the first batch's best, so ``refine_gain =
-    value - grid_value >= 0``.  On a flat first batch the search stops with
-    ``starts = 0`` and returns the first grid direction and its own value.
-    ``batches`` counts kernel calls and ``evaluations`` the directions passed
-    to them; ``converged`` is False only if ``REFINE_MAXITER`` cut the search.
+    value - grid_value >= 0``.  On a flat look (every eighth grid direction)
+    the search stops with ``starts = 0``, ``batches = 1`` and ``evaluations =
+    GRID_POINTS // 8``, and returns the first grid direction and its own value.
+    Otherwise the first batch takes two kernel calls.  ``batches`` counts
+    kernel calls and ``evaluations`` the directions passed to them;
+    ``converged`` is False only if ``REFINE_MAXITER`` cut the search.
     ``grid_s`` and ``refine_s`` are the wall times of the two phases.
     """
 
@@ -350,14 +357,21 @@ def optimize_measurement(rho: DensityMatrix,
         polar = np.arccos(rng.uniform(-1.0, 1.0, config.random_probes))
         azimuth = rng.uniform(0.0, 2.0 * np.pi, config.random_probes)
         batch = np.r_[batch, _sphere(polar, azimuth)[0]]
-    first = _conditional_entropy_batch(rho_b, t, batch)
-    batches, evaluations = 1, len(batch)
-    if np.ptp(first) <= FLAT_TOL:
+    # The look: every eighth grid direction, one turn of the spiral.  A flat
+    # look stops the search; otherwise a second kernel call fills in the rest
+    # of the first batch, the other grid directions and the probes.
+    look = np.zeros(len(batch), dtype=bool)
+    look[:GRID_POINTS:8] = True
+    first = np.empty(len(batch))
+    first[look] = _conditional_entropy_batch(rho_b, t, batch[look])
+    if np.ptp(first[look]) <= FLAT_TOL:
         value = entropy_b - float(first[0])
         return OptimizerResult(value=value, axis=_direction_axis(batch[0]), grid_value=value,
-                               refine_gain=0.0, starts=0, batches=batches,
-                               evaluations=evaluations, converged=True,
+                               refine_gain=0.0, starts=0, batches=1,
+                               evaluations=int(look.sum()), converged=True,
                                grid_s=time.perf_counter() - start, refine_s=0.0)
+    first[~look] = _conditional_entropy_batch(rho_b, t, batch[~look])
+    batches, evaluations = 2, len(batch)
 
     # Starts: the best first-batch direction (it may be a probe), then the grid's
     # local minima on the sphere, best first.

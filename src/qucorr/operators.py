@@ -170,8 +170,12 @@ def partial_transpose_a(rho: DensityMatrix) -> np.ndarray:
 def negativity_trace_norm(rho: DensityMatrix) -> float:
     """Negativity max{0, ||rho^(T_A)||_1 - 1}: twice the negative mass of the
     partially transposed spectrum.  Zero iff the state is PPT."""
-    lam = np.linalg.eigvalsh(partial_transpose_a(rho))
-    return max(0.0, float(np.sum(np.abs(lam)) - 1.0))
+    return _negativity(np.linalg.eigvalsh(partial_transpose_a(rho)))
+
+
+def _negativity(pt_spectrum: np.ndarray) -> float:
+    """``negativity_trace_norm`` from the spectrum of the partial transpose."""
+    return max(0.0, float(np.sum(np.abs(pt_spectrum)) - 1.0))
 
 
 def hermitian_spectrum(m: np.ndarray) -> np.ndarray:

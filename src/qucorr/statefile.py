@@ -69,16 +69,24 @@ def loads_density(text: str) -> DensityMatrix:
     rows = doc["matrix"]
     if not isinstance(rows, list) or len(rows) != n:
         raise StateFormatError(f'"matrix" must have {n} rows')
-    m = np.empty((n, n), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise StateFormatError(f"row {i} must have {n} entries")
-        for j, cell in enumerate(row):
-            if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(type(x) in (int, float) for x in cell)):
-                raise StateFormatError(f"entry ({i}, {j}) must be a [re, im] pair")
+    cells = [cell for row in rows for cell in row]
+    # Exact type tests again, so that JSON booleans are rejected.
+    pairs = [type(cell) is list and len(cell) == 2
+             and type(cell[0]) in (int, float) and type(cell[1]) in (int, float)
+             for cell in cells]
+    if not all(pairs):
+        i, j = divmod(pairs.index(False), n)
+        raise StateFormatError(f"entry ({i}, {j}) must be a [re, im] pair")
+    try:
+        m = np.array(cells, dtype=float).view(complex).reshape(n, n)
+    except OverflowError as exc:
+        for k, cell in enumerate(cells):
             try:
-                m[i, j] = complex(cell[0], cell[1])
-            except OverflowError as exc:
+                complex(*cell)
+            except OverflowError:
+                i, j = divmod(k, n)
                 raise StateFormatError(f"entry ({i}, {j}) does not fit a double") from exc
     return validate_density(m, dim_a, dim_b)

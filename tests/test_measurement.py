@@ -19,6 +19,7 @@ from qucorr.family import (
     random_family_state,
 )
 from qucorr.measurement import (
+    FLAT_TOL,
     GRID_POINTS,
     MAX_STARTS,
     ConditionalEnsemble,
@@ -473,6 +474,33 @@ class TestOptimizerOracle:
         assert result.batches == 1
         assert abs(result.value) <= 1e-12
 
+    def test_two_basin_random_state(self):
+        # The suite's random #18 (seed 101, d = 3): its objective has two
+        # basins, and a 48-point first batch starts no walk in the higher one,
+        # so the search ends 3.69e-4 bits short.
+        rng = np.random.default_rng(101)
+        rho = [random_density_matrix(2, (3, 5, 8)[k % 3], rng) for k in range(19)][-1]
+        assert rho.dim_b == 3
+        self.assert_matches_oracle(rho)
+
+    def test_nearly_flat_look(self):
+        # Family members with a delta admixture: the spreads grow linearly in
+        # delta, and the look's crosses FLAT_TOL inside this range.  At 1.3e-12
+        # the look is flat but the whole grid is not, so the search stops at a
+        # look the parent's 128-point flat stop would have refined past.
+        rng = np.random.default_rng(500)
+        member = build_state(random_family_state(3, rng)).matrix
+        other = random_density_matrix(2, 3, rng).matrix
+        flat = []
+        for delta in (1.0e-12, 1.3e-12, 2.0e-12):
+            rho = validate_density((1.0 - delta) * member + delta * other, 2, 3)
+            rho_b, t = measurement._bloch_blocks(rho)
+            grid = measurement._conditional_entropy_batch(rho_b, t, measurement._GRID)
+            flat.append((np.ptp(grid[::8]) <= FLAT_TOL, np.ptp(grid) <= FLAT_TOL))
+            value, _ = classical_correlation_numeric(rho)
+            assert value >= oracle_classical_correlation(rho) - 1e-12
+        assert flat == [(True, True), (True, False), (False, False)]
+
     def test_product_state_with_correlated_admixture(self):
         rng = np.random.default_rng(341)
         rho, _, _ = product_state(rng, d=4)
@@ -609,7 +637,7 @@ class TestOptimizeMeasurement:
         result = optimize_measurement(build_state(s))
         assert result.batches == 1
         assert result.refine_gain == 0.0
-        assert result.evaluations == GRID_POINTS
+        assert result.evaluations == GRID_POINTS // 8
         assert result.starts == 0
         assert result.converged
         assert abs(result.value - classical_correlation(s)) < 1e-7
@@ -632,8 +660,29 @@ class TestOptimizeMeasurement:
         sizes = self.counted_kernel(monkeypatch)
         rho = random_density_matrix(2, 3, np.random.default_rng(371))
         result = optimize_measurement(rho, OptimizerConfig(random_probes=64, seed=3))
-        assert sizes[0] == GRID_POINTS + 64
+        assert sizes[:2] == [GRID_POINTS // 8, GRID_POINTS - GRID_POINTS // 8 + 64]
         assert result.evaluations == sum(sizes)
+
+    def test_split_first_batch_is_bit_exact(self, monkeypatch):
+        # The look and the rest of the grid go through two kernel calls; each
+        # grid direction keeps the value one unsplit call gives it.
+        kernel, calls = measurement._conditional_entropy_batch, []
+
+        def recording(rho_b, t, n):
+            calls.append((n, kernel(rho_b, t, n)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(measurement, "_conditional_entropy_batch", recording)
+        rho = random_density_matrix(2, 5, np.random.default_rng(372))
+        result = optimize_measurement(rho)
+        directions = np.r_[calls[0][0], calls[1][0]]
+        values = np.r_[calls[0][1], calls[1][1]]
+        same = np.all(directions[:, None] == measurement._GRID[None], axis=2)
+        assert np.all(same.sum(axis=1) == 1) and np.all(same.sum(axis=0) == 1)
+        rho_b, t = measurement._bloch_blocks(rho)
+        reference = kernel(rho_b, t, measurement._GRID)
+        assert np.array_equal(values, reference[np.argmax(same, axis=1)])
+        assert result.grid_value == von_neumann_entropy(rho_b) - reference.min()
 
     def test_flat_objective_axis_is_fixed(self):
         # On an axis-independent objective every direction is optimal; the

@@ -122,6 +122,19 @@ class TestRejections:
         with pytest.raises(StateFormatError, match="double"):
             loads_density(text)
 
+    @pytest.mark.parametrize("cell, i, j, message", [
+        (["x", 0], 1, 2, "must be a [re, im] pair"),
+        ([0, True], 3, 0, "must be a [re, im] pair"),
+        ([0, 0, 0], 2, 5, "must be a [re, im] pair"),
+        ([10 ** 400, 0], 4, 1, "does not fit a double"),
+    ])
+    def test_error_names_the_entry(self, cell, i, j, message):
+        doc = json.loads(dumps_density(build_state(TwoParamState(3, 0.1, 0.2))))
+        doc["matrix"][i][j] = cell
+        with pytest.raises(StateFormatError) as info:
+            loads_density(json.dumps(doc))
+        assert str(info.value) == f"entry ({i}, {j}) {message}"
+
     def test_deeply_nested_document(self):
         with pytest.raises(StateFormatError):
             loads_density("[" * 100_000)
