@@ -484,10 +484,10 @@ class TestOptimizerOracle:
         self.assert_matches_oracle(rho)
 
     def test_nearly_flat_look(self):
-        # Family members with a delta admixture: the spreads grow linearly in
-        # delta, and the look's crosses FLAT_TOL inside this range.  At 1.3e-12
-        # the look is flat but the whole grid is not, so the search stops at a
-        # look the parent's 128-point flat stop would have refined past.
+        # A family member with a delta admixture: the spreads grow linearly in
+        # delta, and the look's spread crosses FLAT_TOL inside this range.  At
+        # 1.3e-12 the look is flat but the whole grid is not, so the search
+        # stops at the look where a flat stop on all 128 directions would not.
         rng = np.random.default_rng(500)
         member = build_state(random_family_state(3, rng)).matrix
         other = random_density_matrix(2, 3, rng).matrix
