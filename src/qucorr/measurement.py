@@ -17,20 +17,21 @@ S(rho_B) - sum p S(M/p).
 The optimizer is a multi-start search.  Directions n and -n give the same
 measurement, so its first batch is a Fibonacci grid on the upper hemisphere
 (plus any seeded probes), evaluated in two kernel calls.  The first is a look
-at every eighth grid direction, one turn of the spiral from the pole to near
-the equator.  If the look is flat, the objective does not depend on the axis
-(as for every member of the two-parameter family), and the search stops at
-the first grid direction.  Otherwise the second call evaluates the rest of the
-grid and the probes, and every grid point that is no worse than its nearest
-neighbours on the whole sphere starts a trust-region walk, best first, and all
-walks advance together, one kernel batch per iteration.  Each walk evaluates
-its trial point and a six-point stencil around it, along the point's unit
-polar and azimuth vectors, and fits a quadratic model there.  A better trial
-becomes the walk's point; the next is a damped Newton step on the model in the
-same frame, inside the walk's radius (half the grid's spacing at first, then
-shrunk or grown with the ratio of actual to predicted decrease).  A walk ends
-when its model predicts a decrease of at most FLAT_TOL bits.  The maximum is a
-certified lower bound for general states and exact for the family.
+at the grid's first eighth, stored first: every eighth point of the spiral,
+one turn from the pole to near the equator.  If the look is flat, the
+objective does not depend on the axis (as for every family member), and the
+search stops at the first grid direction before any probe is drawn.  Otherwise
+the second call evaluates the rest of the grid and the probes, and every grid
+point that is no worse than its nearest neighbours on the whole sphere starts
+a trust-region walk, best first, and all walks advance together, one kernel
+batch per iteration.  Each walk evaluates its trial point and a six-point
+stencil around it, along the point's unit polar and azimuth vectors, and fits
+a quadratic model there.  A better trial becomes the walk's point; the next is
+a damped Newton step on the model in the same frame, inside the walk's radius
+(half the grid's spacing at first, then shrunk or grown with the ratio of
+actual to predicted decrease).  A walk ends when its model predicts a decrease
+of at most FLAT_TOL bits.  The maximum is a certified lower bound for general
+states and exact for the family.
 ``optimize_measurement`` reports what the search did.
 """
 
@@ -53,7 +54,8 @@ from .family import TwoParamState, build_state
 # Outcomes with probability at or below this contribute zero entropy.
 DEGENERATE_TOL = 1e-12
 # Directions in the optimizer's first batch, a Fibonacci grid on the upper
-# hemisphere.  Every eighth of them is the look that can stop the search.
+# hemisphere.  The first eighth of them, every eighth point of the spiral, is
+# the look that can stop the search.
 GRID_POINTS = 128
 # Evaluations that spread by at most FLAT_TOL bits are flat.  A flat look is
 # an axis-independent objective and stops the search; a walk whose
@@ -133,8 +135,8 @@ class OptimizerConfig:
     The optimizer always scans ``GRID_POINTS`` hemisphere directions before
     its trust-region refinement.  ``random_probes >= 0`` extra directions (seeded)
     can be mixed into that scan; the best first-batch direction always starts a
-    walk.  Probes join the second kernel call of the first batch, so a flat
-    look stops the search before any probe is evaluated.  On 564 mixed test
+    walk.  Probes join the second kernel call of the first batch, and a flat
+    look stops the search before any probe is drawn.  On 564 mixed test
     states 256 probes moved no value by more than 9.4e-14 bits.  Only the
     ``discord`` subcommand's fixed config and the benchmark's ``cli-cold``
     oracle, which mirrors it, build one.
@@ -154,13 +156,14 @@ class OptimizerResult:
 
     ``value`` is the best measured mutual information in bits, reached along
     ``axis``; ``grid_value`` is the first batch's best, so ``refine_gain =
-    value - grid_value >= 0``.  On a flat look (every eighth grid direction)
-    the search stops with ``starts = 0``, ``batches = 1`` and ``evaluations =
-    GRID_POINTS // 8``, and returns the first grid direction and its own value.
-    Otherwise the first batch takes two kernel calls.  ``batches`` counts
-    kernel calls and ``evaluations`` the directions passed to them;
-    ``converged`` is False only if ``REFINE_MAXITER`` cut the search.
-    ``grid_s`` and ``refine_s`` are the wall times of the two phases.
+    value - grid_value >= 0``.  On a flat look (the grid's first eighth, every
+    eighth point of the spiral) the search stops with ``starts = 0``,
+    ``batches = 1`` and ``evaluations = GRID_POINTS // 8``, and returns the
+    first grid direction and its own value.  Otherwise the first batch takes
+    two kernel calls.  ``batches`` counts kernel calls and ``evaluations`` the
+    directions passed to them; ``converged`` is False only if
+    ``REFINE_MAXITER`` cut the search.  ``grid_s`` and ``refine_s`` are the
+    wall times of the two phases.
     """
 
     value: float
@@ -232,9 +235,11 @@ def _sphere(polar: np.ndarray, azimuth: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _hemisphere(count: int) -> np.ndarray:
-    """``count`` Fibonacci-spiral directions (count, 3) with equal area on z > 0."""
+    """``count`` Fibonacci-spiral directions (count, 3) with equal area on z > 0,
+    the look first (every eighth of them), then the rest in spiral order."""
     k = np.arange(count) + 0.5
-    return _sphere(np.arccos(1.0 - k / count), k * np.pi * (3.0 - np.sqrt(5.0)))[0]
+    n = _sphere(np.arccos(1.0 - k / count), k * np.pi * (3.0 - np.sqrt(5.0)))[0]
+    return np.r_[n[::8], np.delete(n, np.s_[::8], axis=0)]
 
 
 def _neighbour_table(grid: np.ndarray) -> np.ndarray:
@@ -346,31 +351,25 @@ def optimize_measurement(rho: DensityMatrix,
     The value is the best one found: a lower bound on the supremum, exact to
     rounding for smooth objectives.  See the module docstring for the search.
     """
-    if config is None:
-        config = OptimizerConfig()
     start = time.perf_counter()
     rho_b, t = _bloch_blocks(rho)
     entropy_b = von_neumann_entropy(rho_b)
+    # The look: the grid's first directions, one turn of the spiral.  A flat
+    # look stops the search; otherwise a second kernel call evaluates the rest
+    # of the first batch, the other grid directions and the probes.
+    look = _conditional_entropy_batch(rho_b, t, _GRID[:GRID_POINTS // 8])
+    if np.ptp(look) <= FLAT_TOL:
+        value = entropy_b - float(look[0])
+        return OptimizerResult(value=value, axis=_direction_axis(_GRID[0]), grid_value=value,
+                               refine_gain=0.0, starts=0, batches=1, evaluations=len(look),
+                               converged=True, grid_s=time.perf_counter() - start, refine_s=0.0)
     batch = _GRID
-    if config.random_probes > 0:
+    if config is not None and config.random_probes > 0:
         rng = np.random.default_rng(config.seed)
         polar = np.arccos(rng.uniform(-1.0, 1.0, config.random_probes))
         azimuth = rng.uniform(0.0, 2.0 * np.pi, config.random_probes)
         batch = np.r_[batch, _sphere(polar, azimuth)[0]]
-    # The look: every eighth grid direction, one turn of the spiral.  A flat
-    # look stops the search; otherwise a second kernel call fills in the rest
-    # of the first batch, the other grid directions and the probes.
-    look = np.zeros(len(batch), dtype=bool)
-    look[:GRID_POINTS:8] = True
-    first = np.empty(len(batch))
-    first[look] = _conditional_entropy_batch(rho_b, t, batch[look])
-    if np.ptp(first[look]) <= FLAT_TOL:
-        value = entropy_b - float(first[0])
-        return OptimizerResult(value=value, axis=_direction_axis(batch[0]), grid_value=value,
-                               refine_gain=0.0, starts=0, batches=1,
-                               evaluations=int(look.sum()), converged=True,
-                               grid_s=time.perf_counter() - start, refine_s=0.0)
-    first[~look] = _conditional_entropy_batch(rho_b, t, batch[~look])
+    first = np.r_[look, _conditional_entropy_batch(rho_b, t, batch[GRID_POINTS // 8:])]
     batches, evaluations = 2, len(batch)
 
     # Starts: the best first-batch direction (it may be a probe), then the grid's
@@ -433,9 +432,9 @@ def classical_correlation_numeric(rho: DensityMatrix,
     return result.value, result.axis
 
 
-def discord_numeric(rho: DensityMatrix, config: OptimizerConfig | None = None) -> float:
+def discord_numeric(rho: DensityMatrix) -> float:
     """Total correlations minus the numerically maximized classical part, in bits."""
-    value, _ = classical_correlation_numeric(rho, config)
+    value, _ = classical_correlation_numeric(rho)
     return quantum_mutual_information(rho) - value
 
 

@@ -97,6 +97,15 @@ def _hermiticity_residual(m: np.ndarray, tol: float = np.inf) -> float:
     return herm
 
 
+def _psd_spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues; NotPositiveSemidefiniteError if the smallest is < -VALIDATION_TOL."""
+    lam = np.linalg.eigvalsh(m)
+    if not lam[0] >= -VALIDATION_TOL:
+        raise NotPositiveSemidefiniteError(
+            f"smallest eigenvalue {lam[0]:.3e} < -{VALIDATION_TOL:.1e}", residual=float(-lam[0]))
+    return lam
+
+
 def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int) -> DensityMatrix:
     """Check the density-operator invariants and wrap the matrix.
 
@@ -136,10 +145,7 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int) -> DensityMatri
         raise NonUnitTraceError(
             f"trace is {tr:.12g}, |tr - 1| = {tr_resid:.3e} > {VALIDATION_TOL:.1e}",
             residual=tr_resid)
-    lam_min = float(np.linalg.eigvalsh(m)[0])
-    if not lam_min >= -VALIDATION_TOL:
-        raise NotPositiveSemidefiniteError(
-            f"smallest eigenvalue {lam_min:.3e} < -{VALIDATION_TOL:.1e}", residual=-lam_min)
+    _psd_spectrum(m)
     return DensityMatrix(dim_a=dim_a, dim_b=dim_b, matrix=_freeze(m))
 
 
@@ -209,11 +215,7 @@ def von_neumann_entropy(m: np.ndarray) -> float:
     """
     m = np.asarray(m, dtype=complex)
     _hermiticity_residual(m)
-    lam = np.linalg.eigvalsh(m)
-    if not lam[0] >= -VALIDATION_TOL:
-        raise NotPositiveSemidefiniteError(
-            f"smallest eigenvalue {lam[0]:.3e} < -{VALIDATION_TOL:.1e}", residual=float(-lam[0]))
-    lam = np.clip(lam, 0.0, 1.0)
+    lam = np.clip(_psd_spectrum(m), 0.0, 1.0)
     return float(-np.sum(xlog2x(lam)))
 
 

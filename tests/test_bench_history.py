@@ -4,9 +4,11 @@ Each file holds the runs of one commit (see ROADMAP item 1): the revision,
 the command, and for every workload one run without tracing and one with,
 each with the launcher's context line and its result line.  Every
 BENCH_N.json has a BENCH_N_parent.json taken with the same command, and every
-OPT_N.json (tools/optimizer_suite.py) an OPT_N_parent.json over the same states.
+OPT_N.json (tools/optimizer_suite.py) an OPT_N_parent.json over the same states
+that passes the suite's optimizer gates against it.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -16,6 +18,10 @@ ROOT = Path(__file__).resolve().parent.parent
 HISTORY = sorted(ROOT.glob("BENCH_*.json"))
 OPT_HISTORY = sorted(ROOT.glob("OPT_*.json"))
 WORKLOADS = ("family-optimize", "generic-discord", "twirl-pipeline", "cli-cold")
+_SPEC = importlib.util.spec_from_file_location("optimizer_suite",
+                                               ROOT / "tools" / "optimizer_suite.py")
+suite = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(suite)
 
 
 def test_history_is_committed():
@@ -53,3 +59,11 @@ def test_suite_file_has_a_parent_file(path):
     assert parent.exists()
     key = lambda doc: [(row["class"], row["index"], row["d"]) for row in doc["states"]]
     assert key(json.loads(parent.read_text())) == key(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("path", [path for path in OPT_HISTORY
+                                  if not path.stem.endswith("_parent")],
+                         ids=lambda path: path.name)
+def test_suite_file_passes_the_gates_against_its_parent(path):
+    parent = json.loads(path.with_name(f"{path.stem}_parent.json").read_text())
+    assert suite.failures(parent, json.loads(path.read_text())) == []

@@ -1,5 +1,6 @@
 """Projective measurements, steered ensembles and the numeric optimizer."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -496,7 +497,7 @@ class TestOptimizerOracle:
             rho = validate_density((1.0 - delta) * member + delta * other, 2, 3)
             rho_b, t = measurement._bloch_blocks(rho)
             grid = measurement._conditional_entropy_batch(rho_b, t, measurement._GRID)
-            flat.append((np.ptp(grid[::8]) <= FLAT_TOL, np.ptp(grid) <= FLAT_TOL))
+            flat.append((np.ptp(grid[:GRID_POINTS // 8]) <= FLAT_TOL, np.ptp(grid) <= FLAT_TOL))
             value, _ = classical_correlation_numeric(rho)
             assert value >= oracle_classical_correlation(rho) - 1e-12
         assert flat == [(True, True), (True, False), (False, False)]
@@ -662,6 +663,31 @@ class TestOptimizeMeasurement:
         result = optimize_measurement(rho, OptimizerConfig(random_probes=64, seed=3))
         assert sizes[:2] == [GRID_POINTS // 8, GRID_POINTS - GRID_POINTS // 8 + 64]
         assert result.evaluations == sum(sizes)
+
+    def test_flat_look_draws_no_probe(self, monkeypatch):
+        # A flat look stops the search before the probes are drawn, so on a
+        # family member a config with probes gives the search without one.
+        rho = build_state(random_family_state(3, np.random.default_rng(373)))
+        plain = optimize_measurement(rho)
+
+        def no_draw(seed):
+            raise AssertionError(f"probes drawn with seed {seed} after a flat look")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        probed = optimize_measurement(rho, OptimizerConfig(random_probes=256, seed=0))
+        untimed = lambda result: dataclasses.replace(result, grid_s=0.0, refine_s=0.0)
+        assert untimed(probed) == untimed(plain)
+        assert probed.evaluations == GRID_POINTS // 8
+
+    def test_grid_is_stored_look_first(self):
+        # Spiral point k sits at height z = 1 - (k + 1/2) / GRID_POINTS.  The
+        # grid holds every eighth point first, the look, then the rest, each
+        # in spiral order.
+        k = (1.0 - measurement._GRID[:, 2]) * GRID_POINTS - 0.5
+        assert np.allclose(k, np.round(k), rtol=0.0, atol=1e-9)
+        k = np.round(k).astype(int)
+        assert list(k[:GRID_POINTS // 8]) == list(range(0, GRID_POINTS, 8))
+        assert list(k[GRID_POINTS // 8:]) == [i for i in range(GRID_POINTS) if i % 8]
 
     def test_split_first_batch_is_bit_exact(self, monkeypatch):
         # The look and the rest of the grid go through two kernel calls; each
