@@ -44,10 +44,9 @@ import numpy as np
 
 from .operators import (
     DensityMatrix,
+    _spectral_entropy,
     partial_trace_a,
     quantum_mutual_information,
-    von_neumann_entropy,
-    xlog2x,
 )
 from .family import TwoParamState, build_state
 
@@ -315,8 +314,7 @@ def _steer(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray):
 def _conditional_entropy_batch(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray) -> np.ndarray:
     """sum_+- p S(M/p) in bits per direction; eigenvalues are clipped to [0, 1]."""
     p, _, lam = _steer(rho_b, t, n)
-    entropy = -np.sum(xlog2x(np.clip(lam, 0.0, 1.0)), axis=2)
-    return np.sum(np.where(p > DEGENERATE_TOL, p * entropy, 0.0), axis=0)
+    return np.sum(np.where(p > DEGENERATE_TOL, p * _spectral_entropy(lam), 0.0), axis=0)
 
 
 def conditional_ensemble(rho: DensityMatrix, axis: MeasurementAxis) -> ConditionalEnsemble:
@@ -341,7 +339,8 @@ def conditional_entropy(rho: DensityMatrix, axis: MeasurementAxis) -> float:
 
 def measured_mutual_information(rho: DensityMatrix, axis: MeasurementAxis) -> float:
     """S(rho_B) minus the conditional entropy of the steered ensemble, in bits."""
-    return von_neumann_entropy(partial_trace_a(rho)) - conditional_entropy(rho, axis)
+    entropy_b = float(_spectral_entropy(np.linalg.eigvalsh(partial_trace_a(rho))))
+    return entropy_b - conditional_entropy(rho, axis)
 
 
 def optimize_measurement(rho: DensityMatrix,
@@ -353,7 +352,7 @@ def optimize_measurement(rho: DensityMatrix,
     """
     start = time.perf_counter()
     rho_b, t = _bloch_blocks(rho)
-    entropy_b = von_neumann_entropy(rho_b)
+    entropy_b = float(_spectral_entropy(np.linalg.eigvalsh(rho_b)))
     # The look: the grid's first directions, one turn of the spiral.  A flat
     # look stops the search; otherwise a second kernel call evaluates the rest
     # of the first batch, the other grid directions and the probes.

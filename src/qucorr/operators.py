@@ -54,7 +54,9 @@ class DensityMatrix:
 
     ``matrix`` is a read-only (2d x 2d) complex array in the |i j> -> i*d + j
     basis.  Instances are immutable and safe to share between threads; build
-    them through :func:`validate_density`.
+    them through :func:`validate_density`.  Functions that take one trust it and
+    its marginals, whose Hermiticity residual and negative eigenvalue can reach
+    2x (rho_B) or d x (rho_A) the state's: nothing checks them again.
     """
 
     dim_a: int
@@ -76,12 +78,9 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hermiticity_residual(m: np.ndarray, tol: float = np.inf) -> float:
-    """max |M - M^dag| of a square matrix, the one Hermiticity check.
-
-    Raises :class:`NonFiniteError` on any NaN/inf entry and
-    :class:`NonHermitianError` unless the residual is at most ``tol``.
-    """
+def _hermiticity_residual(m: np.ndarray) -> float:
+    """max |M - M^dag| of a square matrix, the one Hermiticity check: :class:`NonFiniteError`
+    on any NaN/inf entry, :class:`NonHermitianError` above ``VALIDATION_TOL``."""
     bad = ~np.isfinite(m)
     if bad.any():
         where = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -91,9 +90,9 @@ def _hermiticity_residual(m: np.ndarray, tol: float = np.inf) -> float:
     # Entries near the double range overflow to an inf residual, which fails.
     with np.errstate(over="ignore"):
         herm = float(np.max(np.abs(m - m.conj().T)))
-    if not herm <= tol:
+    if not herm <= VALIDATION_TOL:
         raise NonHermitianError(
-            f"not Hermitian: max |M - M^dag| = {herm:.3e} > {tol:.1e}", residual=herm)
+            f"not Hermitian: max |M - M^dag| = {herm:.3e} > {VALIDATION_TOL:.1e}", residual=herm)
     return herm
 
 
@@ -137,7 +136,7 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int) -> DensityMatri
             f"expected a {n}x{n} matrix for dims ({dim_a}, {dim_b}), got shape {m.shape}",
             residual=float(abs(m.size - n * n)),
         )
-    _hermiticity_residual(m, VALIDATION_TOL)
+    _hermiticity_residual(m)
     with np.errstate(over="ignore", invalid="ignore"):
         tr = complex(np.trace(m))
     tr_resid = abs(tr - 1.0)
@@ -187,12 +186,11 @@ def _negativity(pt_spectrum: np.ndarray) -> float:
 def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
-    Raises :class:`NonFiniteError` on NaN/inf entries and
-    :class:`NonHermitianError` if the input deviates from Hermiticity by more
-    than ``VALIDATION_TOL``.
+    Raises :class:`NonFiniteError` on NaN/inf entries and :class:`NonHermitianError`
+    if the input deviates from Hermiticity by more than ``VALIDATION_TOL``.
     """
     m = np.asarray(m, dtype=complex)
-    _hermiticity_residual(m, VALIDATION_TOL)
+    _hermiticity_residual(m)
     return np.linalg.eigvalsh(m)[::-1]
 
 
@@ -204,26 +202,29 @@ def xlog2x(x: np.ndarray | float) -> np.ndarray | float:
     return out if arr.ndim else float(out)
 
 
+def _spectral_entropy(lam: np.ndarray) -> np.ndarray:
+    """-sum(lam * log2(lam)) in bits over a spectrum's last axis, lam clipped to [0, 1]."""
+    return -np.sum(xlog2x(np.clip(lam, 0.0, 1.0)), axis=-1)
+
+
 def von_neumann_entropy(m: np.ndarray) -> float:
     """Entropy -sum(lam * log2(lam)) of a density operator, in bits.
 
-    Eigenvalues in [-VALIDATION_TOL, 0) are treated as exact zeros and all
-    eigenvalues are clipped to [0, 1] before the logarithm, so numerically
-    tiny negative values never produce NaNs.  Eigenvalues below
-    ``-VALIDATION_TOL`` raise :class:`NotPositiveSemidefiniteError`, and NaN/inf
-    entries :class:`NonFiniteError`.
+    Checked as :func:`validate_density` checks a state, but for the trace: NaN/inf
+    entries raise :class:`NonFiniteError`, a Hermiticity residual above ``VALIDATION_TOL``
+    :class:`NonHermitianError`, and an eigenvalue below ``-VALIDATION_TOL``
+    :class:`NotPositiveSemidefiniteError`; eigenvalues in [-VALIDATION_TOL, 0) count as 0.
     """
     m = np.asarray(m, dtype=complex)
     _hermiticity_residual(m)
-    lam = np.clip(_psd_spectrum(m), 0.0, 1.0)
-    return float(-np.sum(xlog2x(lam)))
+    return float(_spectral_entropy(_psd_spectrum(m)))
 
 
 def quantum_mutual_information(rho: DensityMatrix) -> float:
     """Total correlations S(rho_A) + S(rho_B) - S(rho) in bits."""
-    return (von_neumann_entropy(partial_trace_b(rho))
-            + von_neumann_entropy(partial_trace_a(rho))
-            - von_neumann_entropy(rho.matrix))
+    s_a, s_b, s_ab = (_spectral_entropy(np.linalg.eigvalsh(m))
+                      for m in (partial_trace_b(rho), partial_trace_a(rho), rho.matrix))
+    return float(s_a + s_b - s_ab)
 
 
 def commutator_condition(rho: DensityMatrix) -> float:

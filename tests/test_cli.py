@@ -345,7 +345,9 @@ class TestCheckCommand:
 
 
 # Inputs for the exit-code property: the fixtures plus files that break each
-# read step (file system, encoding, JSON, structure, validation, d >= 3).
+# read step (file system, encoding, JSON, structure, validation, d >= 3), and
+# valid states at the edges: a qubit pair, and a d = 16 state that passes
+# validation although its qubit marginal's smallest eigenvalue is -5e-10.
 _HUGE = 1.7e308
 
 
@@ -374,6 +376,8 @@ BAD_INPUTS = {
     "hermiticity_overflow": _with_cells({(0, 1): _HUGE, (1, 0): -_HUGE}),
     "trace_overflow": _with_cells({(0, 0): _HUGE, (1, 1): _HUGE}),
     "cancelling_huge_diagonal": _with_cells({(0, 0): _HUGE, (1, 1): -_HUGE}),
+    "marginal_below_tolerance": dumps_density(validate_density(
+        np.kron(np.diag([1 + 5e-10, -5e-10]), np.eye(16) / 16), 2, 16)),
 }
 INPUT_NAMES = sorted(p.name for p in FIXTURES.glob("*.json")) + sorted(BAD_INPUTS) + [
     "missing", "directory"]
@@ -401,10 +405,10 @@ PARAMS = st.sampled_from(("alpha", "beta", "gamma"))
 INPUTS = st.sampled_from(INPUT_NAMES)
 
 
-def assert_exits_0_or_2(argv: list[str]) -> None:
+def assert_exits_0_or_2(argv: list[str]) -> int:
     """Run ``cli.main`` in this process: it must return 0, or 2 with an error
     on stderr and nothing on stdout.  An argparse exit counts as its code, and
-    a numpy RuntimeWarning is raised as an error."""
+    a numpy RuntimeWarning is raised as an error.  Returns the code."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -415,6 +419,7 @@ def assert_exits_0_or_2(argv: list[str]) -> None:
     assert code in (0, 2), (argv, code, err.getvalue())
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().strip(), argv
+    return code
 
 
 class TestExitCodeProperty:
@@ -453,3 +458,11 @@ class TestExitCodeProperty:
     @example(name="qubit_pair")
     def test_check(self, cli_inputs, name):
         assert_exits_0_or_2(["check", f"--in={cli_inputs[name]}"])
+
+    # A state is validated once, when it is read, so what `check` accepts
+    # `discord` accepts.  Not the converse: `discord` takes 2 x 2 files that
+    # `check` rejects.
+    @pytest.mark.parametrize("name", INPUT_NAMES)
+    def test_discord_accepts_what_check_accepts(self, cli_inputs, name):
+        if assert_exits_0_or_2(["check", f"--in={cli_inputs[name]}"]) == 0:
+            assert assert_exits_0_or_2(["discord", f"--in={cli_inputs[name]}"]) == 0

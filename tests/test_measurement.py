@@ -41,6 +41,7 @@ from qucorr.measurement import (
 from qucorr.operators import (
     partial_trace_a,
     partial_trace_b,
+    quantum_mutual_information,
     random_density_matrix,
     tensor,
     validate_density,
@@ -350,6 +351,15 @@ class TestMeasuredMutualInformation:
         for _ in range(10):
             got = measured_mutual_information(rho, random_axis(rng))
             assert np.isclose(got, expected, atol=1e-10)
+
+    def test_validated_state_is_not_checked_again(self):
+        # Its smallest eigenvalue, -5e-10 / 16, passes validation; rho_A's,
+        # -5e-10, is 16 times that.  A marginal is not validated again.
+        rho = validate_density(np.kron(np.diag([1 + 5e-10, -5e-10]), np.eye(16) / 16), 2, 16)
+        assert np.linalg.eigvalsh(partial_trace_b(rho))[0] < -1e-10
+        assert np.isfinite(quantum_mutual_information(rho))
+        assert np.isfinite(measured_mutual_information(rho, random_axis(np.random.default_rng(3))))
+        assert np.isfinite(classical_correlation_numeric(rho)[0])
 
 
 class TestOptimizer:

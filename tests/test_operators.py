@@ -221,11 +221,16 @@ class TestHermitianSpectrum:
         got = hermitian_spectrum(np.outer(phi_p, phi_p.conj()))
         assert np.allclose(got, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
-    def test_non_hermitian_rejected(self):
-        m = np.eye(3, dtype=complex)
-        m[0, 1] = 1e-3
+    # von_neumann_entropy checks a raw matrix as hermitian_spectrum does; it
+    # must not read one triangle of a non-Hermitian matrix.
+    @pytest.mark.parametrize("spectrum", [hermitian_spectrum, von_neumann_entropy],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("m", [[[1, 1e-3, 0], [0, 1, 0], [0, 0, 1]],
+                                   [[0.5, 1], [0, 0.5]]],
+                             ids=["small_off_diagonal", "upper_triangle"])
+    def test_non_hermitian_rejected(self, m, spectrum):
         with pytest.raises(NonHermitianError):
-            hermitian_spectrum(m)
+            spectrum(np.asarray(m, dtype=complex))
 
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
     def test_nan_rejected(self, where):
