@@ -230,7 +230,7 @@ class TestHermitianSpectrum:
                              ids=["small_off_diagonal", "upper_triangle"])
     def test_non_hermitian_rejected(self, m, spectrum):
         with pytest.raises(NonHermitianError):
-            spectrum(np.asarray(m, dtype=complex))
+            spectrum(m)
 
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
     def test_nan_rejected(self, where):
