@@ -115,6 +115,11 @@ def singlet_weight(rho: DensityMatrix) -> float:
 
 def build_state(s: TwoParamState) -> DensityMatrix:
     """Assemble the family member as a validated density matrix."""
+    return validate_density(_family_matrix(s), 2, s.d)
+
+
+def _family_matrix(s: TwoParamState) -> np.ndarray:
+    """The family member's (2d x 2d) matrix, assembled but not validated."""
     d = s.d
     beta = max(s.beta, 0.0)
     m = np.zeros((2 * d, 2 * d), dtype=complex)
@@ -124,7 +129,7 @@ def build_state(s: TwoParamState) -> DensityMatrix:
     phi_p, phi_m, psi_p, psi_m = bell_vectors(d)
     for w, v in ((beta, phi_p), (beta, phi_m), (beta, psi_p), (s.gamma, psi_m)):
         m += w * np.outer(v, v.conj())
-    return validate_density(m, 2, d)
+    return m
 
 
 def family_spectrum(s: TwoParamState) -> np.ndarray:
@@ -230,10 +235,10 @@ def _projected_params(rho: DensityMatrix) -> TwoParamState:
 
 
 def nearest_family_member(rho: DensityMatrix) -> tuple[TwoParamState, float]:
-    """Best-guess family parameters for ``rho`` and the rebuild residual."""
+    """Best-guess family parameters for ``rho`` and the Frobenius residual to their
+    rebuild, which is compared with ``rho`` but neither validated nor returned."""
     s = _projected_params(rho)
-    residual = float(np.linalg.norm(rho.matrix - build_state(s).matrix))
-    return s, residual
+    return s, float(np.linalg.norm(rho.matrix - _family_matrix(s)))
 
 
 def random_family_state(d: int, rng: np.random.Generator) -> TwoParamState:

@@ -45,6 +45,7 @@ import numpy as np
 from .operators import (
     DensityMatrix,
     _spectral_entropy,
+    _state_entropy,
     partial_trace_a,
     quantum_mutual_information,
 )
@@ -339,7 +340,7 @@ def conditional_entropy(rho: DensityMatrix, axis: MeasurementAxis) -> float:
 
 def measured_mutual_information(rho: DensityMatrix, axis: MeasurementAxis) -> float:
     """S(rho_B) minus the conditional entropy of the steered ensemble, in bits."""
-    entropy_b = float(_spectral_entropy(np.linalg.eigvalsh(partial_trace_a(rho))))
+    entropy_b = _state_entropy(partial_trace_a(rho))
     return entropy_b - conditional_entropy(rho, axis)
 
 
@@ -352,7 +353,7 @@ def optimize_measurement(rho: DensityMatrix,
     """
     start = time.perf_counter()
     rho_b, t = _bloch_blocks(rho)
-    entropy_b = float(_spectral_entropy(np.linalg.eigvalsh(rho_b)))
+    entropy_b = _state_entropy(rho_b)
     # The look: the grid's first directions, one turn of the spiral.  A flat
     # look stops the search; otherwise a second kernel call evaluates the rest
     # of the first batch, the other grid directions and the probes.

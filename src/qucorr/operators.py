@@ -207,6 +207,15 @@ def _spectral_entropy(lam: np.ndarray) -> np.ndarray:
     return -np.sum(xlog2x(np.clip(lam, 0.0, 1.0)), axis=-1)
 
 
+def _state_entropy(m: np.ndarray) -> float:
+    """Entropy in bits of a state or marginal, its clipped spectrum rescaled to unit sum."""
+    # At the edge of validation the clipped spectrum sums to 1 + O(d VALIDATION_TOL),
+    # which makes I negative unless it is rescaled.  Steered blocks are not rescaled:
+    # a degenerate outcome's block is near zero, and its sum would divide by ~0.
+    lam =np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
+    return float(_spectral_entropy(lam / np.sum(lam)))
+
+
 def von_neumann_entropy(m: np.ndarray) -> float:
     """Entropy -sum(lam * log2(lam)) of a density operator, in bits.
 
@@ -222,9 +231,8 @@ def von_neumann_entropy(m: np.ndarray) -> float:
 
 def quantum_mutual_information(rho: DensityMatrix) -> float:
     """Total correlations S(rho_A) + S(rho_B) - S(rho) in bits."""
-    s_a, s_b, s_ab = (_spectral_entropy(np.linalg.eigvalsh(m))
-                      for m in (partial_trace_b(rho), partial_trace_a(rho), rho.matrix))
-    return float(s_a + s_b - s_ab)
+    return (_state_entropy(partial_trace_b(rho)) + _state_entropy(partial_trace_a(rho))
+            - _state_entropy(rho.matrix))
 
 
 def commutator_condition(rho: DensityMatrix) -> float:

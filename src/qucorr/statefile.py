@@ -30,15 +30,12 @@ def _reject_constant(token: str):
 
 
 def dumps_density(rho: DensityMatrix) -> str:
-    """Serialize a state to the JSON document, one matrix row per line."""
-    def fmt(x: float) -> str:
-        return format(float(x), ".17g")
-
-    rows = []
-    for row in rho.matrix:
-        cells = ", ".join(f"[{fmt(v.real)}, {fmt(v.imag)}]" for v in row)
-        rows.append(f"    [{cells}]")
-    body = ",\n".join(rows)
+    """Serialize a state to the JSON document, one matrix row per line: one ``%.17g``
+    template per document, the bytes of ``format(x, ".17g")`` for every number."""
+    n = rho.total_dim
+    row = "    [" + ", ".join(["[%.17g, %.17g]"] * n) + "]"
+    parts = np.stack((rho.matrix.real, rho.matrix.imag), axis=-1).ravel().tolist()
+    body = ",\n".join([row] * n) % tuple(parts)
     return ('{\n  "dims": [%d, %d],\n  "matrix": [\n%s\n  ]\n}\n'
             % (rho.dim_a, rho.dim_b, body))
 

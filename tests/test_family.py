@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from qucorr import family
 from qucorr.family import (
     CorrelationReport,
     NotInFamilyError,
     ParameterOutOfRangeError,
     TwoParamState,
+    _family_matrix,
+    _projected_params,
     bell_vectors,
     build_state,
     classical_correlation,
@@ -278,3 +281,23 @@ class TestClassifyFamily:
         candidate, residual = nearest_family_member(build_state(s))
         assert residual < 1e-12
         assert np.isclose(candidate.alpha, 0.12, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 5, 8, 16])
+    def test_rebuild_is_the_validated_family_member(self, d):
+        # The residual is taken against the unvalidated rebuild; it must be
+        # the same matrix, bit for bit, that build_state validates.
+        rho = random_density_matrix(2, d, np.random.default_rng(40 + d))
+        s, residual = nearest_family_member(rho)
+        assert s == _projected_params(rho)
+        assert residual == np.linalg.norm(rho.matrix - build_state(s).matrix)
+        assert np.array_equal(build_state(s).matrix, _family_matrix(s))
+
+    def test_rebuild_is_not_validated(self, monkeypatch):
+        rho = random_density_matrix(2, 5, np.random.default_rng(7))
+
+        def refuse(*args):
+            raise AssertionError("the family rebuild was validated")
+
+        monkeypatch.setattr(family, "validate_density", refuse)
+        s, residual = nearest_family_member(rho)
+        assert s.d == 5 and residual > 1e-3

@@ -361,6 +361,13 @@ class TestMeasuredMutualInformation:
         assert np.isfinite(measured_mutual_information(rho, random_axis(np.random.default_rng(3))))
         assert np.isfinite(classical_correlation_numeric(rho)[0])
 
+    def test_edge_state_has_no_negative_correlations(self):
+        # rho's spectrum, clipped to [0, 1], sums to 1 + 5e-10; unless it is
+        # rescaled, S(rho) gains ~1.3e-9 bits and I comes out negative.
+        rho = validate_density(np.kron(np.diag([1 + 5e-10, -5e-10]), np.eye(16) / 16), 2, 16)
+        assert quantum_mutual_information(rho) >= 0.0
+        assert discord_numeric(rho) >= -1e-15
+
 
 class TestOptimizer:
 

@@ -1,6 +1,7 @@
 """Wire-format round trips and rejection of malformed documents."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +10,30 @@ from hypothesis import strategies as st
 
 from qucorr.family import TwoParamState, build_state
 from qucorr.operators import (
+    DensityMatrix,
     MatrixValidationError,
     NonFiniteError,
     NonUnitTraceError,
     random_density_matrix,
 )
 from qucorr.statefile import StateFormatError, dumps_density, loads_density
+from qucorr.twirl import twirl
+
+FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+
+
+def reference_dumps(rho):
+    """The writer formatted one number at a time, the oracle for dumps_density's bytes."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    rows = []
+    for row in rho.matrix:
+        cells = ", ".join(f"[{fmt(v.real)}, {fmt(v.imag)}]" for v in row)
+        rows.append(f"    [{cells}]")
+    body = ",\n".join(rows)
+    return ('{\n  "dims": [%d, %d],\n  "matrix": [\n%s\n  ]\n}\n'
+            % (rho.dim_a, rho.dim_b, body))
 
 
 class TestRoundTrip:
@@ -36,6 +55,37 @@ class TestRoundTrip:
         rng = np.random.default_rng(1)
         rho = random_density_matrix(2, 3, rng)
         assert dumps_density(rho) == dumps_density(rho)
+
+
+class TestWriterBytes:
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    def test_random_states(self, d):
+        rho = random_density_matrix(2, d, np.random.default_rng(d))
+        assert dumps_density(rho) == reference_dumps(rho)
+
+    @pytest.mark.parametrize("d", [3, 5, 8, 16])
+    def test_family_and_twirled_states(self, d):
+        rng = np.random.default_rng(100 + d)
+        for rho in (build_state(TwoParamState(d, 0.3 / (2 * (d - 2)), 0.35)),
+                    twirl(random_density_matrix(2, d, rng)).output):
+            assert dumps_density(rho) == reference_dumps(rho)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_extreme_numbers(self, d):
+        # Not states: the writer formats whatever matrix it is given.
+        n = 2 * d
+        values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 0.1])
+        rng = np.random.default_rng(d)
+        m = rng.choice(values, (n, n)) + 1j * rng.choice(values, (n, n))
+        m[0, 0], m[0, 1] = complex(-0.0, -0.0), complex(0.1, 5e-324)
+        rho = DensityMatrix(2, d, m)
+        assert dumps_density(rho) == reference_dumps(rho)
+
+    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+    def test_fixture_reproduces_its_bytes(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert dumps_density(loads_density(text)) == text
 
 
 class TestDocumentShape:
