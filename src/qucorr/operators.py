@@ -212,7 +212,7 @@ def _state_entropy(m: np.ndarray) -> float:
     # At the edge of validation the clipped spectrum sums to 1 + O(d VALIDATION_TOL),
     # which makes I negative unless it is rescaled.  Steered blocks are not rescaled:
     # a degenerate outcome's block is near zero, and its sum would divide by ~0.
-    lam =np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
+    lam = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
     return float(_spectral_entropy(lam / np.sum(lam)))
 
 
