@@ -11,6 +11,10 @@ and beta fixed by the unit-trace constraint
 
     2*(d-2)*alpha + 3*beta + gamma = 1.
 
+On that qubit block the member is beta*I + (gamma - beta)*P[psi-]: a diagonal
+plus one real coherence between |01> and |10> (|ij> sits at index i*d + j).
+Only this module builds a member or reads a state in that layout.
+
 The family is invariant under every identified local unitary pair U (x) U
 that preserves the qubit levels {0, 1} of the qudit, which forces the
 post-measurement ensemble of any qubit measurement to have an axis-
@@ -109,8 +113,18 @@ def bell_vectors(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 
 def singlet_weight(rho: DensityMatrix) -> float:
     """<psi-| rho |psi->, the family's gamma for any state."""
-    psi_m = bell_vectors(rho.dim_b)[3]
-    return float(np.real(psi_m.conj() @ rho.matrix @ psi_m))
+    return _family_weights(rho)[3]
+
+
+def _family_weights(rho: DensityMatrix) -> tuple[np.ndarray, float, float, float]:
+    """``rho`` read in the member's layout: its 2(d-2) outer diagonal entries, the
+    phi-pair weight (rho_00 + rho_{d+1,d+1})/2, and the psi+ and psi- weights
+    Re(rho_11 + rho_dd +- (rho_1d + rho_d1))/2."""
+    d, m = rho.dim_b, rho.matrix
+    diag = np.real(np.diagonal(m))
+    pair, coherence = diag[1] + diag[d], np.real(m[1, d] + m[d, 1])
+    return (np.r_[diag[2:d], diag[d + 2:]], float(0.5 * (diag[0] + diag[d + 1])),
+            float(0.5 * (pair + coherence)), float(0.5 * (pair - coherence)))
 
 
 def build_state(s: TwoParamState) -> DensityMatrix:
@@ -119,16 +133,13 @@ def build_state(s: TwoParamState) -> DensityMatrix:
 
 
 def _family_matrix(s: TwoParamState) -> np.ndarray:
-    """The family member's (2d x 2d) matrix, assembled but not validated."""
-    d = s.d
-    beta = max(s.beta, 0.0)
-    m = np.zeros((2 * d, 2 * d), dtype=complex)
-    for i in (0, 1):
-        for j in range(2, d):
-            m[i * d + j, i * d + j] = s.alpha
-    phi_p, phi_m, psi_p, psi_m = bell_vectors(d)
-    for w, v in ((beta, phi_p), (beta, phi_m), (beta, psi_p), (s.gamma, psi_m)):
-        m += w * np.outer(v, v.conj())
+    """The family member's (2d x 2d) matrix, assembled but not validated: alpha
+    on the outer diagonal and beta*I + (gamma - beta)*P[psi-] on the qubit block."""
+    d, beta = s.d, max(s.beta, 0.0)
+    m = np.diag(np.full(2 * d, s.alpha, dtype=complex))
+    m[[0, d + 1], [0, d + 1]] = beta
+    m[[1, d], [1, d]] = 0.5 * (beta + s.gamma)
+    m[[1, d], [d, 1]] = 0.5 * (beta - s.gamma)
     return m
 
 
@@ -220,17 +231,15 @@ def classify_family(rho: DensityMatrix) -> TwoParamState:
 
 def _projected_params(rho: DensityMatrix) -> TwoParamState:
     """alpha = mean outer diagonal weight and gamma = singlet weight of ``rho``,
-    clipped into range; raises :class:`ParameterOutOfRangeError` for d < 3."""
+    clipped to the valid region; raises :class:`ParameterOutOfRangeError` for d < 3."""
     d = rho.dim_b
     if d < 3:
         raise ParameterOutOfRangeError(f"the family needs qudit dimension d >= 3, got d={d}")
-    diag = np.real(np.diagonal(rho.matrix))
-    outer = [diag[i * d + j] for i in (0, 1) for j in range(2, d)]
-    alpha = float(np.mean(outer))
-    gamma = singlet_weight(rho)
-    # The extracted values can stray below a bound by float rounding only.
-    alpha = min(max(alpha, 0.0), 1.0 / (2.0 * (d - 2)))
-    gamma = min(max(gamma, 0.0), 1.0)
+    outer, _, _, gamma = _family_weights(rho)
+    # A valid state's weights can stray past a bound by the trace and PSD
+    # tolerances of validation, so gamma is clipped to what alpha leaves.
+    alpha = min(max(float(np.mean(outer)), 0.0), 1.0 / (2.0 * (d - 2)))
+    gamma = min(max(gamma, 0.0), 1.0 - 2.0 * (d - 2) * alpha)
     return TwoParamState(d=d, alpha=alpha, gamma=gamma)
 
 

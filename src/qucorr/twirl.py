@@ -40,8 +40,8 @@ import numpy as np
 from .operators import DensityMatrix, random_unitary, tensor, validate_density
 from .family import (
     TwoParamState,
+    _family_weights,
     _projected_params,
-    bell_vectors,
     build_state,
     nearest_family_member,
 )
@@ -134,29 +134,21 @@ def locc_stages(rho: DensityMatrix) -> list[tuple[str, DensityMatrix]]:
 
 
 def _halfway_weights(rho: DensityMatrix) -> IntermediateWeights:
-    """Read the diagonal weights of the post-swap form (before the cycle average).
-
-    The phase, level-sign and swap stages leave every one of these weights
-    fixed, so reading them from the input gives the same values.
-    """
-    d = rho.dim_b
-    diag = np.real(np.diagonal(rho.matrix))
-    levels = tuple(float(0.5 * (diag[j] + diag[d + j])) for j in range(2, d))
-    _, _, psi_p, psi_m = bell_vectors(d)
-    return IntermediateWeights(
-        level_weights=levels,
-        phi_pair=float(0.5 * (diag[0] + diag[d + 1])),
-        psi_plus=float(np.real(psi_p.conj() @ rho.matrix @ psi_p)),
-        psi_minus=float(np.real(psi_m.conj() @ rho.matrix @ psi_m)),
-    )
+    """The weights of the post-swap form (before the cycle average), read by the
+    family module.  The phase, level-sign and swap stages leave every one of
+    them fixed, so reading them from the input gives the same values."""
+    outer, phi_pair, psi_plus, psi_minus = _family_weights(rho)
+    levels = 0.5 * (outer[:len(outer) // 2] + outer[len(outer) // 2:])
+    return IntermediateWeights(tuple(levels.tolist()), phi_pair, psi_plus, psi_minus)
 
 
 def twirl(rho: DensityMatrix) -> TwirlReport:
     """Map a 2 x d state onto the family, with the output of :func:`locc_stages`.
 
     The output is the family member with gamma = <psi-|rho|psi-> and alpha
-    the mean outer diagonal weight of ``rho``.  ``residual`` is the distance
-    between that output and the family member rebuilt from it.
+    the mean outer diagonal weight of ``rho``: alpha on the outer diagonal and
+    beta*I + (gamma - beta)*P[psi-] on the qubit block.  ``residual`` is the
+    distance between that output and the family member rebuilt from it.
     """
     if rho.dim_a != 2 or rho.dim_b < 3:
         raise ValueError(f"twirl needs a 2 x d state with d >= 3, got dims {rho.dims}")

@@ -18,7 +18,7 @@ from qucorr import cli, measurement
 from qucorr.family import TwoParamState, classical_correlation, discord
 from qucorr.operators import partial_trace_b, validate_density, von_neumann_entropy
 from qucorr.statefile import dumps_density, loads_density
-from qucorr.family import singlet_weight
+from qucorr.family import bell_vectors, singlet_weight
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -346,8 +346,10 @@ class TestCheckCommand:
 
 # Inputs for the exit-code property: the fixtures plus files that break each
 # read step (file system, encoding, JSON, structure, validation, d >= 3), and
-# valid states at the edges: a qubit pair, and a d = 16 state that passes
-# validation although its qubit marginal's smallest eigenvalue is -5e-10.
+# valid states at the edges: a qubit pair, a d = 16 state that passes
+# validation although its qubit marginal's smallest eigenvalue is -5e-10, and
+# a d = 3 family member scaled to trace 1 + 5e-11, whose weights leave beta
+# at -1.7e-11.
 _HUGE = 1.7e308
 
 
@@ -378,6 +380,9 @@ BAD_INPUTS = {
     "cancelling_huge_diagonal": _with_cells({(0, 0): _HUGE, (1, 1): -_HUGE}),
     "marginal_below_tolerance": dumps_density(validate_density(
         np.kron(np.diag([1 + 5e-10, -5e-10]), np.eye(16) / 16), 2, 16)),
+    "trace_edge_member": dumps_density(validate_density((1 + 5e-11) * (
+        0.5 * np.outer(bell_vectors(3)[3], bell_vectors(3)[3]) + np.diag([0, 0, 0.25] * 2)),
+        2, 3)),
 }
 INPUT_NAMES = sorted(p.name for p in FIXTURES.glob("*.json")) + sorted(BAD_INPUTS) + [
     "missing", "directory"]
@@ -466,3 +471,14 @@ class TestExitCodeProperty:
     def test_discord_accepts_what_check_accepts(self, cli_inputs, name):
         if assert_exits_0_or_2(["check", f"--in={cli_inputs[name]}"]) == 0:
             assert assert_exits_0_or_2(["discord", f"--in={cli_inputs[name]}"]) == 0
+
+    # The converse holds from d = 3 on: the family projection clips its
+    # parameters to the trace constraint, so every valid 2 x d state has one.
+    @pytest.mark.parametrize("name", INPUT_NAMES)
+    def test_check_and_twirl_accept_what_discord_accepts_from_d3(self, cli_inputs, name):
+        path = cli_inputs[name]
+        if assert_exits_0_or_2(["discord", f"--in={path}"]) == 0 and \
+                loads_density(path.read_text()).dim_b >= 3:
+            assert assert_exits_0_or_2(["check", f"--in={path}"]) == 0
+            assert assert_exits_0_or_2(["twirl", f"--in={path}",
+                                        f"--out={cli_inputs['directory'] / 'twirled.json'}"]) == 0

@@ -1,5 +1,7 @@
 """Closed-form correlation measures for the two-parameter family."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from qucorr.family import (
     ParameterOutOfRangeError,
     TwoParamState,
     _family_matrix,
+    _family_weights,
     _projected_params,
     bell_vectors,
     build_state,
@@ -25,6 +28,7 @@ from qucorr.family import (
     nearest_family_member,
     negativity,
     random_family_state,
+    singlet_weight,
 )
 from qucorr.operators import (
     hermitian_spectrum,
@@ -36,6 +40,7 @@ from qucorr.operators import (
     validate_density,
     von_neumann_entropy,
 )
+from qucorr.twirl import twirl
 
 
 def max_off_diagonal(rho):
@@ -91,6 +96,62 @@ class TestBuildState:
         assert np.allclose(rho.matrix, expected, atol=1e-14)
         assert is_classical_diagonal(rho)
         assert max_off_diagonal(rho) <= 1e-12
+
+
+def bell_projector_sum(s):
+    """The member from its definition: outer projectors and Bell outer products."""
+    d = s.d
+    outer = np.diag([0.0 if j < 2 else s.alpha for j in range(d)] * 2).astype(complex)
+    phi_p, phi_m, psi_p, psi_m = bell_vectors(d)
+    return outer + sum(w * np.outer(v, v.conj()) for w, v in
+                       ((s.beta, phi_p), (s.beta, phi_m), (s.beta, psi_p), (s.gamma, psi_m)))
+
+
+def edge_and_random_members(d):
+    """gamma = 1, alpha = 0, beta = 0 with alpha > 0, and two random members."""
+    rng = np.random.default_rng(900 + d)
+    return [TwoParamState(d, 0.0, 1.0), TwoParamState(d, 0.0, 0.3),
+            TwoParamState(d, 0.6 / (2 * (d - 2)), 0.4),
+            random_family_state(d, rng), random_family_state(d, rng)]
+
+
+class TestClosedForm:
+    """The closed-form member and reader against the dense Bell-vector definitions."""
+
+    @pytest.mark.parametrize("d", [3, 5, 8, 16])
+    def test_member_is_the_bell_projector_sum(self, d):
+        for s in edge_and_random_members(d):
+            assert np.max(np.abs(_family_matrix(s) - bell_projector_sum(s))) < 1e-15
+
+    @pytest.mark.parametrize("d", [3, 5, 8, 16])
+    def test_reader_matches_the_bell_quadratic_forms(self, d):
+        rng = np.random.default_rng(950 + d)
+        phi_p, phi_m, psi_p, psi_m = bell_vectors(d)
+        states = [random_density_matrix(2, d, rng) for _ in range(10)]
+        states += [build_state(s) for s in edge_and_random_members(d)]
+        for rho in states:
+            outer, phi_pair, psi_plus, psi_minus = _family_weights(rho)
+            form = [float(np.real(v.conj() @ rho.matrix @ v))
+                    for v in (phi_p, phi_m, psi_p, psi_m)]
+            assert abs(psi_plus - form[2]) < 1e-15
+            assert abs(psi_minus - form[3]) < 1e-15
+            assert abs(phi_pair - 0.5 * (form[0] + form[1])) < 1e-15
+            diag = np.real(np.diagonal(rho.matrix))
+            assert np.array_equal(outer, [diag[i * d + j] for i in (0, 1) for j in range(2, d)])
+
+    def test_no_bell_vector_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Bell vector was built")
+
+        monkeypatch.setattr(family, "bell_vectors", refuse)
+        monkeypatch.setattr(importlib.import_module("qucorr.twirl"), "bell_vectors", refuse,
+                            raising=False)
+        for d in (3, 5, 8, 16):
+            rho = random_density_matrix(2, d, np.random.default_rng(990 + d))
+            build_state(TwoParamState(d, 0.0, 0.3))
+            nearest_family_member(rho)
+            singlet_weight(rho)
+            twirl(rho)
 
 
 class TestSpectra:
