@@ -472,8 +472,8 @@ class TestExitCodeProperty:
         if assert_exits_0_or_2(["check", f"--in={cli_inputs[name]}"]) == 0:
             assert assert_exits_0_or_2(["discord", f"--in={cli_inputs[name]}"]) == 0
 
-    # The converse holds from d = 3 on: the family projection clips its
-    # parameters to the trace constraint, so every valid 2 x d state has one.
+    # The converse holds from d = 3 on: the family projection clips gamma to
+    # the trace constraint, so every valid 2 x d state has a nearest member.
     @pytest.mark.parametrize("name", INPUT_NAMES)
     def test_check_and_twirl_accept_what_discord_accepts_from_d3(self, cli_inputs, name):
         path = cli_inputs[name]
