@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qucorr import measurement
+from qucorr import measurement, operators
 from qucorr.family import (
     TwoParamState,
     bell_vectors,
@@ -39,7 +39,6 @@ from qucorr.measurement import (
     random_axis,
 )
 from qucorr.operators import (
-    partial_trace_a,
     partial_trace_b,
     quantum_mutual_information,
     random_density_matrix,
@@ -70,48 +69,64 @@ def dense_ensemble(rho, axis):
 
 
 def sphere_point(polar, azimuth):
-    return np.array([np.sin(polar) * np.cos(azimuth),
+    return np.stack([np.sin(polar) * np.cos(azimuth),
                      np.sin(polar) * np.sin(azimuth),
-                     np.cos(polar)])
+                     np.cos(polar)], axis=-1)
 
 
-def oracle_classical_correlation(rho, candidates=3):
+def oracle_classical_correlation(rho):
     """Reference maximum of the measured mutual information by dense scan.
 
-    Each value comes straight from the definition (``dense_ensemble`` and
-    ``von_neumann_entropy``).  A polar x azimuth grid over the upper
-    hemisphere, pole and equator included, picks the best ``candidates``
-    directions; around each, a 9 x 9 tangent cap shrinks by 4 per round,
-    recentred on its best point, until its radius is below 1e-6.
+    Each value comes straight from the definition, for every direction n of a
+    round in one batch: A = (I +- n.sigma)/2, the qudit reductions of
+    (A (x) I) rho (A (x) I), and -sum(lam log2 lam) of their ``eigvalsh``, in
+    this function's own arithmetic, so it shares no code with the optimizer.
+    A polar x azimuth grid over the upper hemisphere, pole and equator
+    included, picks the best 3 directions; around each, a 9 x 9 tangent cap
+    shrinks by 4 per round, recentred on its best point, until its radius is
+    below 1e-6.
     """
-    entropy_b = von_neumann_entropy(partial_trace_a(rho))
+    d = rho.dim_b
 
-    def value(n):
-        axis = axis_from_direction(np.arccos(np.clip(n[2], -1.0, 1.0)),
-                                   np.arctan2(n[1], n[0]) % (2.0 * np.pi))
-        return entropy_b - sum(p * von_neumann_entropy(state)
-                               for p, state in dense_ensemble(rho, axis))
+    def reduce(m):
+        return np.einsum('...aiaj->...ij', m.reshape(m.shape[:-2] + (2, d, 2, d)))
 
-    coarse = [sphere_point(0.0, 0.0)] + [
-        sphere_point(polar, azimuth)
-        for polar in np.linspace(0.0, np.pi / 2.0, 13)[1:]
-        for azimuth in np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)]
-    values = [value(n) for n in coarse]
+    def entropy(states):
+        lam = np.linalg.eigvalsh(states)
+        # An eigenvalue <= 0 adds 0, as 1 log2 1 does; so does an outcome with p = 0.
+        lam = np.where(lam > 0.0, lam, 1.0)
+        return -np.sum(lam * np.log2(lam), axis=-1)
+
+    entropy_b = entropy(reduce(rho.matrix))
+
+    def values(n):
+        out = entropy_b
+        for sign in (1.0, -1.0):
+            k = np.kron((np.eye(2) + sign * np.einsum('nk,kab->nab', n, PAULI)) / 2.0, np.eye(d))
+            block = reduce(k @ rho.matrix @ k)
+            p = np.trace(block, axis1=-2, axis2=-1).real
+            out = out - p * entropy(block / np.where(p > 0.0, p, 1.0)[:, None, None])
+        return out
+
+    polar, azimuth = np.meshgrid(np.linspace(0.0, np.pi / 2.0, 13)[1:],
+                                 np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False), indexing='ij')
+    coarse = np.vstack([sphere_point(0.0, 0.0), sphere_point(polar, azimuth).reshape(-1, 3)])
     offsets = np.linspace(-1.0, 1.0, 9)
+    u, v = (g.reshape(-1, 1) for g in np.meshgrid(offsets, offsets, indexing='ij'))
     best = -np.inf
-    for i in np.argsort(values)[-candidates:]:
-        center, radius = coarse[i], 0.15
+    for center in coarse[np.argsort(values(coarse))[-3:]]:
+        radius = 0.15
         while radius > 1e-6:
             e1 = np.cross(center, [1.0, 0.0, 0.0] if abs(center[0]) < 0.9 else [0.0, 1.0, 0.0])
             e1 /= np.linalg.norm(e1)
             e2 = np.cross(center, e1)
-            cap = [center + radius * (u * e1 + v * e2) for u in offsets for v in offsets]
-            cap = [n / np.linalg.norm(n) for n in cap]
-            cap_values = [value(n) for n in cap]
-            center = cap[int(np.argmax(cap_values))]
+            cap = center + radius * (u * e1 + v * e2)
+            cap /= np.linalg.norm(cap, axis=1, keepdims=True)
+            cap_values = values(cap)
+            center = cap[np.argmax(cap_values)]
             radius /= 4.0
-        best = max(best, max(cap_values))
-    return best
+        best = max(best, cap_values.max())
+    return float(best)
 
 
 def bit_entropy(lam):
@@ -143,7 +158,9 @@ def embedded_x_state(a, w, z, d):
 
 def crossover_x_state(rng, d, gap):
     """An embedded X state whose optima along z and on the equator differ by
-    ``gap``, built as in ``TestOptimizerOracle.test_x_state_at_crossover``."""
+    ``gap``.  Its coherences are scaled by s: at s = 0 measuring along z is
+    optimal, at s = 1 (chosen so) the equator wins; s is bisected to the
+    requested lead of z over the equator."""
     while True:
         a = rng.dirichlet(np.ones(4))
         w = np.sqrt(a[0] * a[3]) * np.exp(2j * np.pi * rng.uniform())
@@ -439,25 +456,12 @@ class TestOptimizerOracle:
     @pytest.mark.parametrize("d", [3, 5])
     @pytest.mark.parametrize("gap", [2e-4, -2e-4], ids=["z_wins", "equator_wins"])
     def test_x_state_at_crossover(self, d, gap):
-        # Coherences scaled by s: at s = 0 measuring along z is optimal, at
-        # s = 1 (chosen so) the equator wins; bisect s to the requested lead of
-        # z over the equator, so the two maxima differ by only |gap|.
-        rng = np.random.default_rng(300 + d)
-        while True:
-            a = rng.dirichlet(np.ones(4))
-            w = np.sqrt(a[0] * a[3]) * np.exp(2j * np.pi * rng.uniform())
-            z = np.sqrt(a[1] * a[2]) * np.exp(2j * np.pi * rng.uniform())
-            along_z, equator = x_state_candidates(a, w, z)
-            if along_z - equator < -1e-3:
-                break
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            s = 0.5 * (lo + hi)
-            along_z, equator = x_state_candidates(a, s * w, s * z)
-            lo, hi = (s, hi) if along_z - equator > gap else (lo, s)
-        along_z, equator = x_state_candidates(a, lo * w, lo * z)
+        # The maxima along z and on the equator differ by only |gap|.
+        rho = crossover_x_state(np.random.default_rng(300 + d), d, gap)
+        x = rho.matrix[np.ix_([0, 1, d, d + 1], [0, 1, d, d + 1])]
+        along_z, equator = x_state_candidates(np.diag(x).real, x[0, 3], x[1, 2])
         assert abs(along_z - equator - gap) < 1e-9
-        reference = self.assert_matches_oracle(embedded_x_state(a, lo * w, lo * z, d))
+        reference = self.assert_matches_oracle(rho)
         assert abs(reference - max(along_z, equator)) < 1e-9
 
     @pytest.mark.parametrize("d", [3, 5])
@@ -524,6 +528,30 @@ class TestOptimizerOracle:
         rho, _, _ = product_state(rng, d=4)
         m = (1.0 - 1e-6) * rho.matrix + 1e-6 * random_density_matrix(2, 4, rng).matrix
         self.assert_matches_oracle(validate_density(m, 2, 4))
+
+
+class TestDenseOracle:
+    """``oracle_classical_correlation`` itself: independent of the optimizer,
+    and equal to the paper's closed form on the family."""
+
+    def test_shares_no_code_with_the_optimizer(self, monkeypatch):
+        rho = random_density_matrix(2, 3, np.random.default_rng(350))
+        expected = oracle_classical_correlation(rho)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the optimizer's code")
+
+        for module, name in [(measurement, "_steer"), (measurement, "_bloch_blocks"),
+                             (operators, "_spectral_entropy"), (operators, "_state_entropy")]:
+            monkeypatch.setattr(module, name, forbidden)
+        assert oracle_classical_correlation(rho) == expected
+
+    @pytest.mark.parametrize("d", [3, 5, 8, 16])
+    def test_matches_the_closed_form(self, d):
+        members = [random_family_state(d, np.random.default_rng(360 + d)),
+                   TwoParamState(d, 0.0, 1.0), TwoParamState(d, 0.0, 0.0)]
+        for s in members:
+            assert abs(oracle_classical_correlation(build_state(s)) - classical_correlation(s)) <= 1e-12
 
 
 class TestTrustStep:
