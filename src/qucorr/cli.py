@@ -56,20 +56,6 @@ def _read_state(path: str) -> DensityMatrix:
     return loads_density(text)
 
 
-def _solve_point(d: int, known: dict[str, float]) -> tuple[float, float, float]:
-    """Complete (alpha, beta, gamma) from two known values via the trace constraint."""
-    if "alpha" in known and "gamma" in known:
-        alpha, gamma = known["alpha"], known["gamma"]
-        beta = (1.0 - 2.0 * (d - 2) * alpha - gamma) / 3.0
-    elif "beta" in known and "gamma" in known:
-        beta, gamma = known["beta"], known["gamma"]
-        alpha = (1.0 - 3.0 * beta - gamma) / (2.0 * (d - 2))
-    else:
-        alpha, beta = known["alpha"], known["beta"]
-        gamma = 1.0 - 2.0 * (d - 2) * alpha - 3.0 * beta
-    return alpha, beta, gamma
-
-
 def cmd_corr(args: argparse.Namespace) -> int:
     s = fam.TwoParamState(d=args.dim, alpha=args.alpha, gamma=args.gamma)
     report = fam.correlation_report(s)
@@ -97,15 +83,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fixed_name, fixed_value = args.fix
     if fixed_name == args.vary:
         raise ValueError(f"cannot both fix and vary '{fixed_name}'")
-    if args.dim < 3:
-        raise fam.ParameterOutOfRangeError(
-            f"the family needs qudit dimension d >= 3, got --dim {args.dim}")
+    fam._alpha_max(args.dim)   # the family's rule for d, checked once before the rows
     if not np.isfinite(args.stop - args.start):
         raise ValueError(f"sweep span from {args.start!r} to {args.stop!r} overflows")
     grid = np.linspace(args.start, args.stop, args.steps)
     lines = [CSV_HEADER]
     for x in grid:
-        alpha, beta, gamma = _solve_point(
+        alpha, beta, gamma = fam._solve_params(
             args.dim, {fixed_name: fixed_value, args.vary: float(x)})
         try:
             s = fam.TwoParamState(d=args.dim, alpha=alpha, gamma=gamma)
@@ -215,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_corr)
 
     p = sub.add_parser("sweep", help="CSV scan along one family parameter")
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=int, default=3, help="qudit dimension d >= 3")
     p.add_argument("--fix", type=_parse_fix, required=True, metavar="NAME=VALUE",
                    help="parameter held fixed (alpha, beta or gamma)")
     p.add_argument("--vary", choices=_PARAM_NAMES, required=True)

@@ -69,10 +69,7 @@ class TwoParamState:
     gamma: float
 
     def __post_init__(self):
-        if self.d < 3:
-            raise ParameterOutOfRangeError(
-                f"qudit dimension must be >= 3, got d={self.d}")
-        alpha_max = 1.0 / (2.0 * (self.d - 2))
+        alpha_max = _alpha_max(self.d)
         if not -PARAM_TOL <= self.alpha <= alpha_max + PARAM_TOL:
             raise ParameterOutOfRangeError(
                 f"alpha={self.alpha!r} outside [0, 1/(2(d-2))] = [0, {alpha_max!r}]")
@@ -86,7 +83,36 @@ class TwoParamState:
 
     @property
     def beta(self) -> float:
-        return (1.0 - 2.0 * (self.d - 2) * self.alpha - self.gamma) / 3.0
+        return _trace_remainder(self.d, self.alpha, 0.0, self.gamma) / 3.0
+
+
+def _alpha_max(d: int) -> float:
+    """The largest alpha, 1/(2(d-2)), and the one rule for the qudit dimension:
+    d >= 3, and d <= 2**1022 so that 2(d-2) is a finite double."""
+    # A float bound: CPython folds 2.0 ** 1022 at compile time but computes the
+    # int 2 ** 1022 on every call.  Comparing it with an int d is exact.
+    if not 3 <= d <= 2.0 ** 1022:
+        raise ParameterOutOfRangeError(
+            f"the family needs qudit dimension d >= 3 and d <= 2**1022, got d={d}")
+    return 1.0 / (2.0 * (d - 2))
+
+
+def _trace_remainder(d: int, alpha: float, beta: float, gamma: float) -> float:
+    """1 - 2(d-2)alpha - 3beta - gamma, zero on the trace constraint.  An unknown
+    passed as 0.0 leaves the others' arithmetic as it is, since x - 0.0 is x."""
+    return 1.0 - 2.0 * (d - 2) * alpha - 3.0 * beta - gamma
+
+
+def _solve_params(d: int, known: dict[str, float]) -> tuple[float, float, float]:
+    """Complete (alpha, beta, gamma) from two known values by the trace constraint;
+    ``d`` must have passed :func:`_alpha_max`."""
+    alpha, beta, gamma = (known.get(name, 0.0) for name in ("alpha", "beta", "gamma"))
+    rest = _trace_remainder(d, alpha, beta, gamma)
+    if "alpha" not in known:
+        return rest / (2.0 * (d - 2)), beta, gamma
+    if "beta" not in known:
+        return alpha, rest / 3.0, gamma
+    return alpha, beta, rest
 
 
 @dataclass(frozen=True)
@@ -231,15 +257,15 @@ def classify_family(rho: DensityMatrix) -> TwoParamState:
 
 def _projected_params(rho: DensityMatrix) -> TwoParamState:
     """alpha = mean outer diagonal weight and gamma = singlet weight of ``rho``,
-    clipped to the valid region; raises :class:`ParameterOutOfRangeError` for d < 3."""
+    clipped to the valid region; raises :class:`ParameterOutOfRangeError` for a d
+    outside :func:`_alpha_max`'s rule."""
     d = rho.dim_b
-    if d < 3:
-        raise ParameterOutOfRangeError(f"the family needs qudit dimension d >= 3, got d={d}")
+    alpha_max = _alpha_max(d)
     outer, _, _, gamma = _family_weights(rho)
     # A valid state's weights can stray past a bound by the trace and PSD
     # tolerances of validation, so gamma is clipped to what alpha leaves.
-    alpha = min(max(float(np.mean(outer)), 0.0), 1.0 / (2.0 * (d - 2)))
-    gamma = min(max(gamma, 0.0), 1.0 - 2.0 * (d - 2) * alpha)
+    alpha = min(max(float(np.mean(outer)), 0.0), alpha_max)
+    gamma = min(max(gamma, 0.0), _trace_remainder(d, alpha, 0.0, 0.0))
     return TwoParamState(d=d, alpha=alpha, gamma=gamma)
 
 
@@ -252,11 +278,9 @@ def nearest_family_member(rho: DensityMatrix) -> tuple[TwoParamState, float]:
 
 def random_family_state(d: int, rng: np.random.Generator) -> TwoParamState:
     """Uniform rejection sample of (alpha, gamma) from the valid region."""
-    if d < 3:
-        raise ParameterOutOfRangeError(f"the family needs qudit dimension d >= 3, got d={d}")
-    alpha_max = 1.0 / (2.0 * (d - 2))
+    alpha_max = _alpha_max(d)
     while True:
         alpha = rng.uniform(0.0, alpha_max)
         gamma = rng.uniform(0.0, 1.0)
-        if 1.0 - 2.0 * (d - 2) * alpha - gamma >= 0.0:
+        if _trace_remainder(d, alpha, 0.0, gamma) >= 0.0:
             return TwoParamState(d=d, alpha=alpha, gamma=gamma)

@@ -72,12 +72,6 @@ class DensityMatrix:
         return self.dim_a * self.dim_b
 
 
-def _freeze(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=complex)
-    out.flags.writeable = False
-    return out
-
-
 def _hermiticity_residual(m: np.ndarray) -> float:
     """max |M - M^dag| of a square matrix, the one Hermiticity check: :class:`NonFiniteError`
     on any NaN/inf entry, :class:`NonHermitianError` above ``VALIDATION_TOL``."""
@@ -127,9 +121,10 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int) -> DensityMatri
 
     The shape is checked first, then finiteness.  Hermiticity, the trace and
     the smallest eigenvalue must then be within ``VALIDATION_TOL``; a residual
-    that overflows or cannot be compared fails.  Never renormalizes the input.
+    that overflows or cannot be compared fails.  Never renormalizes the input;
+    the wrapped matrix is a read-only copy of it.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = np.array(matrix, dtype=complex)
     n = dim_a * dim_b
     if m.ndim != 2 or m.shape != (n, n):
         raise DimensionMismatchError(
@@ -145,7 +140,8 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int) -> DensityMatri
             f"trace is {tr:.12g}, |tr - 1| = {tr_resid:.3e} > {VALIDATION_TOL:.1e}",
             residual=tr_resid)
     _psd_spectrum(m)
-    return DensityMatrix(dim_a=dim_a, dim_b=dim_b, matrix=_freeze(m))
+    m.flags.writeable = False
+    return DensityMatrix(dim_a=dim_a, dim_b=dim_b, matrix=m)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

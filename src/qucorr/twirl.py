@@ -150,8 +150,8 @@ def twirl(rho: DensityMatrix) -> TwirlReport:
     beta*I + (gamma - beta)*P[psi-] on the qubit block.  ``residual`` is the
     distance between that output and the family member rebuilt from it.
     """
-    if rho.dim_a != 2 or rho.dim_b < 3:
-        raise ValueError(f"twirl needs a 2 x d state with d >= 3, got dims {rho.dims}")
+    if rho.dim_a != 2:
+        raise ValueError(f"twirl needs a 2 x d state, got dims {rho.dims}")
     s = _projected_params(rho)
     output = build_state(s)
     _, residual = nearest_family_member(output)

@@ -1,5 +1,8 @@
-"""End-to-end CLI checks through subprocess, matching real usage, and an
-in-process property over every subcommand's exit code."""
+"""End-to-end CLI checks and a property over every subcommand's exit code.
+
+Every check runs ``cli.main`` in this process through :func:`run_cli`; one
+test starts ``python -m qucorr`` in a subprocess, so ``__main__.py`` stays
+covered too."""
 
 import io
 import json
@@ -22,10 +25,23 @@ from qucorr.family import bell_vectors, singlet_weight
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# Qudit dimensions past the family's domain: 2(d-2) is inf as a double at
+# 10**308, and 10**400 does not convert to a double at all.
+HUGE_DIMS = [str(10 ** 308), str(10 ** 400)]
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
-    cmd = [sys.executable, "-m", "qucorr", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    """Run ``cli.main`` in this process with its stdout and stderr captured.  An
+    argparse exit counts as its code, and a numpy RuntimeWarning is raised as
+    an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(["qucorr", *args], code, out.getvalue(), err.getvalue())
 
 
 def parse_report(stdout: str) -> dict:
@@ -58,6 +74,15 @@ class TestHelp:
         assert "usage" in cp.stdout.lower()
 
 
+class TestModuleEntryPoint:
+
+    def test_python_m_qucorr(self):
+        cp = subprocess.run([sys.executable, "-m", "qucorr", "corr", "--alpha", "0",
+                             "--gamma", "1"], capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert parse_report(cp.stdout)["discord"] == 1.0
+
+
 class TestCorr:
 
     def test_singlet_point(self):
@@ -88,6 +113,13 @@ class TestCorr:
         cp = run_cli("corr", "--alpha", "0.9", "--gamma", "0", "--dim", "3")
         assert cp.returncode == 2
         assert "alpha" in cp.stderr
+
+    @pytest.mark.parametrize("dim", HUGE_DIMS, ids=["1e308", "1e400"])
+    def test_huge_dimension_is_user_error(self, dim):
+        cp = run_cli("corr", "--alpha", "0", "--gamma", "0.5", "--dim", dim)
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert len(cp.stderr.splitlines()) == 1 and "d >= 3" in cp.stderr
 
 
 class TestSweep:
@@ -158,6 +190,14 @@ class TestSweep:
         assert cp.returncode == 2
         assert cp.stdout == ""
         assert "d >= 3" in cp.stderr
+
+    @pytest.mark.parametrize("dim", HUGE_DIMS, ids=["1e308", "1e400"])
+    def test_huge_dimension_is_user_error(self, dim):
+        cp = run_cli("sweep", "--dim", dim, "--fix", "gamma=0.5", "--vary", "alpha",
+                     "--from", "0", "--to", "0.5", "--steps", "5")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert len(cp.stderr.splitlines()) == 1 and "d >= 3" in cp.stderr
 
     @pytest.mark.parametrize("option, value, named", [
         ("--from", "inf", "'inf'"), ("--from", "nan", "'nan'"), ("--to", "-inf", "'-inf'"),
@@ -411,20 +451,13 @@ INPUTS = st.sampled_from(INPUT_NAMES)
 
 
 def assert_exits_0_or_2(argv: list[str]) -> int:
-    """Run ``cli.main`` in this process: it must return 0, or 2 with an error
-    on stderr and nothing on stdout.  An argparse exit counts as its code, and
-    a numpy RuntimeWarning is raised as an error.  Returns the code."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 2), (argv, code, err.getvalue())
-    if code == 2:
-        assert out.getvalue() == "" and err.getvalue().strip(), argv
-    return code
+    """:func:`run_cli` must return 0, or 2 with an error on stderr and nothing
+    on stdout.  Returns the code."""
+    cp = run_cli(*argv)
+    assert cp.returncode in (0, 2), (argv, cp.returncode, cp.stderr)
+    if cp.returncode == 2:
+        assert cp.stdout == "" and cp.stderr.strip(), argv
+    return cp.returncode
 
 
 class TestExitCodeProperty:
@@ -433,6 +466,8 @@ class TestExitCodeProperty:
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(alpha=NUMBERS, gamma=NUMBERS, dim=DIMS, numeric=st.booleans())
+    @example(alpha=0.0, gamma=0.5, dim=10 ** 308, numeric=False)
+    @example(alpha=0.0, gamma=0.5, dim=10 ** 400, numeric=False)
     def test_corr(self, alpha, gamma, dim, numeric):
         assert_exits_0_or_2(["corr", f"--alpha={alpha!r}", f"--gamma={gamma!r}",
                              f"--dim={dim}"] + ["--numeric"] * numeric)
@@ -441,6 +476,8 @@ class TestExitCodeProperty:
     @given(dim=DIMS, fix=PARAMS, fixed=NUMBERS, vary=PARAMS, start=NUMBERS, stop=NUMBERS,
            steps=st.integers(0, 20))
     @example(dim=2, fix="beta", fixed=0.1, vary="gamma", start=0.0, stop=1.0, steps=5)
+    @example(dim=10 ** 308, fix="gamma", fixed=0.5, vary="alpha", start=0.0, stop=0.5, steps=5)
+    @example(dim=10 ** 400, fix="gamma", fixed=0.5, vary="alpha", start=0.0, stop=0.5, steps=5)
     def test_sweep(self, dim, fix, fixed, vary, start, stop, steps):
         assert_exits_0_or_2(["sweep", f"--dim={dim}", f"--fix={fix}={fixed!r}",
                              f"--vary={vary}", f"--from={start!r}",

@@ -76,6 +76,19 @@ class TestTwoParamState:
         with pytest.raises(ParameterOutOfRangeError):
             TwoParamState(d, alpha, gamma)
 
+    def test_dimension_whose_2_d_minus_2_overflows_is_out_of_range(self):
+        # 2.0 * (10**308 - 2) is inf, so alpha_max would be 0 and beta nan.
+        with pytest.raises(ParameterOutOfRangeError, match="d >= 3"):
+            TwoParamState(10 ** 308, 0.0, 0.5)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    def test_largest_dimension_has_a_finite_report(self, fraction):
+        d = 2 ** 1022
+        s = TwoParamState(d, fraction / (2.0 * (d - 2)), 0.0)
+        report = correlation_report(s)
+        assert np.all(np.isfinite([s.beta, report.mutual_info, report.classical,
+                                   report.discord, report.negativity]))
+
 
 class TestBuildState:
 
@@ -308,6 +321,11 @@ class TestRandomFamilyState:
     def test_small_dimension_is_out_of_range(self, d):
         with pytest.raises(ParameterOutOfRangeError, match="d >= 3"):
             random_family_state(d, np.random.default_rng(5))
+
+    def test_huge_dimension_is_out_of_range(self):
+        # 10**400 - 2 does not convert to a double.
+        with pytest.raises(ParameterOutOfRangeError, match="d >= 3"):
+            random_family_state(10 ** 400, np.random.default_rng(5))
 
 
 class TestClassifyFamily:

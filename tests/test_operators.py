@@ -112,6 +112,12 @@ class TestValidateDensity:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
 
+    def test_matrix_is_a_copy_of_a_complex_input(self):
+        m = np.eye(6, dtype=complex) / 6.0
+        rho = validate_density(m, 2, 3)
+        m[0, 0] = 1.0
+        assert rho.matrix[0, 0] == 1.0 / 6.0
+
 
 class TestTensor:
 

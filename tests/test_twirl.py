@@ -295,6 +295,14 @@ class TestTwirl:
         with pytest.raises(ValueError):
             twirl(rho)
 
+    @pytest.mark.parametrize("dims", [(1, 6), (3, 4)])
+    @pytest.mark.parametrize("run", [twirl, locc_stages])
+    def test_rejects_a_first_factor_other_than_a_qubit(self, run, dims):
+        n = dims[0] * dims[1]
+        rho = validate_density(np.eye(n) / n, *dims)
+        with pytest.raises(ValueError, match="2 x d"):
+            run(rho)
+
 
 class TestLoccReference:
     """The projection in ``twirl`` against the paper's stage sequence."""
