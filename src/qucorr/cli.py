@@ -59,6 +59,10 @@ def _read_state(path: str) -> DensityMatrix:
 def cmd_corr(args: argparse.Namespace) -> int:
     s = fam.TwoParamState(d=args.dim, alpha=args.alpha, gamma=args.gamma)
     report = fam.correlation_report(s)
+    if args.numeric:   # before the first print, so that an error leaves stdout empty
+        rho = fam.build_state(s)
+        c_num, axis = classical_correlation_numeric(rho)
+        q_num = quantum_mutual_information(rho) - c_num
     print(f"d = {s.d}")
     print(f"alpha = {_fmt(s.alpha)}")
     print(f"beta = {_fmt(s.beta)}")
@@ -68,9 +72,6 @@ def cmd_corr(args: argparse.Namespace) -> int:
     print(f"discord = {_fmt(report.discord)}")
     print(f"negativity = {_fmt(report.negativity)}")
     if args.numeric:
-        rho = fam.build_state(s)
-        c_num, axis = classical_correlation_numeric(rho)
-        q_num = quantum_mutual_information(rho) - c_num
         print(f"classical_numeric = {_fmt(c_num)}")
         print(f"discord_numeric = {_fmt(q_num)}")
         print(f"delta_classical = {_fmt(abs(c_num - report.classical))}")

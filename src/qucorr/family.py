@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DensityMatrix, validate_density, xlog2x
+from .operators import DensityMatrix, _index, validate_density, xlog2x
 
 # Slack allowed on the parameter bounds; keeps boundary grid points valid
 # despite float rounding while staying far below the matrix validation tol.
@@ -87,13 +87,13 @@ class TwoParamState:
 
 
 def _alpha_max(d: int) -> float:
-    """The largest alpha, 1/(2(d-2)), and the one rule for the qudit dimension:
-    d >= 3, and d <= 2**1022 so that 2(d-2) is a finite double."""
+    """The largest alpha, 1/(2(d-2)), and the one rule for the qudit dimension: an
+    integer d >= 3 with d <= 2**1022, so that 2(d-2) is a finite double."""
     # A float bound: CPython folds 2.0 ** 1022 at compile time but computes the
     # int 2 ** 1022 on every call.  Comparing it with an int d is exact.
-    if not 3 <= d <= 2.0 ** 1022:
+    if not 3 <= _index(d) <= 2.0 ** 1022:
         raise ParameterOutOfRangeError(
-            f"the family needs qudit dimension d >= 3 and d <= 2**1022, got d={d}")
+            f"the family needs an integer qudit dimension d >= 3 and d <= 2**1022, got d={d}")
     return 1.0 / (2.0 * (d - 2))
 
 

@@ -9,6 +9,7 @@ rely on Hermiticity, unit trace and positivity.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ class MatrixValidationError(ValueError):
 
 
 class DimensionMismatchError(MatrixValidationError):
-    pass
+    """Dims that are not 2 x d (``residual`` NaN), or a shape that does not match them."""
 
 
 class NonFiniteError(MatrixValidationError):
@@ -52,11 +53,11 @@ class NotPositiveSemidefiniteError(MatrixValidationError):
 class DensityMatrix:
     """A validated bipartite density operator on C^2 (x) C^d.
 
-    ``matrix`` is a read-only (2d x 2d) complex array in the |i j> -> i*d + j
-    basis.  Instances are immutable and safe to share between threads; build
-    them through :func:`validate_density`.  Functions that take one trust it and
-    its marginals, whose Hermiticity residual and negative eigenvalue can reach
-    2x (rho_B) or d x (rho_A) the state's: nothing checks them again.
+    ``dims`` is (2, d), ``int``s with d >= 2; ``matrix`` is a read-only (2d x 2d)
+    complex array in the |i j> -> i*d + j basis.  Immutable and thread-safe; build
+    it through :func:`validate_density`.  Functions that take one trust it and its
+    marginals, whose Hermiticity residual and negative eigenvalue can reach 2x
+    (rho_B) or d x (rho_A) the state's: nothing checks them again.
     """
 
     dim_a: int
@@ -99,6 +100,11 @@ def _psd_spectrum(m: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _index(x: int) -> int | float:
+    """``operator.index(x)`` if ``x`` has ``__index__``, else NaN (fails every comparison)."""
+    return operator.index(x) if hasattr(x, "__index__") else float("nan")
+
+
 def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int) -> DensityMatrix:
     """Check the density-operator invariants and wrap the matrix.
 
@@ -107,7 +113,7 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int) -> DensityMatri
     matrix : array_like
         Square complex matrix of size ``dim_a * dim_b``.
     dim_a, dim_b : int
-        Subsystem dimensions; ``dim_a * dim_b`` must match the matrix size.
+        Subsystem dimensions 2 and d >= 2, integers (``operator.index`` takes them).
 
     Returns
     -------
@@ -115,15 +121,19 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int) -> DensityMatri
 
     Raises
     ------
-    NonFiniteError, DimensionMismatchError, NonHermitianError,
+    DimensionMismatchError, NonFiniteError, NonHermitianError,
     NonUnitTraceError, NotPositiveSemidefiniteError
         Named after the violated invariant; each carries the residual.
 
-    The shape is checked first, then finiteness.  Hermiticity, the trace and
-    the smallest eigenvalue must then be within ``VALIDATION_TOL``; a residual
-    that overflows or cannot be compared fails.  Never renormalizes the input;
-    the wrapped matrix is a read-only copy of it.
+    The dimensions are checked first, then the shape and finiteness.  Hermiticity,
+    the trace and the smallest eigenvalue must then be within ``VALIDATION_TOL``;
+    a residual that overflows or cannot be compared fails.  Never renormalizes
+    the input; the wrapped matrix is a read-only copy of it.
     """
+    if not (_index(dim_a) == 2 and _index(dim_b) >= 2):
+        raise DimensionMismatchError(f"a state must be 2 x d with integer d >= 2, got dims "
+                                     f"({dim_a!r}, {dim_b!r})", residual=float("nan"))
+    dim_a, dim_b = 2, _index(dim_b)
     m = np.array(matrix, dtype=complex)
     n = dim_a * dim_b
     if m.ndim != 2 or m.shape != (n, n):
@@ -151,21 +161,18 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def partial_trace_a(rho: DensityMatrix) -> np.ndarray:
     """Trace out the qubit factor, returning the d x d marginal of side B."""
-    r = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    return np.einsum('ijil->jl', r)
+    return np.einsum('ijil->jl', rho.matrix.reshape(2, rho.dim_b, 2, rho.dim_b))
 
 
 def partial_trace_b(rho: DensityMatrix) -> np.ndarray:
     """Trace out the qudit factor, returning the 2 x 2 marginal of side A."""
-    r = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    return np.einsum('ijkj->ik', r)
+    return np.einsum('ijkj->ik', rho.matrix.reshape(2, rho.dim_b, 2, rho.dim_b))
 
 
 def partial_transpose_a(rho: DensityMatrix) -> np.ndarray:
     """Transpose the qubit indices only; Hermitian and trace-1 but possibly indefinite."""
-    da, db = rho.dim_a, rho.dim_b
-    r = rho.matrix.reshape(da, db, da, db)
-    return r.transpose(2, 1, 0, 3).reshape(da * db, da * db)
+    d = rho.dim_b
+    return rho.matrix.reshape(2, d, 2, d).transpose(2, 1, 0, 3).reshape(2 * d, 2 * d)
 
 
 def negativity_trace_norm(rho: DensityMatrix) -> float:
@@ -251,7 +258,7 @@ def is_classical_diagonal(rho: DensityMatrix) -> bool:
 
 def random_density_matrix(dim_a: int, dim_b: int,
                           rng: np.random.Generator) -> DensityMatrix:
-    """Full-rank random state G G^dag / tr(G G^dag) with complex Gaussian G."""
+    """Full-rank random 2 x d state G G^dag / tr(G G^dag) with complex Gaussian G."""
     n = dim_a * dim_b
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ g.conj().T

@@ -54,15 +54,11 @@ def loads_density(text: str) -> DensityMatrix:
         raise StateFormatError('document must have exactly the keys "dims" and "matrix"')
     dims = doc["dims"]
     # Exact type tests: bool subclasses int, but a JSON true/false is not a number.
+    # Positive, so that the row count n is; validate_density decides the 2 x d split.
     if (not isinstance(dims, list) or len(dims) != 2
-            or not all(type(x) is int for x in dims)):
-        raise StateFormatError('"dims" must be a list of two integers')
-    dim_a, dim_b = dims
-    if dim_a != 2:
-        raise StateFormatError(f'first dimension must be 2, got {dim_a}')
-    if dim_b < 2:
-        raise StateFormatError(f'second dimension must be >= 2, got {dim_b}')
-    n = dim_a * dim_b
+            or not all(type(x) is int and x > 0 for x in dims)):
+        raise StateFormatError('"dims" must be a list of two positive integers')
+    n = dims[0] * dims[1]
     rows = doc["matrix"]
     if not isinstance(rows, list) or len(rows) != n:
         raise StateFormatError(f'"matrix" must have {n} rows')
@@ -86,4 +82,4 @@ def loads_density(text: str) -> DensityMatrix:
             except OverflowError:
                 i, j = divmod(k, n)
                 raise StateFormatError(f"entry ({i}, {j}) does not fit a double") from exc
-    return validate_density(m, dim_a, dim_b)
+    return validate_density(m, *dims)

@@ -122,9 +122,9 @@ def _apply(rho: DensityMatrix, name: str,
 
 
 def locc_stages(rho: DensityMatrix) -> list[tuple[str, DensityMatrix]]:
-    """The paper's protocol: two full passes of the stage table, returning
-    every stage output in order.  The last snapshot is the twirled state."""
-    if rho.dim_a != 2 or rho.dim_b < 3:
+    """The paper's protocol on a 2 x d state with d >= 3: two full passes of the
+    stage table, every stage output in order; the last is the twirled state."""
+    if rho.dim_b < 3:
         raise ValueError(f"locc_stages needs a 2 x d state with d >= 3, got dims {rho.dims}")
     out: list[tuple[str, DensityMatrix]] = []
     for name, mixture in 2 * _stage_table(rho.dim_b):
@@ -150,8 +150,6 @@ def twirl(rho: DensityMatrix) -> TwirlReport:
     beta*I + (gamma - beta)*P[psi-] on the qubit block.  ``residual`` is the
     distance between that output and the family member rebuilt from it.
     """
-    if rho.dim_a != 2:
-        raise ValueError(f"twirl needs a 2 x d state, got dims {rho.dims}")
     s = _projected_params(rho)
     output = build_state(s)
     _, residual = nearest_family_member(output)

@@ -121,6 +121,14 @@ class TestCorr:
         assert cp.stdout == ""
         assert len(cp.stderr.splitlines()) == 1 and "d >= 3" in cp.stderr
 
+    def test_numeric_error_leaves_stdout_empty(self):
+        # d = 2**62: numpy refuses the 2**63-entry diagonal before allocating it.
+        cp = run_cli("corr", "--alpha", "0", "--gamma", "0.5", "--dim", str(2 ** 62),
+                     "--numeric")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert len(cp.stderr.splitlines()) == 1
+
 
 class TestSweep:
 
@@ -385,7 +393,8 @@ class TestCheckCommand:
 
 
 # Inputs for the exit-code property: the fixtures plus files that break each
-# read step (file system, encoding, JSON, structure, validation, d >= 3), and
+# read step (file system, encoding, JSON, structure, the 2 x d split,
+# validation, d >= 3), and
 # valid states at the edges: a qubit pair, a d = 16 state that passes
 # validation although its qubit marginal's smallest eigenvalue is -5e-10, and
 # a d = 3 family member scaled to trace 1 + 5e-11, whose weights leave beta
@@ -411,6 +420,8 @@ BAD_INPUTS = {
     "not_utf8": b"\xff\xfe\x00{",
     "nan_token": (FIXTURES / "family_2x3.json").read_text().replace("[0, 0]", "[NaN, 0]", 1),
     "qubit_pair": dumps_density(validate_density(np.eye(4) / 4.0, 2, 2)),
+    "qutrit_pair": json.dumps({"dims": [3, 3], "matrix": [
+        [[1 / 9 if i == j else 0, 0] for j in range(9)] for i in range(9)]}),
     "qudit_dim_one": json.dumps({"dims": [2, 1], "matrix": [[[0.5, 0], [0, 0]],
                                                             [[0, 0], [0.5, 0]]]}),
     "wrong_rows": json.dumps({"dims": [2, 3], "matrix": _family_doc()["matrix"][:4]}),
@@ -500,6 +511,13 @@ class TestExitCodeProperty:
     @example(name="qubit_pair")
     def test_check(self, cli_inputs, name):
         assert_exits_0_or_2(["check", f"--in={cli_inputs[name]}"])
+
+    @pytest.mark.parametrize("command", ["check", "discord", "twirl"])
+    def test_state_outside_2_x_d_names_the_split(self, cli_inputs, command):
+        out = [f"--out={cli_inputs['directory'] / 'twirled.json'}"] * (command == "twirl")
+        cp = run_cli(command, f"--in={cli_inputs['qutrit_pair']}", *out)
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert len(cp.stderr.splitlines()) == 1 and "2 x d" in cp.stderr
 
     # A state is validated once, when it is read, so what `check` accepts
     # `discord` accepts.  Not the converse: `discord` takes 2 x 2 files that

@@ -81,6 +81,12 @@ class TestTwoParamState:
         with pytest.raises(ParameterOutOfRangeError, match="d >= 3"):
             TwoParamState(10 ** 308, 0.0, 0.5)
 
+    def test_non_integer_dimension_is_out_of_range(self):
+        with pytest.raises(ParameterOutOfRangeError, match="d >= 3"):
+            TwoParamState(3.5, 0.1, 0.2)
+        # A numpy integer is an integer.
+        assert build_state(TwoParamState(np.int64(4), 0.1, 0.2)).dims == (2, 4)
+
     @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
     def test_largest_dimension_has_a_finite_report(self, fraction):
         d = 2 ** 1022
@@ -326,6 +332,10 @@ class TestRandomFamilyState:
         # 10**400 - 2 does not convert to a double.
         with pytest.raises(ParameterOutOfRangeError, match="d >= 3"):
             random_family_state(10 ** 400, np.random.default_rng(5))
+
+    def test_non_integer_dimension_is_out_of_range(self):
+        with pytest.raises(ParameterOutOfRangeError, match="d >= 3"):
+            random_family_state(3.5, np.random.default_rng(5))
 
 
 class TestClassifyFamily:

@@ -176,9 +176,18 @@ def crossover_x_state(rng, d, gap):
     return embedded_x_state(a, lo * w, lo * z, d)
 
 
+def random_state(n, rng):
+    """An n x n state drawn as ``random_density_matrix`` draws its matrix: the same
+    ``rng`` calls, G G^dag, and an in-place divide by the real trace."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    return m
+
+
 def product_state(rng, d=3):
-    rho_a = random_density_matrix(1, 2, rng).matrix
-    rho_b = random_density_matrix(1, d, rng).matrix
+    rho_a = random_state(2, rng)
+    rho_b = random_state(d, rng)
     return validate_density(tensor(rho_a, rho_b), 2, d), rho_a, rho_b
 
 

@@ -28,6 +28,15 @@ from qucorr.operators import (
 from qucorr.family import TwoParamState, bell_vectors, build_state
 
 
+def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
+    """An n x n state drawn as ``random_density_matrix`` draws its matrix: the same
+    ``rng`` calls, G G^dag, and an in-place divide by the real trace."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    return m
+
+
 def singlet_projector(d: int) -> np.ndarray:
     psi_m = bell_vectors(d)[3]
     return np.outer(psi_m, psi_m.conj())
@@ -80,6 +89,22 @@ class TestValidateDensity:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             validate_density(np.eye(4) / 4.0, 2, 3)
+
+    @pytest.mark.parametrize("dims", [(1, 6), (3, 4), (2, 1), (2, 0), (2.0, 3), (2, 3.0)],
+                             ids=["1x6", "3x4", "2x1", "2x0", "float_a", "float_b"])
+    def test_dims_outside_2_x_d_rejected(self, dims):
+        # The dims are checked before the matrix, which here is a valid 2 x 3 state.
+        with pytest.raises(DimensionMismatchError, match="2 x d"):
+            validate_density(np.eye(6) / 6.0, *dims)
+
+    def test_numpy_integer_dims_are_stored_as_int(self):
+        rho = validate_density(np.eye(6) / 6.0, np.int64(2), np.int64(3))
+        assert rho.dims == (2, 3)
+        assert all(type(x) is int for x in rho.dims)
+
+    def test_random_state_outside_2_x_d_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="2 x d"):
+            random_density_matrix(1, 6, np.random.default_rng(0))
 
     def test_overflowing_hermiticity_residual_fails_without_warning(self):
         # M - M^dag overflows at (0, 1); the inf residual must still fail.
@@ -154,8 +179,8 @@ class TestPartialTrace:
 
     def test_product_state_recovers_factor(self):
         rng = np.random.default_rng(5)
-        rho_a = random_density_matrix(1, 2, rng).matrix
-        rho_b = random_density_matrix(1, 3, rng).matrix
+        rho_a = random_state(2, rng)
+        rho_b = random_state(3, rng)
         prod = validate_density(tensor(rho_a, rho_b), 2, 3)
         assert np.max(np.abs(partial_trace_a(prod) - rho_b)) < 1e-12
         assert np.max(np.abs(partial_trace_b(prod) - rho_a)) < 1e-12
@@ -174,8 +199,8 @@ class TestPartialTranspose:
 
     def test_product_state_spectrum_unchanged(self):
         rng = np.random.default_rng(7)
-        rho_a = random_density_matrix(1, 2, rng).matrix
-        rho_b = random_density_matrix(1, 3, rng).matrix
+        rho_a = random_state(2, rng)
+        rho_b = random_state(3, rng)
         prod = validate_density(tensor(rho_a, rho_b), 2, 3)
         pt = partial_transpose_a(prod)
         assert np.allclose(np.linalg.eigvalsh(pt),
@@ -298,8 +323,8 @@ class TestEntropy:
 
     def test_mutual_information_of_product_state_vanishes(self):
         rng = np.random.default_rng(12)
-        rho_a = random_density_matrix(1, 2, rng).matrix
-        rho_b = random_density_matrix(1, 3, rng).matrix
+        rho_a = random_state(2, rng)
+        rho_b = random_state(3, rng)
         prod = validate_density(tensor(rho_a, rho_b), 2, 3)
         assert abs(quantum_mutual_information(prod)) < 1e-10
 
@@ -350,7 +375,7 @@ class TestNegativityTraceNorm:
 
     def test_product_state_scores_zero(self):
         rng = np.random.default_rng(13)
-        rho_a = random_density_matrix(1, 2, rng).matrix
-        rho_b = random_density_matrix(1, 3, rng).matrix
+        rho_a = random_state(2, rng)
+        rho_b = random_state(3, rng)
         prod = validate_density(tensor(rho_a, rho_b), 2, 3)
         assert negativity_trace_norm(prod) < 1e-12

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qucorr.family import TwoParamState, build_state
 from qucorr.operators import (
     DensityMatrix,
+    DimensionMismatchError,
     MatrixValidationError,
     NonFiniteError,
     NonUnitTraceError,
@@ -128,6 +129,13 @@ class TestRejections:
             loads_density('{"dims": [2], "matrix": []}')
         with pytest.raises(StateFormatError):
             loads_density('{"dims": [2, 1], "matrix": []}')
+
+    def test_first_factor_other_than_a_qubit(self):
+        # Well formed, with a valid 9 x 9 state, but not 2 x d.
+        doc = {"dims": [3, 3],
+               "matrix": [[[1 / 9 if i == j else 0, 0] for j in range(9)] for i in range(9)]}
+        with pytest.raises(DimensionMismatchError, match="2 x d"):
+            loads_density(json.dumps(doc))
 
     def test_wrong_row_count(self):
         with pytest.raises(StateFormatError):

@@ -12,6 +12,7 @@ from qucorr.family import (
     singlet_weight,
 )
 from qucorr.operators import (
+    DimensionMismatchError,
     negativity_trace_norm,
     random_density_matrix,
     validate_density,
@@ -298,10 +299,10 @@ class TestTwirl:
     @pytest.mark.parametrize("dims", [(1, 6), (3, 4)])
     @pytest.mark.parametrize("run", [twirl, locc_stages])
     def test_rejects_a_first_factor_other_than_a_qubit(self, run, dims):
+        # No such state can be built, so neither function can be handed one.
         n = dims[0] * dims[1]
-        rho = validate_density(np.eye(n) / n, *dims)
-        with pytest.raises(ValueError, match="2 x d"):
-            run(rho)
+        with pytest.raises(DimensionMismatchError, match="2 x d"):
+            run(validate_density(np.eye(n) / n, *dims))
 
 
 class TestLoccReference:
