@@ -394,11 +394,10 @@ class TestCheckCommand:
 
 # Inputs for the exit-code property: the fixtures plus files that break each
 # read step (file system, encoding, JSON, structure, the 2 x d split,
-# validation, d >= 3), and
-# valid states at the edges: a qubit pair, a d = 16 state that passes
-# validation although its qubit marginal's smallest eigenvalue is -5e-10, and
-# a d = 3 family member scaled to trace 1 + 5e-11, whose weights leave beta
-# at -1.7e-11.
+# validation, d >= 3), and valid states at the edges: a qubit pair, a d = 16
+# state that passes validation although its qubit marginal's smallest
+# eigenvalue is -5e-10, and a d = 3 family member scaled to trace 1 + 5e-11,
+# whose weights leave beta at -1.7e-11.
 _HUGE = 1.7e308
 
 
