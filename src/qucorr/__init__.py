@@ -7,80 +7,78 @@ two-parameter family of states, and a numeric optimization over projective
 qubit measurements that works for arbitrary states.  An LOCC twirling
 projection maps any 2 x d state onto the family.
 
+Each name is imported from its submodule on first use (PEP 562), so
+``import qucorr`` loads no numpy, and neither do the closed forms, which
+:mod:`qucorr.closed_form` evaluates on plain floats.
+
 The function :func:`twirl` shadows its module ``qucorr.twirl`` as a package
-attribute, so ``import qucorr.twirl as T`` binds the function; use
-``from qucorr.twirl import ...`` to reach the module.
+attribute, whichever is imported first, so ``import qucorr.twirl as T`` binds
+the function; use ``from qucorr.twirl import ...`` to reach the module.
 """
 
-from .operators import (
-    VALIDATION_TOL,
-    DensityMatrix,
-    DimensionMismatchError,
-    MatrixValidationError,
-    NonFiniteError,
-    NonHermitianError,
-    NonUnitTraceError,
-    NotPositiveSemidefiniteError,
-    commutator_condition,
-    hermitian_spectrum,
-    is_classical_diagonal,
-    negativity_trace_norm,
-    partial_trace_a,
-    partial_trace_b,
-    partial_transpose_a,
-    quantum_mutual_information,
-    random_density_matrix,
-    random_unitary,
-    tensor,
-    validate_density,
-    von_neumann_entropy,
-)
-from .family import (
-    CorrelationReport,
-    NotInFamilyError,
-    ParameterOutOfRangeError,
-    TwoParamState,
-    bell_vectors,
-    build_state,
-    classical_correlation,
-    classify_family,
-    conditional_entropy_closed,
-    correlation_report,
-    discord,
-    entropy_b,
-    family_spectrum,
-    marginal_b_spectrum,
-    mutual_information,
-    nearest_family_member,
-    negativity,
-    random_family_state,
-    singlet_weight,
-)
-from .measurement import (
-    ConditionalEnsemble,
-    MeasurementAxis,
-    OptimizerConfig,
-    OptimizerResult,
-    axis_from_direction,
-    classical_correlation_numeric,
-    conditional_ensemble,
-    conditional_entropy,
-    discord_numeric,
-    ensemble_spectrum_spread,
-    measured_mutual_information,
-    optimize_measurement,
-    projectors,
-    random_axis,
-)
-from .twirl import (
-    IntermediateWeights,
-    LocalUnitary,
-    TwirlReport,
-    check_family_invariance,
-    locc_stages,
-    random_local_unitary,
-    twirl,
-)
-from .statefile import StateFormatError, dumps_density, loads_density
+import importlib as _importlib
+import sys as _sys
+import types as _types
 
 __version__ = "0.1.0"
+
+# Every public name, by the submodule that defines it.
+_EXPORTS = {
+    "operators": (
+        "VALIDATION_TOL", "DensityMatrix", "DimensionMismatchError", "MatrixValidationError",
+        "NonFiniteError", "NonHermitianError", "NonUnitTraceError",
+        "NotPositiveSemidefiniteError", "commutator_condition", "hermitian_spectrum",
+        "is_classical_diagonal", "negativity_trace_norm", "partial_trace_a", "partial_trace_b",
+        "partial_transpose_a", "quantum_mutual_information", "random_density_matrix",
+        "random_unitary", "tensor", "validate_density", "von_neumann_entropy"),
+    "closed_form": (
+        "CorrelationReport", "ParameterOutOfRangeError", "TwoParamState",
+        "classical_correlation", "conditional_entropy_closed", "correlation_report",
+        "discord", "entropy_b", "mutual_information", "negativity"),
+    "family": (
+        "NotInFamilyError", "bell_vectors", "build_state", "classify_family",
+        "family_spectrum", "marginal_b_spectrum", "nearest_family_member",
+        "random_family_state", "singlet_weight"),
+    "measurement": (
+        "ConditionalEnsemble", "MeasurementAxis", "OptimizerConfig", "OptimizerResult",
+        "axis_from_direction", "classical_correlation_numeric", "conditional_ensemble",
+        "conditional_entropy", "discord_numeric", "ensemble_spectrum_spread",
+        "measured_mutual_information", "optimize_measurement", "projectors", "random_axis"),
+    "twirl": (
+        "IntermediateWeights", "LocalUnitary", "TwirlReport", "check_family_invariance",
+        "locc_stages", "random_local_unitary", "twirl"),
+    "statefile": ("StateFormatError", "dumps_density", "loads_density"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted({*_EXPORTS, *_SOURCE})
+
+
+def __getattr__(name):
+    """Import the submodule that defines ``name`` and bind all its exports, so
+    that later lookups are plain attribute reads."""
+    if name in _SOURCE:
+        module = _importlib.import_module(f"{__name__}.{_SOURCE[name]}")
+        globals().update((each, getattr(module, each)) for each in _EXPORTS[_SOURCE[name]])
+        return globals()[name]
+    if name in _EXPORTS:
+        return _importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    names = {*globals(), *__all__} - {"__all__", "__dir__", "__getattr__"}
+    return sorted(n for n in names if not n.startswith("_") or n.startswith("__"))
+
+
+class _Package(_types.ModuleType):
+    """The package's module type.  The import system binds each submodule as a
+    package attribute once it is loaded; the submodule ``twirl`` is bound as
+    its function :func:`twirl` instead."""
+
+    def __setattr__(self, name, value):
+        if name == "twirl" and isinstance(value, _types.ModuleType):
+            value = value.twirl
+        super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package

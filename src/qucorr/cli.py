@@ -10,39 +10,27 @@ discord  numeric correlation report for an arbitrary 2 x d state file
 check    validation, family membership and PPT status of a state file
 
 Exit codes: 0 success, 2 user/input error.  This is the only layer that
-touches files; everything else works on in-memory values.
+touches files; everything else works on in-memory values.  ``corr`` and
+``sweep`` run on :mod:`qucorr.closed_form` alone, so they start without numpy;
+the other subcommands, and ``corr --numeric``, import the numpy modules they use.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import closed_form as cf
 
-from . import family as fam
-from .measurement import OptimizerConfig, classical_correlation_numeric
-from .operators import (
-    VALIDATION_TOL,
-    DensityMatrix,
-    _hermiticity_residual,
-    _negativity,
-    commutator_condition,
-    negativity_trace_norm,
-    partial_transpose_a,
-    quantum_mutual_information,
-)
-from .statefile import dumps_density, loads_density
-from .twirl import twirl
+if TYPE_CHECKING:
+    from .operators import DensityMatrix
 
 CSV_HEADER = "param,alpha,beta,gamma,classical,discord,mutual_info,negativity,invalid"
 
 _PARAM_NAMES = ("alpha", "beta", "gamma")
-# `discord` mixes 256 seeded probes into the optimizer's first batch, unlike
-# the library default of none: the benchmark's cli-cold oracle builds this same
-# config and compares the printed values at 12 digits.
-_DISCORD_CONFIG = OptimizerConfig(random_probes=256, seed=0)
 
 
 def _fmt(x: float) -> str:
@@ -52,15 +40,19 @@ def _fmt(x: float) -> str:
 
 
 def _read_state(path: str) -> DensityMatrix:
+    from .statefile import loads_density
     text = Path(path).read_text(encoding="utf-8")
     return loads_density(text)
 
 
 def cmd_corr(args: argparse.Namespace) -> int:
-    s = fam.TwoParamState(d=args.dim, alpha=args.alpha, gamma=args.gamma)
-    report = fam.correlation_report(s)
+    s = cf.TwoParamState(d=args.dim, alpha=args.alpha, gamma=args.gamma)
+    report = cf.correlation_report(s)
     if args.numeric:   # before the first print, so that an error leaves stdout empty
-        rho = fam.build_state(s)
+        from .family import build_state
+        from .measurement import classical_correlation_numeric
+        from .operators import quantum_mutual_information
+        rho = build_state(s)
         c_num, axis = classical_correlation_numeric(rho)
         q_num = quantum_mutual_information(rho) - c_num
     print(f"d = {s.d}")
@@ -84,22 +76,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fixed_name, fixed_value = args.fix
     if fixed_name == args.vary:
         raise ValueError(f"cannot both fix and vary '{fixed_name}'")
-    fam._alpha_max(args.dim)   # the family's rule for d, checked once before the rows
-    if not np.isfinite(args.stop - args.start):
+    cf._alpha_max(args.dim)   # the family's rule for d, checked once before the rows
+    if not math.isfinite(args.stop - args.start):
         raise ValueError(f"sweep span from {args.start!r} to {args.stop!r} overflows")
-    grid = np.linspace(args.start, args.stop, args.steps)
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
     lines = [CSV_HEADER]
-    for x in grid:
-        alpha, beta, gamma = fam._solve_params(
-            args.dim, {fixed_name: fixed_value, args.vary: float(x)})
+    for x in _grid(args.start, args.stop, args.steps):
+        alpha, beta, gamma = cf._solve_params(args.dim, {fixed_name: fixed_value, args.vary: x})
         try:
-            s = fam.TwoParamState(d=args.dim, alpha=alpha, gamma=gamma)
-            report = fam.correlation_report(s)
+            s = cf.TwoParamState(d=args.dim, alpha=alpha, gamma=gamma)
+            report = cf.correlation_report(s)
             values = (report.classical, report.discord,
                       report.mutual_info, report.negativity)
             invalid = 0
-        except fam.ParameterOutOfRangeError:
-            values = (np.nan,) * 4
+        except cf.ParameterOutOfRangeError:
+            values = (math.nan,) * 4
             invalid = 1
         lines.append(",".join(
             [_fmt(x), _fmt(alpha), _fmt(beta), _fmt(gamma)]
@@ -112,7 +104,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid(start: float, stop: float, steps: int) -> list[float]:
+    """``np.linspace(start, stop, steps)`` in plain floats, point for point: start +
+    i*step, or start + (i/div)*span where step underflows to 0; the last point is stop."""
+    div, span = max(steps - 1, 1), stop - start
+    step = span / div
+    grid = [start + (i * step if step else i / div * span) for i in range(steps)]
+    if steps > 1:
+        grid[-1] = stop
+    return grid
+
+
 def cmd_twirl(args: argparse.Namespace) -> int:
+    from .statefile import dumps_density
+    from .twirl import twirl
     rho = _read_state(args.infile)
     report = twirl(rho)
     Path(args.out).write_text(dumps_density(report.output), encoding="utf-8")
@@ -130,8 +135,14 @@ def cmd_twirl(args: argparse.Namespace) -> int:
 
 
 def cmd_discord(args: argparse.Namespace) -> int:
+    from .measurement import OptimizerConfig, classical_correlation_numeric
+    from .operators import (commutator_condition, negativity_trace_norm,
+                            quantum_mutual_information)
     rho = _read_state(args.infile)
-    c_num, axis = classical_correlation_numeric(rho, _DISCORD_CONFIG)
+    # 256 seeded probes join the optimizer's first batch, unlike the library
+    # default of none: the benchmark's cli-cold oracle builds this same config
+    # and compares the printed values at 12 digits.
+    c_num, axis = classical_correlation_numeric(rho, OptimizerConfig(random_probes=256, seed=0))
     mutual = quantum_mutual_information(rho)
     print(f"mutual_info = {_fmt(mutual)}")
     print(f"classical_numeric = {_fmt(c_num)}")
@@ -144,13 +155,18 @@ def cmd_discord(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .family import nearest_family_member
+    from .operators import (VALIDATION_TOL, _hermiticity_residual, _negativity,
+                            partial_transpose_a)
     rho = _read_state(args.infile)
     m = rho.matrix
-    candidate, residual = fam.nearest_family_member(rho)
+    candidate, residual = nearest_family_member(rho)
     print(f"hermiticity_residual = {_fmt(_hermiticity_residual(m))}")
     print(f"trace_residual = {_fmt(abs(np.trace(m) - 1.0))}")
     print(f"min_eigenvalue = {_fmt(np.linalg.eigvalsh(m)[0])}")
-    if residual <= fam.MEMBERSHIP_TOL:
+    if residual <= cf.MEMBERSHIP_TOL:
         print(f"in_family = yes (alpha = {_fmt(candidate.alpha)}, "
               f"gamma = {_fmt(candidate.gamma)})")
     else:
@@ -170,7 +186,7 @@ def _finite_float(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"non-finite number {text!r} is not allowed")
     return value
 

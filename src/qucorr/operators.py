@@ -9,10 +9,11 @@ rely on Hermiticity, unit trace and positivity.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .closed_form import _index
 
 # Validation tolerance for Hermiticity / trace / positivity residuals.
 VALIDATION_TOL = 1e-10
@@ -100,9 +101,13 @@ def _psd_spectrum(m: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _index(x: int) -> int | float:
-    """``operator.index(x)`` if ``x`` has ``__index__``, else NaN (fails every comparison)."""
-    return operator.index(x) if hasattr(x, "__index__") else float("nan")
+def _qudit_dim(dim_a: int, dim_b: int) -> int:
+    """d of dims (2, d), integers with d >= 2: the one 2 x d rule, else
+    :class:`DimensionMismatchError`."""
+    if not (_index(dim_a) == 2 and _index(dim_b) >= 2):
+        raise DimensionMismatchError(f"a state must be 2 x d with integer d >= 2, got dims "
+                                     f"({dim_a!r}, {dim_b!r})", residual=float("nan"))
+    return _index(dim_b)
 
 
 def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int) -> DensityMatrix:
@@ -130,10 +135,7 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int) -> DensityMatri
     a residual that overflows or cannot be compared fails.  Never renormalizes
     the input; the wrapped matrix is a read-only copy of it.
     """
-    if not (_index(dim_a) == 2 and _index(dim_b) >= 2):
-        raise DimensionMismatchError(f"a state must be 2 x d with integer d >= 2, got dims "
-                                     f"({dim_a!r}, {dim_b!r})", residual=float("nan"))
-    dim_a, dim_b = 2, _index(dim_b)
+    dim_a, dim_b = 2, _qudit_dim(dim_a, dim_b)
     m = np.array(matrix, dtype=complex)
     n = dim_a * dim_b
     if m.ndim != 2 or m.shape != (n, n):
@@ -258,8 +260,9 @@ def is_classical_diagonal(rho: DensityMatrix) -> bool:
 
 def random_density_matrix(dim_a: int, dim_b: int,
                           rng: np.random.Generator) -> DensityMatrix:
-    """Full-rank random 2 x d state G G^dag / tr(G G^dag) with complex Gaussian G."""
-    n = dim_a * dim_b
+    """Full-rank random 2 x d state G G^dag / tr(G G^dag) with complex Gaussian G.
+    Dims that are not 2 x d raise :class:`DimensionMismatchError` before the draw."""
+    n = 2 * _qudit_dim(dim_a, dim_b)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ g.conj().T
     m /= np.trace(m).real

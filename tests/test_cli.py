@@ -226,6 +226,31 @@ class TestSweep:
         assert cp.stdout == ""
         assert "overflows" in cp.stderr and "Warning" not in cp.stderr
 
+    @pytest.mark.parametrize("steps, code, rows", [(-1, 2, 0), (0, 0, 0), (1, 0, 1), (2, 0, 2)])
+    def test_steps_edge_cases(self, steps, code, rows):
+        cp = run_cli("sweep", "--dim", "3", "--fix", "alpha=0.1", "--vary", "gamma",
+                     "--from", "0.1", "--to", "0.7", "--steps", str(steps))
+        assert cp.returncode == code
+        if code == 2:
+            assert cp.stdout == "" and "--steps must be >= 0" in cp.stderr
+            return
+        header, *lines = cp.stdout.splitlines()
+        assert header == cli.CSV_HEADER and len(lines) == rows
+        params = [float(line.split(",")[0]) for line in lines]
+        # np.linspace's points: one step gives --from alone, more end at --to.
+        if rows >= 1:
+            assert params[0] == 0.1
+        if rows >= 2:
+            assert params[-1] == 0.7
+
+    @pytest.mark.parametrize("start, stop, steps", [
+        (0.0, 1.0, 200), (0.9, 0.1, 7), (-0.01, 0.55, 1001), (0.3, 0.3, 3), (-0.0, -1.0, 1),
+        (0.0, 1.5e-323, 8)], ids=["up", "down", "long", "flat", "one", "underflow"])
+    def test_grid_is_linspace(self, start, stop, steps):
+        # Bit for bit, signed zeros too; at "underflow" the step rounds to 0.
+        want = [float(x).hex() for x in np.linspace(start, stop, steps)]
+        assert [x.hex() for x in cli._grid(start, stop, steps)] == want
+
 
 class TestTwirlCommand:
 

@@ -445,7 +445,8 @@ class TestOptimizer:
 
     def test_import_loads_numpy_only(self):
         src = Path(__file__).resolve().parents[1] / "src"
-        code = "import sys, qucorr; print('scipy' in sys.modules)"
+        # The package loads a submodule on first use: touch the optimizer first.
+        code = "import sys, qucorr; qucorr.optimize_measurement; print('scipy' in sys.modules)"
         cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
         assert cp.stdout.strip() == "False"

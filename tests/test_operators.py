@@ -102,9 +102,29 @@ class TestValidateDensity:
         assert rho.dims == (2, 3)
         assert all(type(x) is int for x in rho.dims)
 
+    def test_zero_dim_array_dims(self):
+        # A 0-d integer array passes operator.index; a 0-d float array does not.
+        assert validate_density(np.eye(6) / 6.0, 2, np.array(3)).dims == (2, 3)
+        with pytest.raises(DimensionMismatchError, match="2 x d"):
+            validate_density(np.eye(6) / 6.0, np.array(2.0), 3)
+
     def test_random_state_outside_2_x_d_rejected(self):
         with pytest.raises(DimensionMismatchError, match="2 x d"):
             random_density_matrix(1, 6, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dims", [(1, 6), (3, 4), (2.0, 3), (2, 3.0)],
+                             ids=["1x6", "3x4", "float_a", "float_b"])
+    def test_random_state_dims_checked_before_the_draw(self, dims):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(DimensionMismatchError, match="2 x d"):
+            random_density_matrix(*dims, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_random_state_draw(self, d):
+        rho = random_density_matrix(2, d, np.random.default_rng(d))
+        assert np.array_equal(rho.matrix, random_state(2 * d, np.random.default_rng(d)))
 
     def test_overflowing_hermiticity_residual_fails_without_warning(self):
         # M - M^dag overflows at (0, 1); the inf residual must still fail.
