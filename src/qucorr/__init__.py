@@ -5,20 +5,15 @@ quantum discord and entanglement negativity for bipartite 2 x d systems
 along two independent routes: closed forms for a highly symmetric
 two-parameter family of states, and a numeric optimization over projective
 qubit measurements that works for arbitrary states.  An LOCC twirling
-projection maps any 2 x d state onto the family.
+projection, :func:`twirl`, maps any 2 x d state onto the family; the paper's
+protocol behind it runs stage by stage in :mod:`qucorr.locc`.
 
 Each name is imported from its submodule on first use (PEP 562), so
 ``import qucorr`` loads no numpy, and neither do the closed forms, which
 :mod:`qucorr.closed_form` evaluates on plain floats.
-
-The function :func:`twirl` shadows its module ``qucorr.twirl`` as a package
-attribute, whichever is imported first, so ``import qucorr.twirl as T`` binds
-the function; use ``from qucorr.twirl import ...`` to reach the module.
 """
 
 import importlib as _importlib
-import sys as _sys
-import types as _types
 
 __version__ = "0.1.0"
 
@@ -36,17 +31,15 @@ _EXPORTS = {
         "classical_correlation", "conditional_entropy_closed", "correlation_report",
         "discord", "entropy_b", "mutual_information", "negativity"),
     "family": (
-        "NotInFamilyError", "bell_vectors", "build_state", "classify_family",
-        "family_spectrum", "marginal_b_spectrum", "nearest_family_member",
-        "random_family_state", "singlet_weight"),
+        "IntermediateWeights", "NotInFamilyError", "TwirlReport", "bell_vectors",
+        "build_state", "classify_family", "family_spectrum", "marginal_b_spectrum",
+        "nearest_family_member", "random_family_state", "singlet_weight", "twirl"),
     "measurement": (
         "ConditionalEnsemble", "MeasurementAxis", "OptimizerConfig", "OptimizerResult",
         "axis_from_direction", "classical_correlation_numeric", "conditional_ensemble",
         "conditional_entropy", "discord_numeric", "ensemble_spectrum_spread",
         "measured_mutual_information", "optimize_measurement", "projectors", "random_axis"),
-    "twirl": (
-        "IntermediateWeights", "LocalUnitary", "TwirlReport", "check_family_invariance",
-        "locc_stages", "random_local_unitary", "twirl"),
+    "locc": ("LocalUnitary", "check_family_invariance", "locc_stages", "random_local_unitary"),
     "statefile": ("StateFormatError", "dumps_density", "loads_density"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -69,16 +62,3 @@ def __dir__():
     names = {*globals(), *__all__} - {"__all__", "__dir__", "__getattr__"}
     return sorted(n for n in names if not n.startswith("_") or n.startswith("__"))
 
-
-class _Package(_types.ModuleType):
-    """The package's module type.  The import system binds each submodule as a
-    package attribute once it is loaded; the submodule ``twirl`` is bound as
-    its function :func:`twirl` instead."""
-
-    def __setattr__(self, name, value):
-        if name == "twirl" and isinstance(value, _types.ModuleType):
-            value = value.twirl
-        super().__setattr__(name, value)
-
-
-_sys.modules[__name__].__class__ = _Package

@@ -52,7 +52,13 @@ def cmd_corr(args: argparse.Namespace) -> int:
         from .family import build_state
         from .measurement import classical_correlation_numeric
         from .operators import quantum_mutual_information
-        rho = build_state(s)
+        try:   # numpy refuses, with a message that names no d, a shape past sys.maxsize bytes
+            if 16 * (2 * s.d) ** 2 > sys.maxsize:
+                raise MemoryError
+            rho = build_state(s)
+        except MemoryError:
+            raise ValueError(f"--numeric at d = {s.d} needs the 2d x 2d density matrix "
+                             f"({2 * s.d} x {2 * s.d}), which cannot be allocated") from None
         c_num, axis = classical_correlation_numeric(rho)
         q_num = quantum_mutual_information(rho) - c_num
     print(f"d = {s.d}")
@@ -116,8 +122,8 @@ def _grid(start: float, stop: float, steps: int) -> list[float]:
 
 
 def cmd_twirl(args: argparse.Namespace) -> int:
+    from .family import twirl
     from .statefile import dumps_density
-    from .twirl import twirl
     rho = _read_state(args.infile)
     report = twirl(rho)
     Path(args.out).write_text(dumps_density(report.output), encoding="utf-8")

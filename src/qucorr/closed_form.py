@@ -115,6 +115,23 @@ def xlog2x(x: float) -> float:
     return x * math.log2(x) if x > 0.0 else 0.0
 
 
+def _binary_gap(s: float, t: float) -> float:
+    """s*(1 - H2((1 + x)/2)) in bits, with x = t/s clamped to [-1, 1], and 0 for
+    s <= 0.  C and 2D have this form, and their sums of xlog2x terms cancel near
+    x = 0, so it is evaluated in log1p of x instead: with t passed in directly,
+    the relative error stays at rounding level as x -> 0."""
+    if s <= 0.0:
+        return 0.0
+    x = min(abs(t) / s, 1.0)
+    if x == 1.0:
+        return s
+    if x < 0.5:   # (1+x)ln(1+x) + (1-x)ln(1-x), regrouped
+        nats = 2.0 * x * math.atanh(x) + math.log1p(-x * x)
+    else:
+        nats = (1.0 + x) * math.log1p(x) + (1.0 - x) * math.log1p(-x)
+    return s * nats / (2.0 * math.log(2.0))
+
+
 def entropy_b(s: TwoParamState) -> float:
     """Entropy of the qudit marginal in bits."""
     a, b, g, d = s.alpha, s.beta, s.gamma, s.d
@@ -135,7 +152,7 @@ def conditional_entropy_closed(s: TwoParamState) -> float:
 def classical_correlation(s: TwoParamState) -> float:
     """Maximal measured mutual information, in bits."""
     b, g = s.beta, s.gamma
-    return float(-2.0 * xlog2x((3.0 * b + g) / 2.0) + xlog2x(2.0 * b) + xlog2x(b + g))
+    return float(_binary_gap(3.0 * b + g, b - g))
 
 
 def mutual_information(s: TwoParamState) -> float:
@@ -148,7 +165,7 @@ def mutual_information(s: TwoParamState) -> float:
 def discord(s: TwoParamState) -> float:
     """Quantum discord (total minus classical correlations), in bits."""
     b, g = s.beta, s.gamma
-    return float(0.5 * xlog2x(2.0 * b) + 0.5 * xlog2x(2.0 * g) - xlog2x(b + g))
+    return float(0.5 * _binary_gap(2.0 * (b + g), 2.0 * (b - g)))
 
 
 def negativity(s: TwoParamState) -> float:

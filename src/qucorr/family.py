@@ -13,7 +13,9 @@ and beta fixed by the unit-trace constraint
 
 On that qubit block the member is beta*I + (gamma - beta)*P[psi-]: a diagonal
 plus one real coherence between |01> and |10> (|ij> sits at index i*d + j).
-Only this module builds a member or reads a state in that layout.
+Only this module builds a member or reads a state in that layout, and so it
+also holds :func:`twirl`, the projection of any 2 x d state onto the family
+that the paper's LOCC protocol (:mod:`qucorr.locc`) carries out stage by stage.
 
 The family is invariant under every identified local unitary pair U (x) U
 that preserves the qubit levels {0, 1} of the qudit, which forces the
@@ -25,6 +27,8 @@ and re-exported here.  All entropic quantities are in bits (base-2 logarithms).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +50,26 @@ class NotInFamilyError(ValueError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = float(residual)
+
+
+@dataclass(frozen=True)
+class IntermediateWeights:
+    """Weights of the half-twirled form: per-level outer weights, the phi-pair
+    weight, and the two psi weights."""
+
+    level_weights: tuple[float, ...]
+    phi_pair: float
+    psi_plus: float
+    psi_minus: float
+
+
+@dataclass(frozen=True)
+class TwirlReport:
+    output: DensityMatrix
+    alpha: float
+    gamma: float
+    intermediate_weights: IntermediateWeights
+    residual: float
 
 
 def bell_vectors(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -141,6 +165,36 @@ def nearest_family_member(rho: DensityMatrix) -> tuple[TwoParamState, float]:
     rebuild, which is compared with ``rho`` but neither validated nor returned."""
     s = _projected_params(rho)
     return s, float(np.linalg.norm(rho.matrix - _family_matrix(s)))
+
+
+def _halfway_weights(rho: DensityMatrix) -> IntermediateWeights:
+    """The weights of the post-swap form (before the cycle average) of
+    :func:`qucorr.locc.locc_stages`.  The phase, level-sign and swap stages leave
+    every one of them fixed, so reading them from the input gives the same values."""
+    outer, phi_pair, psi_plus, psi_minus = _family_weights(rho)
+    levels = 0.5 * (outer[:len(outer) // 2] + outer[len(outer) // 2:])
+    return IntermediateWeights(tuple(levels.tolist()), phi_pair, psi_plus, psi_minus)
+
+
+def twirl(rho: DensityMatrix) -> TwirlReport:
+    """Map a 2 x d state onto the family, with the output of
+    :func:`qucorr.locc.locc_stages`.
+
+    The output is the family member with gamma = <psi-|rho|psi-> and alpha
+    the mean outer diagonal weight of ``rho``: alpha on the outer diagonal and
+    beta*I + (gamma - beta)*P[psi-] on the qubit block.  ``residual`` is the
+    distance between that output and the family member rebuilt from it.
+    """
+    s = _projected_params(rho)
+    output = build_state(s)
+    _, residual = nearest_family_member(output)
+    return TwirlReport(
+        output=output,
+        alpha=s.alpha,
+        gamma=s.gamma,
+        intermediate_weights=_halfway_weights(rho),
+        residual=residual,
+    )
 
 
 def random_family_state(d: int, rng: np.random.Generator) -> TwoParamState:

@@ -1,14 +1,14 @@
-"""LOCC twirling of arbitrary qubit-qudit states into the two-parameter family.
+"""The paper's LOCC twirling protocol, stage by stage.
 
-The paper's protocol is a fixed sequence of "do U (x) U with probability p,
-else do nothing" rounds.  Each stage unitary maps the singlet to a phase
-multiple of itself and preserves the diagonal weight outside the qubit
-block, so the output parameters are determined by the input:
+The protocol is a fixed sequence of "do U (x) U with probability p, else do
+nothing" rounds.  Each stage unitary maps the singlet to a phase multiple of
+itself and preserves the diagonal weight outside the qubit block, so the output
+parameters are determined by the input:
 
     gamma_out = <psi-| rho_in |psi->      alpha_out = (outer diagonal mass) / (2d - 4)
 
-:func:`twirl` therefore computes the output directly as this closed-form
-projection: the family member with those two parameters.
+:func:`qucorr.family.twirl` therefore computes the output directly as this
+closed-form projection: the family member with those two parameters.
 
 :func:`locc_stages` keeps the stage sequence itself, as exact convex mixtures
 rather than sampled trajectories, as the reference the projection is tested
@@ -25,10 +25,6 @@ rho -> sum_k p_k U_k rho U_k^dag with U_k = b_k[:2, :2] (x) b_k:
 One full pass produces a state that is Bell-diagonal on the qubit block; the
 second pass equalizes the three triplet weights exactly, after which the
 state is the projection up to floating-point rounding.
-
-The package re-exports the function :func:`twirl` under this module's name,
-so ``import qucorr.twirl as T`` binds the function; ``from qucorr.twirl
-import ...`` still reaches the module.
 """
 
 from __future__ import annotations
@@ -38,13 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import DensityMatrix, random_unitary, tensor, validate_density
-from .family import (
-    TwoParamState,
-    _family_weights,
-    _projected_params,
-    build_state,
-    nearest_family_member,
-)
+from .family import TwoParamState, build_state
 
 
 @dataclass(frozen=True)
@@ -68,26 +58,6 @@ class LocalUnitary:
 
     def full(self) -> np.ndarray:
         return tensor(self.matrix_a, self.matrix_b)
-
-
-@dataclass(frozen=True)
-class IntermediateWeights:
-    """Weights of the half-twirled form: per-level outer weights, the phi-pair
-    weight, and the two psi weights."""
-
-    level_weights: tuple[float, ...]
-    phi_pair: float
-    psi_plus: float
-    psi_minus: float
-
-
-@dataclass(frozen=True)
-class TwirlReport:
-    output: DensityMatrix
-    alpha: float
-    gamma: float
-    intermediate_weights: IntermediateWeights
-    residual: float
 
 
 def _stage_table(d: int) -> list[tuple[str, list[tuple[float, np.ndarray]]]]:
@@ -131,35 +101,6 @@ def locc_stages(rho: DensityMatrix) -> list[tuple[str, DensityMatrix]]:
         rho = _apply(rho, name, mixture)
         out.append((name, rho))
     return out
-
-
-def _halfway_weights(rho: DensityMatrix) -> IntermediateWeights:
-    """The weights of the post-swap form (before the cycle average), read by the
-    family module.  The phase, level-sign and swap stages leave every one of
-    them fixed, so reading them from the input gives the same values."""
-    outer, phi_pair, psi_plus, psi_minus = _family_weights(rho)
-    levels = 0.5 * (outer[:len(outer) // 2] + outer[len(outer) // 2:])
-    return IntermediateWeights(tuple(levels.tolist()), phi_pair, psi_plus, psi_minus)
-
-
-def twirl(rho: DensityMatrix) -> TwirlReport:
-    """Map a 2 x d state onto the family, with the output of :func:`locc_stages`.
-
-    The output is the family member with gamma = <psi-|rho|psi-> and alpha
-    the mean outer diagonal weight of ``rho``: alpha on the outer diagonal and
-    beta*I + (gamma - beta)*P[psi-] on the qubit block.  ``residual`` is the
-    distance between that output and the family member rebuilt from it.
-    """
-    s = _projected_params(rho)
-    output = build_state(s)
-    _, residual = nearest_family_member(output)
-    return TwirlReport(
-        output=output,
-        alpha=s.alpha,
-        gamma=s.gamma,
-        intermediate_weights=_halfway_weights(rho),
-        residual=residual,
-    )
 
 
 def random_local_unitary(d: int, rng: np.random.Generator) -> LocalUnitary:

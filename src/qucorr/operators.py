@@ -199,17 +199,11 @@ def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)[::-1]
 
 
-def xlog2x(x: np.ndarray | float) -> np.ndarray | float:
-    """Elementwise x*log2(x) with the continuity convention 0*log2(0) = 0."""
-    arr = np.asarray(x, dtype=float)
-    safe = np.where(arr > 0.0, arr, 1.0)
-    out = np.where(arr > 0.0, arr * np.log2(safe), 0.0)
-    return out if arr.ndim else float(out)
-
-
 def _spectral_entropy(lam: np.ndarray) -> np.ndarray:
-    """-sum(lam * log2(lam)) in bits over a spectrum's last axis, lam clipped to [0, 1]."""
-    return -np.sum(xlog2x(np.clip(lam, 0.0, 1.0)), axis=-1)
+    """-sum(lam * log2(lam)) in bits over a spectrum's last axis, lam clipped to [0, 1]
+    and 0*log2(0) taken as 0."""
+    lam = np.clip(lam, 0.0, 1.0)
+    return -np.sum(lam * np.log2(np.where(lam > 0.0, lam, 1.0)), axis=-1)
 
 
 def _state_entropy(m: np.ndarray) -> float:

@@ -35,8 +35,8 @@ from qucorr.operators import (
     random_unitary,
     von_neumann_entropy,
 )
-from qucorr.family import singlet_weight
-from qucorr.twirl import check_family_invariance, twirl
+from qucorr.family import singlet_weight, twirl
+from qucorr.locc import check_family_invariance
 
 DIMS = (3, 4, 5)
 

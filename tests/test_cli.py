@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qucorr import cli, measurement
+from qucorr import cli, family, measurement
 from qucorr.family import TwoParamState, classical_correlation, discord
 from qucorr.operators import partial_trace_b, validate_density, von_neumann_entropy
 from qucorr.statefile import dumps_density, loads_density
@@ -122,12 +122,34 @@ class TestCorr:
         assert len(cp.stderr.splitlines()) == 1 and "d >= 3" in cp.stderr
 
     def test_numeric_error_leaves_stdout_empty(self):
-        # d = 2**62: numpy refuses the 2**63-entry diagonal before allocating it.
+        # d = 2**62: the 2d x 2d matrix is refused before numpy is asked for it.
         cp = run_cli("corr", "--alpha", "0", "--gamma", "0.5", "--dim", str(2 ** 62),
                      "--numeric")
         assert cp.returncode == 2
         assert cp.stdout == ""
         assert len(cp.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("d", [2 ** 62, 2 ** 40], ids=["2**62", "2**40"])
+    def test_numeric_at_a_dimension_no_matrix_can_hold(self, d):
+        cp = run_cli("corr", "--alpha", "0", "--gamma", "0.5", "--dim", str(d), "--numeric")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert len(cp.stderr.splitlines()) == 1
+        assert f"d = {d}" in cp.stderr and "2d x 2d" in cp.stderr
+
+    def test_numeric_out_of_memory_names_the_matrix(self, monkeypatch):
+        # The matrix build is replaced, so no test asks numpy for a matrix this
+        # size: at d = 10**5 it would take 596 GiB.
+        def out_of_memory(s):
+            raise MemoryError
+
+        monkeypatch.setattr(family, "_family_matrix", out_of_memory)
+        cp = run_cli("corr", "--alpha", "0", "--gamma", "0.5", "--dim", str(10 ** 5),
+                     "--numeric")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert len(cp.stderr.splitlines()) == 1
+        assert "d = 100000" in cp.stderr and "2d x 2d" in cp.stderr
 
 
 class TestSweep:

@@ -1,6 +1,6 @@
 """Closed-form correlation measures for the two-parameter family."""
 
-import importlib
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from qucorr.family import (
     negativity,
     random_family_state,
     singlet_weight,
+    twirl,
 )
 from qucorr.operators import (
     hermitian_spectrum,
@@ -40,7 +41,6 @@ from qucorr.operators import (
     validate_density,
     von_neumann_entropy,
 )
-from qucorr.twirl import twirl
 
 
 def max_off_diagonal(rho):
@@ -163,8 +163,6 @@ class TestClosedForm:
             raise AssertionError("a Bell vector was built")
 
         monkeypatch.setattr(family, "bell_vectors", refuse)
-        monkeypatch.setattr(importlib.import_module("qucorr.twirl"), "bell_vectors", refuse,
-                            raising=False)
         for d in (3, 5, 8, 16):
             rho = random_density_matrix(2, d, np.random.default_rng(990 + d))
             build_state(TwoParamState(d, 0.0, 0.3))
@@ -319,6 +317,68 @@ class TestCorrelationMeasures:
         assert abs(report.mutual_info - report.classical - report.discord) < 1e-12
         assert min(report.mutual_info, report.classical,
                    report.discord, report.negativity) >= -1e-12
+
+
+def decimal_measures(s):
+    """The five entropic measures of ``s`` from their defining entropies, in 50-digit
+    decimal arithmetic on the exact values of the doubles alpha, beta and gamma.
+
+    The weights are rescaled to unit trace first, so that rho_A is exactly I/2 and
+    I = C + D holds; C and D are 1-homogeneous in the weights, so the rescaling
+    moves them by the trace's rounding error only."""
+    def bits(*weights):   # (multiplicity, eigenvalue) pairs
+        return -sum((m * w * w.ln() for m, w in weights if w > 0), Decimal(0)) / Decimal(2).ln()
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = s.d
+        a, b, g = (Decimal(x) for x in (s.alpha, s.beta, s.gamma))
+        t = 2 * (d - 2) * a + 3 * b + g
+        a, b, g = a / t, b / t, g / t
+        s_b = bits((2, (3 * b + g) / 2), (d - 2, 2 * a))
+        s_cond = bits((d - 2, 2 * a), (1, 2 * b), (1, b + g))
+        s_ab = bits((2 * (d - 2), a), (3, b), (1, g))
+        classical, mutual = s_b - s_cond, 1 + s_b - s_ab
+        return {entropy_b: s_b, conditional_entropy_closed: s_cond,
+                classical_correlation: classical, mutual_information: mutual,
+                discord: mutual - classical}
+
+
+def high_precision_members(d, rng):
+    """Uniform members, members with |beta - gamma|/beta from 1 down to 1e-9, and
+    members on the edges beta = 0, gamma = 0 and alpha = 0."""
+    alpha_max = 1.0 / (2 * (d - 2))
+    members = [random_family_state(d, rng) for _ in range(30)]
+    for k in range(9):
+        for sign in (-1.0, 1.0):
+            rel = sign * 10.0 ** -k * rng.uniform(0.1, 1.0)   # beta = gamma (1 + rel)
+            gamma = rng.uniform(0.01, 0.99 / (4.0 + 3.0 * rel))
+            members.append(TwoParamState(d, (1.0 - gamma * (4.0 + 3.0 * rel)) / (2 * (d - 2)),
+                                         gamma))
+    for alpha in rng.uniform(0.0, alpha_max, 4):
+        members += [TwoParamState(d, alpha, 0.0),
+                    TwoParamState(d, alpha, 1.0 - 2 * (d - 2) * alpha)]
+    members += [TwoParamState(d, 0.0, gamma) for gamma in (0.0, 0.25, 1.0, rng.uniform())]
+    return members + [TwoParamState(d, alpha_max, 0.0)]
+
+
+class TestClosedFormsAtHighPrecision:
+    """Every closed form against a decimal evaluation of its defining entropies.
+
+    C and D tend to 0 as beta -> gamma, so they are held to a relative bound; the
+    entropies and I are sums of terms of order one and are held to an absolute one.
+    """
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 8, 16, 100])
+    def test_closed_forms_match_decimal_reference(self, d):
+        rng = np.random.default_rng(2200 + d)
+        for s in high_precision_members(d, rng):
+            for measure, exact in decimal_measures(s).items():
+                err = abs(Decimal(measure(s)) - exact)
+                if measure in (classical_correlation, discord):
+                    assert err <= Decimal("1e-14") * exact + Decimal("1e-40"), (measure, s)
+                else:
+                    assert err <= Decimal("1e-14"), (measure, s)
 
 
 class TestRandomFamilyState:

@@ -12,7 +12,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # dir(qucorr) when the package imported every submodule eagerly, plus the
-# numpy-free module of closed forms.
+# numpy-free module of closed forms and the LOCC protocol's module.
 NAMES = sorted([
     "ConditionalEnsemble", "CorrelationReport", "DensityMatrix", "DimensionMismatchError",
     "IntermediateWeights", "LocalUnitary", "MatrixValidationError", "MeasurementAxis",
@@ -34,7 +34,7 @@ NAMES = sorted([
     "random_density_matrix", "random_family_state", "random_local_unitary",
     "random_unitary", "singlet_weight", "statefile", "tensor", "twirl",
     "validate_density", "von_neumann_entropy",
-] + ["closed_form"])
+] + ["closed_form", "locc"])
 
 
 def python(*args: str) -> subprocess.CompletedProcess:
@@ -67,14 +67,14 @@ def test_corr_and_sweep_load_no_numpy(argv):
 
 
 @pytest.mark.parametrize("code", [
-    "from qucorr.twirl import locc_stages; import qucorr",
-    "import qucorr.twirl as T; import qucorr; assert T is qucorr.twirl",
-    "import qucorr; qucorr.twirl; from qucorr.twirl import locc_stages",
-    "import qucorr.measurement, qucorr.twirl, qucorr",
+    "from qucorr.locc import locc_stages; import qucorr",
+    "import qucorr.family as F; import qucorr; assert F.twirl is qucorr.twirl",
+    "import qucorr; qucorr.twirl; from qucorr.locc import locc_stages",
+    "import qucorr.measurement, qucorr.locc, qucorr",
     "from qucorr import twirl, family; import qucorr; assert twirl is qucorr.twirl",
 ], ids=["from_module", "import_as", "attribute_first", "submodules", "from_package"])
 def test_twirl_attribute_is_the_function(code):
-    check = "import sys; print(qucorr.twirl is sys.modules['qucorr.twirl'].twirl)"
+    check = "import sys; print(qucorr.twirl is sys.modules['qucorr.family'].twirl)"
     assert python("-c", f"{code}; {check}").stdout.strip() == "True"
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qucorr.family import TwoParamState, build_state
+from qucorr.family import TwoParamState, build_state, twirl
 from qucorr.operators import (
     DensityMatrix,
     DimensionMismatchError,
@@ -18,7 +18,6 @@ from qucorr.operators import (
     random_density_matrix,
 )
 from qucorr.statefile import StateFormatError, dumps_density, loads_density
-from qucorr.twirl import twirl
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
 

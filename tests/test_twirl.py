@@ -5,11 +5,13 @@ import pytest
 
 from qucorr.family import (
     TwoParamState,
+    _halfway_weights,
     bell_vectors,
     build_state,
     classify_family,
     random_family_state,
     singlet_weight,
+    twirl,
 )
 from qucorr.operators import (
     DimensionMismatchError,
@@ -17,15 +19,13 @@ from qucorr.operators import (
     random_density_matrix,
     validate_density,
 )
-from qucorr.twirl import (
+from qucorr.locc import (
     _apply,
-    _halfway_weights,
     _stage_table,
     LocalUnitary,
     check_family_invariance,
     locc_stages,
     random_local_unitary,
-    twirl,
 )
 
 STAGES_D4 = [name for name, _ in _stage_table(4)]
