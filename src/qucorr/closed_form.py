@@ -10,7 +10,10 @@ Every correlation measure of a member is a closed form in (alpha, beta, gamma)
 and d, evaluated here on plain floats: this module imports no numpy, so that
 ``qucorr corr`` and ``qucorr sweep`` start without it.  :mod:`qucorr.family`
 builds the member as a matrix and re-exports everything defined here.  All
-entropic quantities are in bits (base-2 logarithms).
+entropic quantities are in bits (base-2 logarithms): with b = beta, g = gamma and
+H2 the binary entropy, C = (3b+g)(1 - H2(1/2 + (b-g)/(2(3b+g)))) is the classical
+correlation, D = (b+g)(1 - H2(1/2 + (b-g)/(2(b+g)))) the discord and I = C + D the
+mutual information, so I >= 0 and I = C + D hold exactly in floats.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ def xlog2x(x: float) -> float:
 
 def _binary_gap(s: float, t: float) -> float:
     """s*(1 - H2((1 + x)/2)) in bits, with x = t/s clamped to [-1, 1], and 0 for
-    s <= 0.  C and 2D have this form, and their sums of xlog2x terms cancel near
+    s <= 0.  C and D have this form, and their sums of xlog2x terms cancel near
     x = 0, so it is evaluated in log1p of x instead: with t passed in directly,
     the relative error stays at rounding level as x -> 0."""
     if s <= 0.0:
@@ -156,16 +159,15 @@ def classical_correlation(s: TwoParamState) -> float:
 
 
 def mutual_information(s: TwoParamState) -> float:
-    """Total correlations in bits."""
-    b, g = s.beta, s.gamma
-    t = 3.0 * b + g
-    return float(2.0 * t - xlog2x(t) + 3.0 * xlog2x(b) + xlog2x(g))
+    """Total correlations in bits, I = C + D with C and D as in the module docstring;
+    the sum keeps I >= 0 and its digits where beta -> gamma and both tend to 0."""
+    return classical_correlation(s) + discord(s)
 
 
 def discord(s: TwoParamState) -> float:
     """Quantum discord (total minus classical correlations), in bits."""
     b, g = s.beta, s.gamma
-    return float(0.5 * _binary_gap(2.0 * (b + g), 2.0 * (b - g)))
+    return float(_binary_gap(b + g, b - g))
 
 
 def negativity(s: TwoParamState) -> float:
@@ -180,9 +182,6 @@ def negativity(s: TwoParamState) -> float:
 
 def correlation_report(s: TwoParamState) -> CorrelationReport:
     """Evaluate all four closed-form measures for one family member."""
-    return CorrelationReport(
-        mutual_info=mutual_information(s),
-        classical=classical_correlation(s),
-        discord=discord(s),
-        negativity=negativity(s),
-    )
+    c, q = classical_correlation(s), discord(s)
+    return CorrelationReport(mutual_info=c + q, classical=c, discord=q,
+                             negativity=negativity(s))

@@ -34,9 +34,8 @@ import numpy as np
 
 from .closed_form import (  # the family's scalar half, re-exported
     MEMBERSHIP_TOL, PARAM_TOL, CorrelationReport, ParameterOutOfRangeError, TwoParamState,
-    _alpha_max, _solve_params, _trace_remainder, classical_correlation,
-    conditional_entropy_closed, correlation_report, discord, entropy_b, mutual_information,
-    negativity)
+    _alpha_max, _trace_remainder, classical_correlation, conditional_entropy_closed,
+    correlation_report, discord, entropy_b, mutual_information, negativity)
 from .operators import DensityMatrix, validate_density
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qucorr import cli, family, measurement
+from qucorr import cli, closed_form, family, measurement
 from qucorr.family import TwoParamState, classical_correlation, discord
 from qucorr.operators import partial_trace_b, validate_density, von_neumann_entropy
 from qucorr.statefile import dumps_density, loads_density
@@ -109,6 +109,13 @@ class TestCorr:
         assert got["delta_classical"] < 1e-7
         assert got["delta_discord"] < 1e-7
 
+    def test_mutual_info_at_equal_psi_weights_is_classical_plus_discord(self):
+        # beta = gamma = 0.1: a sum of xlog2x terms for I printed -3.88578058619e-16.
+        cp = run_cli("corr", "--alpha", "0.3", "--gamma", "0.1", "--dim", "3")
+        s = TwoParamState(3, 0.3, 0.1)
+        line = f"mutual_info = {cli._fmt(classical_correlation(s) + discord(s))}"
+        assert line in cp.stdout.splitlines() and "mutual_info = -" not in cp.stdout
+
     def test_out_of_range_is_user_error(self):
         cp = run_cli("corr", "--alpha", "0.9", "--gamma", "0", "--dim", "3")
         assert cp.returncode == 2
@@ -199,6 +206,37 @@ class TestSweep:
         nearest = data[np.argmin(np.abs(data[:, 0] - 0.05))]
         assert np.all(np.abs(nearest[4:8]) < 1e-9)
 
+    def test_mutual_info_is_classical_plus_discord(self):
+        # At gamma = 0.05 a sum of xlog2x terms for I printed -1.66533453694e-16.
+        cp = run_cli("sweep", "--dim", "3", "--fix", "beta=0.05", "--vary", "gamma",
+                     "--from", "0", "--to", "0.85", "--steps", "171")
+        assert cp.returncode == 0, cp.stderr
+        header, *lines = cp.stdout.splitlines()
+        column = header.split(",").index("mutual_info")
+        for x, line in zip(cli._grid(0.0, 0.85, 171), lines):
+            alpha, _, gamma = closed_form._solve_params(3, {"beta": 0.05, "gamma": x})
+            s = TwoParamState(3, alpha, gamma)
+            mutual = line.split(",")[column]
+            assert mutual == cli._fmt(classical_correlation(s) + discord(s))
+            assert not mutual.startswith("-")
+
+    @pytest.mark.parametrize("fix, vary, stop, steps", [
+        ("alpha=0.1", "beta", 0.4, 11), ("beta=0.1", "alpha", 0.48, 9)])
+    def test_gamma_from_the_trace_and_invalid_below_zero(self, fix, vary, stop, steps):
+        # gamma is the unknown: gamma = 1 - 2(d-2)alpha - 3beta, flagged once it is < 0.
+        cp = run_cli("sweep", "--dim", "3", "--fix", fix, "--vary", vary,
+                     "--from", "0", "--to", str(stop), "--steps", str(steps))
+        assert cp.returncode == 0, cp.stderr
+        fixed = float(fix.partition("=")[2])
+        rows = [line.split(",") for line in cp.stdout.splitlines()[1:]]
+        assert len(rows) == steps
+        for x, row in zip(cli._grid(0.0, stop, steps), rows):
+            alpha, beta = (fixed, x) if vary == "beta" else (x, fixed)
+            gamma = 1.0 - 2.0 * alpha - 3.0 * beta
+            assert row[1:4] == [cli._fmt(alpha), cli._fmt(beta), cli._fmt(gamma)]
+            assert row[-1] == str(int(gamma < 0.0))
+        assert {row[-1] for row in rows} == {"0", "1"}
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ("sweep", "--dim", "4", "--fix", "alpha=0.1", "--vary", "gamma",
                 "--from", "0", "--to", "0.6", "--steps", "50")
@@ -240,6 +278,17 @@ class TestSweep:
         assert cp.stdout == ""
         assert "non-finite" in cp.stderr and named in cp.stderr
         assert "Warning" not in cp.stderr
+
+    @pytest.mark.parametrize("option, value, named", [
+        ("--from", "abc", "bad number 'abc'"), ("--fix", "beta=x", "bad number 'x'"),
+        ("--fix", "delta=1", "alpha/beta/gamma=VALUE")])
+    def test_malformed_value_is_user_error(self, option, value, named):
+        args = {"--fix": "beta=0.05", "--from": "0", "--to": "0.5", option: value}
+        cp = run_cli("sweep", "--dim", "3", "--vary", "gamma", "--steps", "5",
+                     *(f"{k}={v}" for k, v in args.items()))
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert named in cp.stderr
 
     def test_overflowing_span_is_user_error(self):
         cp = run_cli("sweep", "--dim", "3", "--fix", "beta=0.05", "--vary", "gamma",
@@ -411,6 +460,16 @@ class TestCheckCommand:
         bad.write_text("{not json")
         cp = run_cli("check", "--in", str(bad))
         assert cp.returncode == 2
+
+    def test_short_row_names_the_row(self, tmp_path):
+        path = tmp_path / "short.json"
+        rows = [[[0.25 if i == j else 0, 0] for j in range(4)] for i in range(4)]
+        rows[1] = rows[1][:1]
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": rows}))
+        cp = run_cli("check", "--in", str(path))
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "row 1 must have 4 entries" in cp.stderr
 
     def test_qudit_dimension_two_is_user_error(self, tmp_path):
         path = tmp_path / "qubits.json"

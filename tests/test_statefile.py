@@ -140,6 +140,14 @@ class TestRejections:
         with pytest.raises(StateFormatError):
             loads_density('{"dims": [2, 3], "matrix": [[[1, 0]]]}')
 
+    def test_short_row(self):
+        doc = {"dims": [2, 2],
+               "matrix": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)]
+                          for i in range(4)]}
+        doc["matrix"][1] = doc["matrix"][1][:1]
+        with pytest.raises(StateFormatError, match="^row 1 must have 4 entries$"):
+            loads_density(json.dumps(doc))
+
     def test_bad_cell(self):
         doc = {"dims": [2, 2],
                "matrix": [[[0.25, 0]] * 4 for _ in range(4)]}

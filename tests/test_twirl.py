@@ -296,6 +296,11 @@ class TestTwirl:
         with pytest.raises(ValueError):
             twirl(rho)
 
+    def test_stages_reject_a_qubit_pair(self):
+        # A valid 2 x 2 state: the stage table needs the levels outside the qubit block.
+        with pytest.raises(ValueError, match="d >= 3"):
+            locc_stages(validate_density(np.eye(4) / 4.0, 2, 2))
+
     @pytest.mark.parametrize("dims", [(1, 6), (3, 4)])
     @pytest.mark.parametrize("run", [twirl, locc_stages])
     def test_rejects_a_first_factor_other_than_a_qubit(self, run, dims):
