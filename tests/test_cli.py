@@ -110,7 +110,7 @@ class TestCorr:
         assert got["delta_discord"] < 1e-7
 
     def test_mutual_info_at_equal_psi_weights_is_classical_plus_discord(self):
-        # beta = gamma = 0.1: a sum of xlog2x terms for I printed -3.88578058619e-16.
+        # beta = gamma = 0.1, where I, C and D are about 0: I prints as C + D, unsigned.
         cp = run_cli("corr", "--alpha", "0.3", "--gamma", "0.1", "--dim", "3")
         s = TwoParamState(3, 0.3, 0.1)
         line = f"mutual_info = {cli._fmt(classical_correlation(s) + discord(s))}"
@@ -207,7 +207,7 @@ class TestSweep:
         assert np.all(np.abs(nearest[4:8]) < 1e-9)
 
     def test_mutual_info_is_classical_plus_discord(self):
-        # At gamma = 0.05 a sum of xlog2x terms for I printed -1.66533453694e-16.
+        # The row gamma = 0.05 has beta = gamma, where I, C and D are about 0.
         cp = run_cli("sweep", "--dim", "3", "--fix", "beta=0.05", "--vary", "gamma",
                      "--from", "0", "--to", "0.85", "--steps", "171")
         assert cp.returncode == 0, cp.stderr

@@ -271,8 +271,8 @@ class TestCorrelationMeasures:
                 assert mutual_information(s) == classical_correlation(s) + discord(s)
 
     def test_all_measures_nonnegative_on_grid(self):
-        # The near beta = gamma members are where a sum of xlog2x terms for I
-        # cancelled to a negative value.
+        # high_precision_members adds members near beta = gamma, where I, C and D
+        # tend to 0 and a cancelling sum would dip below it.
         for d in (3, 4, 5):
             rng = np.random.default_rng(2300 + d)
             for s in valid_grid(d) + high_precision_members(d, rng):
