@@ -93,14 +93,14 @@ def _trace_remainder(d: int, alpha: float, beta: float, gamma: float) -> float:
 
 def _solve_params(d: int, known: dict[str, float]) -> tuple[float, float, float]:
     """Complete (alpha, beta, gamma) from two known values by the trace constraint;
-    ``d`` must have passed :func:`_alpha_max`."""
-    alpha, beta, gamma = (known.get(name, 0.0) for name in ("alpha", "beta", "gamma"))
-    rest = _trace_remainder(d, alpha, beta, gamma)
-    if "alpha" not in known:
-        return rest / (2.0 * (d - 2)), beta, gamma
-    if "beta" not in known:
-        return alpha, rest / 3.0, gamma
-    return alpha, beta, rest
+    ``d`` must have passed :func:`_alpha_max`.  A completed weight that rounds into
+    [-PARAM_TOL, 0), where :class:`TwoParamState` accepts it, is returned as 0.0."""
+    names = ("alpha", "beta", "gamma")
+    weights = [known.get(name, 0.0) for name in names]
+    k = next(i for i, name in enumerate(names) if name not in known)
+    w = _trace_remainder(d, *weights) / (2.0 * (d - 2), 3.0, 1.0)[k]
+    weights[k] = 0.0 if -PARAM_TOL <= w < 0.0 else w
+    return tuple(weights)
 
 
 @dataclass(frozen=True)

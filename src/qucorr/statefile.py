@@ -7,9 +7,10 @@ A state document is
 with the matrix given row-major in the |i j> -> i*d + j basis and every
 entry a two-element [real, imag] array of finite decimal numbers (JSON
 booleans and the NaN/Infinity tokens are rejected).  Writers emit 17
-significant digits so a round trip reproduces the doubles exactly.  This
-module only converts between text and :class:`DensityMatrix`; file handling
-belongs to the caller.
+significant digits so a round trip reproduces the doubles exactly.  The reader
+takes the matrix in one pass and names the first malformed row or entry in
+document order.  This module only converts between text and
+:class:`DensityMatrix`; file handling belongs to the caller.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ def dumps_density(rho: DensityMatrix) -> str:
 
 
 def loads_density(text: str) -> DensityMatrix:
-    """Parse and validate a state document.
+    """Parse and validate a state document, reading the matrix in one pass.
 
-    Raises :class:`StateFormatError` for structural problems and the usual
-    validation errors if the matrix is not a density operator.
+    Raises :class:`StateFormatError` for structural problems, naming the first
+    malformed row or entry in document order, and the usual validation errors
+    if the matrix is not a density operator.
     """
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
@@ -62,24 +64,17 @@ def loads_density(text: str) -> DensityMatrix:
     rows = doc["matrix"]
     if not isinstance(rows, list) or len(rows) != n:
         raise StateFormatError(f'"matrix" must have {n} rows')
+    values = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise StateFormatError(f"row {i} must have {n} entries")
-    cells = [cell for row in rows for cell in row]
-    # Exact type tests again, so that JSON booleans are rejected.
-    pairs = [type(cell) is list and len(cell) == 2
-             and type(cell[0]) in (int, float) and type(cell[1]) in (int, float)
-             for cell in cells]
-    if not all(pairs):
-        i, j = divmod(pairs.index(False), n)
-        raise StateFormatError(f"entry ({i}, {j}) must be a [re, im] pair")
-    try:
-        m = np.array(cells, dtype=float).view(complex).reshape(n, n)
-    except OverflowError as exc:
-        for k, cell in enumerate(cells):
+        for j, cell in enumerate(row):
+            # Exact type tests again, so that JSON booleans are rejected.
+            if not (type(cell) is list and len(cell) == 2
+                    and type(cell[0]) in (int, float) and type(cell[1]) in (int, float)):
+                raise StateFormatError(f"entry ({i}, {j}) must be a [re, im] pair")
             try:
-                complex(*cell)
-            except OverflowError:
-                i, j = divmod(k, n)
+                values.append(complex(*cell))
+            except OverflowError as exc:
                 raise StateFormatError(f"entry ({i}, {j}) does not fit a double") from exc
-    return validate_density(m, *dims)
+    return validate_density(np.array(values).reshape(n, n), *dims)

@@ -220,6 +220,18 @@ class TestSweep:
             assert mutual == cli._fmt(classical_correlation(s) + discord(s))
             assert not mutual.startswith("-")
 
+    def test_completed_weight_rounding_below_zero_prints_zero(self):
+        # At alpha = 0.35, gamma = 1 - 2*0.35000000000000003 - 0.3 rounds to -1.1e-16,
+        # which TwoParamState accepts: the valid row prints the singlet weight as 0.
+        cp = run_cli("sweep", "--dim", "3", "--fix", "beta=0.1", "--vary", "alpha",
+                     "--from", "0", "--to", "0.5", "--steps", "11")
+        assert cp.returncode == 0, cp.stderr
+        rows = [line.split(",") for line in cp.stdout.splitlines()[1:]]
+        assert ",".join(rows[7]) == "0.35,0.35,0.1,0,0.0245112497837,0.1,0.124511249784,0,0"
+        for row in rows:
+            if row[-1] == "0":
+                assert not any(field.startswith("-") for field in row[1:4])
+
     @pytest.mark.parametrize("fix, vary, stop, steps", [
         ("alpha=0.1", "beta", 0.4, 11), ("beta=0.1", "alpha", 0.48, 9)])
     def test_gamma_from_the_trace_and_invalid_below_zero(self, fix, vary, stop, steps):

@@ -200,6 +200,23 @@ class TestRejections:
             loads_density(json.dumps(doc))
         assert str(info.value) == f"entry ({i}, {j}) {message}"
 
+    # Two faults on the member above: the reader names the one met first in
+    # document order, whatever kind of fault comes later.  A cell of None is deleted.
+    @pytest.mark.parametrize("cells, message", [
+        ({(0, 3): [10 ** 400, 0], (1, 2): ["x", 0]}, "entry (0, 3) does not fit a double"),
+        ({(0, 1): [0, True], (2, 5): None}, "entry (0, 1) must be a [re, im] pair"),
+    ], ids=["overflow-before-bad-type", "boolean-before-short-row"])
+    def test_first_fault_in_document_order_is_named(self, cells, message):
+        doc = json.loads(dumps_density(build_state(TwoParamState(3, 0.1, 0.2))))
+        for (i, j), cell in cells.items():
+            if cell is None:
+                del doc["matrix"][i][j]
+            else:
+                doc["matrix"][i][j] = cell
+        with pytest.raises(StateFormatError) as info:
+            loads_density(json.dumps(doc))
+        assert str(info.value) == message
+
     def test_deeply_nested_document(self):
         with pytest.raises(StateFormatError):
             loads_density("[" * 100_000)
