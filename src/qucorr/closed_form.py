@@ -48,8 +48,8 @@ def _index(x: int) -> int | float:
 class TwoParamState:
     """Parameters (d, alpha, gamma) of a family member; beta is derived.
 
-    beta is never stored: it is always computed from the trace constraint,
-    which makes the constraint unviolable by construction.
+    beta is never stored: it is computed from the trace constraint, which makes the
+    constraint unviolable by construction, and read through :func:`_zero_rounding`.
     """
 
     d: int
@@ -71,7 +71,7 @@ class TwoParamState:
 
     @property
     def beta(self) -> float:
-        return _trace_remainder(self.d, self.alpha, 0.0, self.gamma) / 3.0
+        return _zero_rounding(_trace_remainder(self.d, self.alpha, 0.0, self.gamma) / 3.0)
 
 
 def _alpha_max(d: int) -> float:
@@ -91,15 +91,18 @@ def _trace_remainder(d: int, alpha: float, beta: float, gamma: float) -> float:
     return 1.0 - 2.0 * (d - 2) * alpha - 3.0 * beta - gamma
 
 
+def _zero_rounding(w: float) -> float:
+    """A weight from the trace constraint, or 0.0 where it rounds into [-PARAM_TOL, 0)."""
+    return 0.0 if -PARAM_TOL <= w < 0.0 else w
+
+
 def _solve_params(d: int, known: dict[str, float]) -> tuple[float, float, float]:
     """Complete (alpha, beta, gamma) from two known values by the trace constraint;
-    ``d`` must have passed :func:`_alpha_max`.  A completed weight that rounds into
-    [-PARAM_TOL, 0), where :class:`TwoParamState` accepts it, is returned as 0.0."""
+    ``d`` must have passed :func:`_alpha_max`."""
     names = ("alpha", "beta", "gamma")
     weights = [known.get(name, 0.0) for name in names]
     k = next(i for i, name in enumerate(names) if name not in known)
-    w = _trace_remainder(d, *weights) / (2.0 * (d - 2), 3.0, 1.0)[k]
-    weights[k] = 0.0 if -PARAM_TOL <= w < 0.0 else w
+    weights[k] = _zero_rounding(_trace_remainder(d, *weights) / (2.0 * (d - 2), 3.0, 1.0)[k])
     return tuple(weights)
 
 

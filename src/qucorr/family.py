@@ -36,7 +36,7 @@ from .closed_form import (  # the family's scalar half, re-exported
     MEMBERSHIP_TOL, PARAM_TOL, CorrelationReport, ParameterOutOfRangeError, TwoParamState,
     _alpha_max, _trace_remainder, classical_correlation, conditional_entropy_closed,
     correlation_report, discord, entropy_b, mutual_information, negativity)
-from .operators import DensityMatrix, validate_density
+from .operators import DensityMatrix
 
 
 class NotInFamilyError(ValueError):
@@ -100,18 +100,22 @@ def _family_weights(rho: DensityMatrix) -> tuple[np.ndarray, float, float, float
 
 
 def build_state(s: TwoParamState) -> DensityMatrix:
-    """Assemble the family member as a validated density matrix."""
-    return validate_density(_family_matrix(s), 2, s.d)
+    """The member, valid by construction from TwoParamState's domain (alpha, gamma >= -PARAM_TOL,
+    beta >= 0, an integer 3 <= d <= 2**1022): finite, real symmetric, eigenvalues >= -1e-12 >=
+    -VALIDATION_TOL, trace 1 within 3*PARAM_TOL plus a 2d-term sum's rounding; not validated."""
+    return DensityMatrix(dim_a=2, dim_b=int(s.d), matrix=_family_matrix(s))
 
 
 def _family_matrix(s: TwoParamState) -> np.ndarray:
-    """The family member's (2d x 2d) matrix, assembled but not validated: alpha
-    on the outer diagonal and beta*I + (gamma - beta)*P[psi-] on the qubit block."""
-    d, beta = s.d, max(s.beta, 0.0)
-    m = np.diag(np.full(2 * d, s.alpha, dtype=complex))
-    m[[0, d + 1], [0, d + 1]] = beta
-    m[[1, d], [1, d]] = 0.5 * (beta + s.gamma)
-    m[[1, d], [d, 1]] = 0.5 * (beta - s.gamma)
+    """The member's read-only (2d x 2d) matrix, written entry by entry: alpha on the
+    outer diagonal and beta*I + (gamma - beta)*P[psi-] on the qubit block."""
+    d, beta = s.d, s.beta
+    m = np.zeros((2 * d, 2 * d), dtype=complex)
+    m.flat[::2 * d + 1] = s.alpha
+    m[0, 0] = m[d + 1, d + 1] = beta
+    m[1, 1] = m[d, d] = 0.5 * (beta + s.gamma)
+    m[1, d] = m[d, 1] = 0.5 * (beta - s.gamma)
+    m.flags.writeable = False
     return m
 
 

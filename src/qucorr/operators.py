@@ -2,9 +2,9 @@
 
 Everything here works on plain complex numpy matrices in the product basis
 |i j> -> row index i*d + j (qubit index i is the major index).  States are
-wrapped in :class:`DensityMatrix`, which carries the (2, d) dimension split
-and is only produced by :func:`validate_density` so that downstream code can
-rely on Hermiticity, unit trace and positivity.
+wrapped in :class:`DensityMatrix`, which carries the (2, d) dimension split; a raw matrix
+(a file, a random state, an LOCC stage) becomes one through :func:`validate_density`, a family
+member by construction, so downstream code can rely on Hermiticity, trace and positivity.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ class DensityMatrix:
     """A validated bipartite density operator on C^2 (x) C^d.
 
     ``dims`` is (2, d), ``int``s with d >= 2; ``matrix`` is a read-only (2d x 2d)
-    complex array in the |i j> -> i*d + j basis.  Immutable and thread-safe; build
-    it through :func:`validate_density`.  Functions that take one trust it and its
-    marginals, whose Hermiticity residual and negative eigenvalue can reach 2x
-    (rho_B) or d x (rho_A) the state's: nothing checks them again.
+    complex array in the |i j> -> i*d + j basis.  Immutable and thread-safe; made by
+    :func:`validate_density` or :func:`qucorr.family.build_state`.  Functions that take
+    one trust it and its marginals, whose Hermiticity residual and negative eigenvalue
+    can reach 2x (rho_B) or d x (rho_A) the state's: nothing checks them again.
     """
 
     dim_a: int

@@ -116,6 +116,16 @@ class TestCorr:
         line = f"mutual_info = {cli._fmt(classical_correlation(s) + discord(s))}"
         assert line in cp.stdout.splitlines() and "mutual_info = -" not in cp.stdout
 
+    @pytest.mark.parametrize("alpha, gamma, dim", [
+        ("0.24392832826207378", "0.512143343475853", "3"),
+        ("0.019653117278510174", "0.8820812963289395", "5")])
+    def test_beta_rounding_below_zero_prints_zero(self, alpha, gamma, dim):
+        # beta = (1 - 2(d-2)alpha - gamma)/3 rounds to -1.85e-16, which TwoParamState
+        # accepts: the member, and the report of it, hold beta as 0.
+        cp = run_cli("corr", "--alpha", alpha, "--gamma", gamma, "--dim", dim, "--numeric")
+        assert cp.returncode == 0, cp.stderr
+        assert "beta = 0" in cp.stdout.splitlines() and "beta = -" not in cp.stdout
+
     def test_out_of_range_is_user_error(self):
         cp = run_cli("corr", "--alpha", "0.9", "--gamma", "0", "--dim", "3")
         assert cp.returncode == 2

@@ -5,15 +5,17 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from qucorr import family
+from qucorr import family, operators
 from qucorr.family import (
     CorrelationReport,
+    PARAM_TOL,
     NotInFamilyError,
     ParameterOutOfRangeError,
     TwoParamState,
     _family_matrix,
     _family_weights,
     _projected_params,
+    _trace_remainder,
     bell_vectors,
     build_state,
     classical_correlation,
@@ -58,6 +60,25 @@ def valid_grid(d, n=25):
     return out
 
 
+# (d, alpha, gamma) whose beta = (1 - 2(d-2)alpha - gamma)/3 rounds to -1.85e-16.
+BETA_ROUNDS_BELOW_ZERO = [(3, 0.24392832826207378, 0.512143343475853),
+                          (5, 0.019653117278510174, 0.8820812963289395)]
+
+
+def certificate_members(d):
+    """Random members, one at every edge of TwoParamState's domain, and one with a
+    numpy integer d."""
+    rng = np.random.default_rng(2600 + d)
+    alpha_max = 1.0 / (2 * (d - 2))
+    alpha = 0.4 * alpha_max
+    gamma = _trace_remainder(d, alpha, 0.0, 0.0) + 1e-13   # beta rounds to about -3e-14
+    assert -PARAM_TOL <= _trace_remainder(d, alpha, 0.0, gamma) / 3.0 < 0.0
+    edges = [TwoParamState(d, -PARAM_TOL, 0.3), TwoParamState(d, alpha_max, 0.0),
+             TwoParamState(d, 0.5 * alpha_max, -PARAM_TOL), TwoParamState(d, 0.0, 1.0 + PARAM_TOL),
+             TwoParamState(d, alpha, gamma), TwoParamState(np.int64(d), alpha, 0.2)]
+    return edges + [random_family_state(d, rng) for _ in range(20)]
+
+
 class TestTwoParamState:
 
     def test_beta_is_derived_from_trace_constraint(self):
@@ -87,6 +108,16 @@ class TestTwoParamState:
         # A numpy integer is an integer.
         assert build_state(TwoParamState(np.int64(4), 0.1, 0.2)).dims == (2, 4)
 
+    @pytest.mark.parametrize("d, alpha, gamma", BETA_ROUNDS_BELOW_ZERO)
+    def test_beta_rounding_below_zero_reads_zero(self, d, alpha, gamma):
+        # The spectra and closed forms read the beta that build_state places.
+        assert -PARAM_TOL <= _trace_remainder(d, alpha, 0.0, gamma) / 3.0 < 0.0
+        s = TwoParamState(d, alpha, gamma)
+        assert s.beta == 0.0
+        assert family_spectrum(s).min() >= 0.0
+        assert marginal_b_spectrum(s).min() >= 0.0
+        assert build_state(s).matrix[0, 0] == 0.0
+
     @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
     def test_largest_dimension_has_a_finite_report(self, fraction):
         d = 2 ** 1022
@@ -115,6 +146,17 @@ class TestBuildState:
         assert np.allclose(rho.matrix, expected, atol=1e-14)
         assert is_classical_diagonal(rho)
         assert max_off_diagonal(rho) <= 1e-12
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 8, 16, 64])
+    def test_member_passes_validation_unchanged(self, d):
+        # validate_density is the oracle for the certificate build_state relies on.
+        for s in certificate_members(d):
+            rho = build_state(s)
+            assert np.array_equal(validate_density(rho.matrix, 2, d).matrix, rho.matrix)
+            assert type(rho.dim_b) is int and rho.dims == (2, d)
+            assert not rho.matrix.flags.writeable
+            assert family_spectrum(s).min() >= -PARAM_TOL
+            assert np.allclose(family_spectrum(s), hermitian_spectrum(rho.matrix), atol=1e-13)
 
 
 def bell_projector_sum(s):
@@ -169,6 +211,16 @@ class TestClosedForm:
             nearest_family_member(rho)
             singlet_weight(rho)
             twirl(rho)
+
+    def test_no_eigensolve_is_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolver was called")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for d in (3, 5, 8, 16):
+            for s in edge_and_random_members(d):
+                build_state(s)
 
 
 class TestSpectra:
@@ -436,7 +488,7 @@ class TestClassifyFamily:
     @pytest.mark.parametrize("d", [3, 5, 8, 16])
     def test_rebuild_is_the_validated_family_member(self, d):
         # The residual is taken against the unvalidated rebuild; it must be
-        # the same matrix, bit for bit, that build_state validates.
+        # the same matrix, bit for bit, that build_state wraps.
         rho = random_density_matrix(2, d, np.random.default_rng(40 + d))
         s, residual = nearest_family_member(rho)
         assert s == _projected_params(rho)
@@ -449,6 +501,7 @@ class TestClassifyFamily:
         def refuse(*args):
             raise AssertionError("the family rebuild was validated")
 
-        monkeypatch.setattr(family, "validate_density", refuse)
+        monkeypatch.setattr(operators, "_hermiticity_residual", refuse)
+        monkeypatch.setattr(operators, "_psd_spectrum", refuse)
         s, residual = nearest_family_member(rho)
         assert s.d == 5 and residual > 1e-3
