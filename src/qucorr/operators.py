@@ -52,7 +52,7 @@ class NotPositiveSemidefiniteError(MatrixValidationError):
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated bipartite density operator on C^2 (x) C^d.
+    """A valid bipartite density operator on C^2 (x) C^d.
 
     ``dims`` is (2, d), ``int``s with d >= 2; ``matrix`` is a read-only (2d x 2d)
     complex array in the |i j> -> i*d + j basis.  Immutable and thread-safe; made by
