@@ -8,7 +8,6 @@ OPT_N.json (tools/optimizer_suite.py) an OPT_N_parent.json over the same states
 that passes the suite's optimizer gates against it.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -18,10 +17,6 @@ ROOT = Path(__file__).resolve().parent.parent
 HISTORY = sorted(ROOT.glob("BENCH_*.json"))
 OPT_HISTORY = sorted(ROOT.glob("OPT_*.json"))
 WORKLOADS = ("family-optimize", "generic-discord", "twirl-pipeline", "cli-cold")
-_SPEC = importlib.util.spec_from_file_location("optimizer_suite",
-                                               ROOT / "tools" / "optimizer_suite.py")
-suite = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(suite)
 
 
 def test_history_is_committed():
@@ -64,6 +59,6 @@ def test_suite_file_has_a_parent_file(path):
 @pytest.mark.parametrize("path", [path for path in OPT_HISTORY
                                   if not path.stem.endswith("_parent")],
                          ids=lambda path: path.name)
-def test_suite_file_passes_the_gates_against_its_parent(path):
+def test_suite_file_passes_the_gates_against_its_parent(path, suite):
     parent = json.loads(path.with_name(f"{path.stem}_parent.json").read_text())
     assert suite.failures(parent, json.loads(path.read_text())) == []

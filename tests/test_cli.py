@@ -524,8 +524,9 @@ class TestCheckCommand:
 # read step (file system, encoding, JSON, structure, the 2 x d split,
 # validation, d >= 3), and valid states at the edges: a qubit pair, a d = 16
 # state that passes validation although its qubit marginal's smallest
-# eigenvalue is -5e-10, and a d = 3 family member scaled to trace 1 + 5e-11,
-# whose weights leave beta at -1.7e-11.
+# eigenvalue is -5e-10, a d = 3 family member scaled to trace 1 + 5e-11,
+# whose weights leave beta at -1.7e-11, and a d = 3 state at trace 1 + 4e-11
+# whose outer mean is 2e-11 above alpha_max, so the projection must clip alpha.
 _HUGE = 1.7e308
 
 
@@ -561,6 +562,8 @@ BAD_INPUTS = {
     "trace_edge_member": dumps_density(validate_density((1 + 5e-11) * (
         0.5 * np.outer(bell_vectors(3)[3], bell_vectors(3)[3]) + np.diag([0, 0, 0.25] * 2)),
         2, 3)),
+    "outer_mean_above_alpha_max": dumps_density(validate_density(
+        np.diag([0, 0, 0.5 * (1 + 4e-11), 0, 0, 0.5 * (1 + 4e-11)]), 2, 3)),
 }
 INPUT_NAMES = sorted(p.name for p in FIXTURES.glob("*.json")) + sorted(BAD_INPUTS) + [
     "missing", "directory"]

@@ -97,6 +97,24 @@ class TestTwoParamState:
         with pytest.raises(ParameterOutOfRangeError):
             TwoParamState(d, alpha, gamma)
 
+    # Each bound at d = 3 (alpha_max = 1/2), crossed by `past` PARAM_TOL: only
+    # 1.5 is outside its slack.  beta = (1 - 2 alpha - gamma)/3 goes below 0 with gamma < 1.
+    @pytest.mark.parametrize("bound, params", [
+        ("alpha", lambda t: (-t, 0.5)),
+        ("alpha", lambda t: (0.5 + t, 0.0)),
+        ("gamma", lambda t: (0.0, -t)),
+        ("gamma", lambda t: (0.0, 1.0 + t)),
+        ("beta", lambda t: (0.25, 0.5 + 3.0 * t)),
+    ], ids=["alpha_below_0", "alpha_above_max", "gamma_below_0", "gamma_above_1", "beta_below_0"])
+    @pytest.mark.parametrize("past", [-1.5, -0.5, 0.5, 1.5])
+    def test_bound_slack_is_param_tol(self, bound, params, past):
+        args = params(past * PARAM_TOL)
+        if past < 1.0:
+            TwoParamState(3, *args)
+        else:
+            with pytest.raises(ParameterOutOfRangeError, match=f"^{bound}="):
+                TwoParamState(3, *args)
+
     def test_dimension_whose_2_d_minus_2_overflows_is_out_of_range(self):
         # 2.0 * (10**308 - 2) is inf, so alpha_max would be 0 and beta nan.
         with pytest.raises(ParameterOutOfRangeError, match="d >= 3"):
@@ -494,6 +512,18 @@ class TestClassifyFamily:
         assert s == _projected_params(rho)
         assert residual == np.linalg.norm(rho.matrix - build_state(s).matrix)
         assert np.array_equal(build_state(s).matrix, _family_matrix(s))
+
+    def test_outer_mean_above_alpha_max_is_clipped(self):
+        # A valid state at trace 1 + 4e-11 whose outer mean is alpha_max + 2e-11.
+        a = 0.5 * (1 + 4e-11)
+        with pytest.raises(ParameterOutOfRangeError):
+            TwoParamState(3, a, 0.0)
+        rho = validate_density(np.diag([0, 0, a, 0, 0, a]), 2, 3)
+        report = twirl(rho)
+        assert (report.alpha, report.gamma) == (0.5, 0.0)
+        s, residual = nearest_family_member(rho)
+        assert s == TwoParamState(3, 0.5, 0.0)
+        assert abs(residual - 2 ** 0.5 * 2e-11) < 1e-15
 
     def test_rebuild_is_not_validated(self, monkeypatch):
         rho = random_density_matrix(2, 5, np.random.default_rng(7))

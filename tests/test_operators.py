@@ -11,6 +11,7 @@ from qucorr.operators import (
     NonHermitianError,
     NonUnitTraceError,
     NotPositiveSemidefiniteError,
+    VALIDATION_TOL,
     commutator_condition,
     hermitian_spectrum,
     is_classical_diagonal,
@@ -162,6 +163,41 @@ class TestValidateDensity:
         rho = validate_density(m, 2, 3)
         m[0, 0] = 1.0
         assert rho.matrix[0, 0] == 1.0 / 6.0
+
+
+# Perturbations of I/6 that each move one residual to x.
+def negative_eigenvalue(x):
+    return np.diag([-x, 1.0 / 3.0 + x, *[1.0 / 6.0] * 4])
+
+
+def off_diagonal(x):
+    m = np.eye(6) / 6.0
+    m[0, 1] = x
+    return m
+
+
+def trace_excess(x):
+    m = np.eye(6) / 6.0
+    m[0, 0] += x
+    return m
+
+
+@pytest.mark.parametrize("check, perturb, error", [
+    (lambda m: validate_density(m, 2, 3), negative_eigenvalue, NotPositiveSemidefiniteError),
+    (lambda m: validate_density(m, 2, 3), off_diagonal, NonHermitianError),
+    (lambda m: validate_density(m, 2, 3), trace_excess, NonUnitTraceError),
+    (von_neumann_entropy, negative_eigenvalue, NotPositiveSemidefiniteError),
+    (hermitian_spectrum, off_diagonal, NonHermitianError),
+], ids=["validate_density-psd", "validate_density-hermiticity", "validate_density-trace",
+        "von_neumann_entropy-psd", "hermitian_spectrum-hermiticity"])
+@pytest.mark.parametrize("factor", [0.5, 1.5])
+def test_validation_tol_edge(check, perturb, error, factor):
+    m = perturb(factor * VALIDATION_TOL)
+    if factor < 1.0:
+        check(m)
+    else:
+        with pytest.raises(error):
+            check(m)
 
 
 class TestTensor:
@@ -379,6 +415,20 @@ class TestDiscordPredicates:
         singlet = validate_density(singlet_projector(3), 2, 3)
         assert not is_classical_diagonal(singlet)
 
+    @pytest.mark.parametrize("factor, classical", [(0.5, True), (1.5, False)])
+    def test_classical_diagonal_at_validation_tol(self, factor, classical):
+        m = np.eye(6) / 6.0
+        m[0, 1] = m[1, 0] = factor * VALIDATION_TOL
+        assert is_classical_diagonal(validate_density(m, 2, 3)) is classical
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_commutator_matches_the_plain_formula(self, d):
+        # On complex states; rho_A transposed reads 0.1539 for 0.1007 at d = 3.
+        rho = random_density_matrix(2, d, np.random.default_rng(0))
+        m = rho.matrix
+        big = np.kron(np.einsum("ijkj->ik", m.reshape(2, d, 2, d)), np.eye(d))
+        assert abs(commutator_condition(rho) - np.linalg.norm(m @ big - big @ m)) < 1e-12
+
     def test_family_with_equal_psi_weights_is_classical_diagonal(self):
         # beta == gamma collapses the Bell projectors to the block identity
         s = TwoParamState(3, 1.0 / 6.0, 1.0 / 6.0)
@@ -399,3 +449,10 @@ class TestNegativityTraceNorm:
         rho_b = random_state(3, rng)
         prod = validate_density(tensor(rho_a, rho_b), 2, 3)
         assert negativity_trace_norm(prod) < 1e-12
+
+    @pytest.mark.parametrize("d", [3, 7, 11, 14])
+    def test_never_below_zero(self, d):
+        # Here the |spectrum| of the partial transpose sums to 1 - 1.1e-16 or
+        # 1 - 2.2e-16 in rounding.
+        rho = validate_density(np.eye(2 * d) / (2 * d), 2, d)
+        assert negativity_trace_norm(rho) == 0.0

@@ -97,12 +97,12 @@ def summarize(states: list[dict]) -> dict:
     return out
 
 
-def run(q, helpers, per_class: int | None = None) -> dict:
-    """The suite's JSON document; ``per_class`` keeps the first states of each class."""
+def run(q, helpers) -> dict:
+    """The suite's JSON document: every state of every class."""
     states = []
     for name, (seed, params, count, build) in classes(q, helpers).items():
         rng = np.random.default_rng(seed)
-        for index in range(count if per_class is None else min(count, per_class)):
+        for index in range(count):
             rho = build(rng, params[index % len(params)])
             result = q.optimize_measurement(rho)
             states.append({"class": name, "index": index, "d": rho.dim_b,
