@@ -93,9 +93,9 @@ def _family_weights(rho: DensityMatrix) -> tuple[np.ndarray, float, float, float
     phi-pair weight (rho_00 + rho_{d+1,d+1})/2, and the psi+ and psi- weights
     Re(rho_11 + rho_dd +- (rho_1d + rho_d1))/2."""
     d, m = rho.dim_b, rho.matrix
-    diag = np.real(np.diagonal(m))
-    pair, coherence = diag[1] + diag[d], np.real(m[1, d] + m[d, 1])
-    return (np.r_[diag[2:d], diag[d + 2:]], float(0.5 * (diag[0] + diag[d + 1])),
+    diag = m.diagonal().real
+    pair, coherence = diag[1] + diag[d], (m[1, d] + m[d, 1]).real
+    return (np.concatenate((diag[2:d], diag[d + 2:])), float(0.5 * (diag[0] + diag[d + 1])),
             float(0.5 * (pair + coherence)), float(0.5 * (pair - coherence)))
 
 
@@ -149,16 +149,16 @@ def classify_family(rho: DensityMatrix) -> TwoParamState:
     return s
 
 
-def _projected_params(rho: DensityMatrix) -> TwoParamState:
-    """alpha = mean outer diagonal weight and gamma = singlet weight of ``rho``,
-    clipped to the valid region; raises :class:`ParameterOutOfRangeError` for a d
-    outside :func:`_alpha_max`'s rule."""
-    d = rho.dim_b
+def _projected_params(d: int, weights: tuple[np.ndarray, float, float, float]) -> TwoParamState:
+    """alpha = mean outer diagonal weight and gamma = singlet weight of a 2 x d state's
+    :func:`_family_weights`, clipped to the valid region; raises
+    :class:`ParameterOutOfRangeError` for a d outside :func:`_alpha_max`'s rule."""
     alpha_max = _alpha_max(d)
-    outer, _, _, gamma = _family_weights(rho)
+    outer, _, _, gamma = weights
     # A valid state's weights can stray past a bound by the trace and PSD
     # tolerances of validation, so gamma is clipped to what alpha leaves.
-    alpha = min(max(float(np.mean(outer)), 0.0), alpha_max)
+    # np.mean's sum and division, without its call overhead.
+    alpha = min(max(float(outer.sum()) / outer.size, 0.0), alpha_max)
     gamma = min(max(gamma, 0.0), _trace_remainder(d, alpha, 0.0, 0.0))
     return TwoParamState(d=d, alpha=alpha, gamma=gamma)
 
@@ -166,15 +166,15 @@ def _projected_params(rho: DensityMatrix) -> TwoParamState:
 def nearest_family_member(rho: DensityMatrix) -> tuple[TwoParamState, float]:
     """Best-guess family parameters for ``rho`` and the Frobenius residual to their
     rebuild, which is compared with ``rho`` but neither validated nor returned."""
-    s = _projected_params(rho)
+    s = _projected_params(rho.dim_b, _family_weights(rho))
     return s, float(np.linalg.norm(rho.matrix - _family_matrix(s)))
 
 
-def _halfway_weights(rho: DensityMatrix) -> IntermediateWeights:
+def _halfway_weights(weights: tuple[np.ndarray, float, float, float]) -> IntermediateWeights:
     """The weights of the post-swap form (before the cycle average) of
-    :func:`qucorr.locc.locc_stages`.  The phase, level-sign and swap stages leave
-    every one of them fixed, so reading them from the input gives the same values."""
-    outer, phi_pair, psi_plus, psi_minus = _family_weights(rho)
+    :func:`qucorr.locc.locc_stages`, from the input's :func:`_family_weights`.  The phase,
+    level-sign and swap stages leave every one of them fixed, so the input's are theirs."""
+    outer, phi_pair, psi_plus, psi_minus = weights
     levels = 0.5 * (outer[:len(outer) // 2] + outer[len(outer) // 2:])
     return IntermediateWeights(tuple(levels.tolist()), phi_pair, psi_plus, psi_minus)
 
@@ -186,16 +186,18 @@ def twirl(rho: DensityMatrix) -> TwirlReport:
     The output is the family member with gamma = <psi-|rho|psi-> and alpha
     the mean outer diagonal weight of ``rho``: alpha on the outer diagonal and
     beta*I + (gamma - beta)*P[psi-] on the qubit block.  ``residual`` is the
-    distance between that output and the family member rebuilt from it.
+    distance between that output and the family member rebuilt from it.  The
+    input is read once, by :func:`_family_weights`.
     """
-    s = _projected_params(rho)
+    weights = _family_weights(rho)
+    s = _projected_params(rho.dim_b, weights)
     output = build_state(s)
     _, residual = nearest_family_member(output)
     return TwirlReport(
         output=output,
         alpha=s.alpha,
         gamma=s.gamma,
-        intermediate_weights=_halfway_weights(rho),
+        intermediate_weights=_halfway_weights(weights),
         residual=residual,
     )
 

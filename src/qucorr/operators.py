@@ -178,14 +178,16 @@ def partial_transpose_a(rho: DensityMatrix) -> np.ndarray:
 
 
 def negativity_trace_norm(rho: DensityMatrix) -> float:
-    """Negativity max{0, ||rho^(T_A)||_1 - 1}: twice the negative mass of the
-    partially transposed spectrum.  Zero iff the state is PPT."""
+    """Negativity -2 sum(min(lambda, 0)) over the partially transposed spectrum: twice its
+    negative mass, which is ||rho^(T_A)||_1 - 1 at unit trace.  Exactly +0.0 iff no
+    eigenvalue is negative, also at a trace that is 1 only to ``VALIDATION_TOL``."""
     return _negativity(np.linalg.eigvalsh(partial_transpose_a(rho)))
 
 
 def _negativity(pt_spectrum: np.ndarray) -> float:
     """``negativity_trace_norm`` from the spectrum of the partial transpose."""
-    return max(0.0, float(np.sum(np.abs(pt_spectrum)) - 1.0))
+    # 0.0 - x, not -x: with no negative eigenvalue the sum is 0.0 and -2 * 0.0 is -0.0.
+    return 0.0 - 2.0 * float(np.sum(np.minimum(pt_spectrum, 0.0)))
 
 
 def hermitian_spectrum(m: np.ndarray) -> np.ndarray:

@@ -459,6 +459,13 @@ class TestCheckCommand:
         cp = run_cli("check", "--in", str(FIXTURES / "random_2x4.json"))
         assert "in_family = no" in cp.stdout
 
+    def test_ppt_state_above_unit_trace_has_zero_negativity(self, cli_inputs):
+        # Trace 1 + 4e-11: the excess trace is not negativity.
+        cp = run_cli("check", f"--in={cli_inputs['outer_mean_above_alpha_max']}")
+        assert cp.returncode == 0, cp.stderr
+        assert "ppt = yes" in cp.stdout
+        assert "negativity = 0\n" in cp.stdout
+
     def test_corrupted_file_names_invariant(self, tmp_path):
         import json
         doc = json.loads((FIXTURES / "family_2x3.json").read_text())

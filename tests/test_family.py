@@ -509,7 +509,7 @@ class TestClassifyFamily:
         # the same matrix, bit for bit, that build_state wraps.
         rho = random_density_matrix(2, d, np.random.default_rng(40 + d))
         s, residual = nearest_family_member(rho)
-        assert s == _projected_params(rho)
+        assert s == _projected_params(d, _family_weights(rho))
         assert residual == np.linalg.norm(rho.matrix - build_state(s).matrix)
         assert np.array_equal(build_state(s).matrix, _family_matrix(s))
 

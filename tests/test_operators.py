@@ -1,5 +1,6 @@
 """Operator-algebra contracts: validation, tensor structure, spectra, entropy."""
 
+import math
 import warnings
 
 import numpy as np
@@ -455,4 +456,12 @@ class TestNegativityTraceNorm:
         # Here the |spectrum| of the partial transpose sums to 1 - 1.1e-16 or
         # 1 - 2.2e-16 in rounding.
         rho = validate_density(np.eye(2 * d) / (2 * d), 2, d)
+        assert negativity_trace_norm(rho) == 0.0
+
+    def test_ppt_state_above_unit_trace_scores_plus_zero(self):
+        # Trace 1 + 4e-11 and no negative eigenvalue of the partial transpose:
+        # ||rho^(T_A)||_1 - 1 would read 4e-11, twice the negative mass reads +0.0.
+        a = 0.5 * (1 + 4e-11)
+        rho = validate_density(np.diag([0, 0, a, 0, 0, a]), 2, 3)
+        assert math.copysign(1.0, negativity_trace_norm(rho)) == 1.0
         assert negativity_trace_norm(rho) == 0.0

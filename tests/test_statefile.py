@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qucorr.family import TwoParamState, build_state, twirl
@@ -262,7 +262,53 @@ def mutated_documents(draw):
     return text[:start] + patch + text[stop:]
 
 
+@st.composite
+def zero_patterns(draw):
+    """A 2d x 4d array of real and imaginary parts, d in 2..16, each part +0.0, -0.0 or a
+    finite double from random bits, with drawn odds, so that both the writer's templates
+    (mostly +0.0 parts and mostly other parts) are met."""
+    d = draw(st.integers(2, 16))
+    odds = np.array(draw(st.lists(st.integers(0, 4), min_size=3, max_size=3)
+                         .filter(lambda w: sum(w) > 0)), dtype=float)
+    rng = np.random.default_rng(draw(SEEDS))
+    shape = (2 * d, 4 * d)
+    doubles = np.frombuffer(rng.bytes(8 * shape[0] * shape[1]), np.float64).reshape(shape)
+    doubles = np.where(np.isfinite(doubles), doubles, rng.standard_normal(shape))
+    kind = rng.choice(3, shape, p=odds / odds.sum())
+    return np.select([kind == 0, kind == 1], [0.0, -0.0], doubles)
+
+
+def _pinned(d, fill, *parts):
+    """A 2d x 4d parts array of ``fill`` (a number or "random"), then each (index, value)
+    of ``parts`` set, value a number or "random"."""
+    rng = np.random.default_rng(d)
+    out = np.empty((2 * d, 4 * d))
+    for index, value in ((np.s_[:], fill),) + parts:
+        out[index] = rng.standard_normal(out[index].shape) if value == "random" else value
+    return out
+
+
 class TestProperties:
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(parts=zero_patterns())
+    # All +0.0, at the smallest and the largest d.
+    @example(parts=_pinned(2, 0.0))
+    @example(parts=_pinned(16, 0.0))
+    # Rows entirely +0.0 or -0.0, among mostly other numbers and among mostly +0.0
+    # (there at exactly 3/4 +0.0 parts, the most that still gets literal 0s).
+    @example(parts=_pinned(3, "random", (np.s_[0], 0.0), (np.s_[1], -0.0), (np.s_[-1], 0.0)))
+    @example(parts=_pinned(4, 0.0, (np.s_[1], -0.0), (np.s_[-2], "random")))
+    # +0.0 in the last cell of every row, so in the document's last cell too, next to
+    # the row break that the template splices, with and without a number before it.
+    @example(parts=_pinned(4, "random", (np.s_[:, -2:], 0.0)))
+    @example(parts=_pinned(4, 0.0, (np.s_[:, -3], "random"), (np.s_[:, 0], "random")))
+    # A number on each side of a row break, +0.0 everywhere else.
+    @example(parts=_pinned(4, 0.0, (np.s_[:, -1], "random"), (np.s_[:, 0], "random")))
+    def test_writer_matches_the_reference_over_zero_patterns(self, parts):
+        d = parts.shape[0] // 2
+        rho = DensityMatrix(2, d, np.ascontiguousarray(parts).view(complex))
+        assert dumps_density(rho) == reference_dumps(rho)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(d=st.integers(2, 8), seed=SEEDS)

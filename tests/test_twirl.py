@@ -5,6 +5,7 @@ import pytest
 
 from qucorr.family import (
     TwoParamState,
+    _family_weights,
     _halfway_weights,
     bell_vectors,
     build_state,
@@ -327,7 +328,7 @@ class TestLoccReference:
         for _ in range(5):
             rho = random_density_matrix(2, d, rng)
             post_swap = next(state for name, state in locc_stages(rho) if name == "swap01")
-            want = _halfway_weights(post_swap)
+            want = _halfway_weights(_family_weights(post_swap))
             got = twirl(rho).intermediate_weights
             assert np.max(np.abs(np.subtract(got.level_weights, want.level_weights))) < 1e-12
             assert abs(got.phi_pair - want.phi_pair) < 1e-12
