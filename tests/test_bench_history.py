@@ -1,11 +1,12 @@
 """The committed perf history: every BENCH_*.json at the repository root.
 
-Each file holds the runs of one commit (see ROADMAP item 1): the revision,
-the command, and for every workload one run without tracing and one with,
-each with the launcher's context line and its result line.  Every
-BENCH_N.json has a BENCH_N_parent.json taken with the same command, and every
-OPT_N.json (tools/optimizer_suite.py) an OPT_N_parent.json over the same states
-that passes the suite's optimizer gates against it.
+Each file holds the runs of one commit (see the "Perf history" standing rule
+in ROADMAP.md): the revision, the command, and for every workload one run
+without tracing and one with, each with the launcher's context line and its
+result line.  Every BENCH_N.json has a BENCH_N_parent.json taken with the
+same command, and every OPT_N.json (tools/optimizer_suite.py) an
+OPT_N_parent.json over the same states that passes the suite's optimizer gates
+against it.
 """
 
 import json

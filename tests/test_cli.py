@@ -138,16 +138,9 @@ class TestCorr:
         assert cp.stdout == ""
         assert len(cp.stderr.splitlines()) == 1 and "d >= 3" in cp.stderr
 
-    def test_numeric_error_leaves_stdout_empty(self):
-        # d = 2**62: the 2d x 2d matrix is refused before numpy is asked for it.
-        cp = run_cli("corr", "--alpha", "0", "--gamma", "0.5", "--dim", str(2 ** 62),
-                     "--numeric")
-        assert cp.returncode == 2
-        assert cp.stdout == ""
-        assert len(cp.stderr.splitlines()) == 1
-
     @pytest.mark.parametrize("d", [2 ** 62, 2 ** 40], ids=["2**62", "2**40"])
     def test_numeric_at_a_dimension_no_matrix_can_hold(self, d):
+        # The 2d x 2d matrix is refused before numpy is asked for it.
         cp = run_cli("corr", "--alpha", "0", "--gamma", "0.5", "--dim", str(d), "--numeric")
         assert cp.returncode == 2
         assert cp.stdout == ""
@@ -375,8 +368,16 @@ class TestTwirlCommand:
         assert got["residual"] < 1e-10
         assert "psi_minus_weight" in got
         # written file is a valid family member with the same parameters
-        back = loads_density(out.read_text())
+        text = out.read_text(encoding="utf-8")
+        back = loads_density(text)
         assert abs(singlet_weight(back) - expected) < 1e-10
+        assert dumps_density(back) == text
+        assert "in_family = yes" in run_cli("check", "--in", str(out)).stdout
+        # Projecting onto the family twice prints the same parameters.
+        again = run_cli("twirl", "--in", str(out), "--out", str(tmp_path / "again.json"))
+        params = lambda stdout: [line for line in stdout.splitlines()
+                                 if line.startswith(("alpha =", "gamma ="))]
+        assert params(again.stdout) == params(cp.stdout) and len(params(cp.stdout)) == 2
 
     def test_unreadable_input_is_user_error(self, tmp_path):
         cp = run_cli("twirl", "--in", str(tmp_path / "missing.json"),

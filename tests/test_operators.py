@@ -28,15 +28,7 @@ from qucorr.operators import (
     von_neumann_entropy,
 )
 from qucorr.family import TwoParamState, bell_vectors, build_state
-
-
-def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    """An n x n state drawn as ``random_density_matrix`` draws its matrix: the same
-    ``rng`` calls, G G^dag, and an in-place divide by the real trace."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return m
+from states import random_state
 
 
 def singlet_projector(d: int) -> np.ndarray:

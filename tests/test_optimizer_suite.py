@@ -1,9 +1,11 @@
 """tools/optimizer_suite.py on this tree: the whole suite, once, against the newest
 committed head run, and the gates of its ``compare`` command."""
 
+import ast
 import copy
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -93,3 +95,59 @@ def test_compare_into_a_closed_pipe(tmp_path, doc, suite):
         os.close(write)
     assert cp.returncode == 0
     assert cp.stderr == ""
+
+
+def run_with_suite(suite, code, *args):
+    """``code`` in a fresh interpreter, with the tool loaded as ``suite``."""
+    prelude = ("import importlib.util, sys\n"
+               "from pathlib import Path\n"
+               "spec = importlib.util.spec_from_file_location('suite', sys.argv[1])\n"
+               "suite = importlib.util.module_from_spec(spec)\n"
+               "spec.loader.exec_module(suite)\n")
+    return subprocess.run([sys.executable, "-c", prelude + code, suite.__file__, *args],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_load_refuses_a_package_from_another_tree(tmp_path, suite):
+    # The second tree's ``import qucorr`` would return the first tree's cached package.
+    other = tmp_path / "src"
+    shutil.copytree(suite.ROOT / "src", other, ignore=shutil.ignore_patterns("__pycache__"))
+    cp = run_with_suite(suite, (
+        "q, _ = suite.load(suite.ROOT / 'src')\n"
+        "print(Path(q.__file__).parent)\n"
+        "try:\n"
+        "    suite.load(Path(sys.argv[2]))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"), str(other))
+    assert cp.returncode == 0, cp.stderr
+    first, *error = cp.stdout.splitlines()
+    assert first == str(suite.ROOT / "src" / "qucorr")
+    assert error == [f"qucorr is imported from {first}, not from {other.resolve()}"]
+
+
+def test_the_suite_builds_every_class_without_pytest(suite):
+    # The suite runs other trees' ``qucorr``; its state builders come from a
+    # plain module, not from a test module and all that one imports.
+    cp = run_with_suite(suite, (
+        "sys.modules['pytest'] = None\n"
+        "import numpy as np\n"
+        "q, helpers = suite.load(suite.ROOT / 'src')\n"
+        "for name, (seed, params, _, build) in suite.classes(q, helpers).items():\n"
+        "    print(name, build(np.random.default_rng(seed), params[0]).dim_b)\n"))
+    assert cp.returncode == 0, cp.stderr
+    names = [line.split()[0] for line in cp.stdout.splitlines()]
+    assert names == list(suite.classes(*suite.load(suite.ROOT / "src")))
+
+
+def test_states_module_imports_only_numpy_and_public_names(suite):
+    import qucorr
+
+    tree = ast.parse((suite.ROOT / "tests" / "states.py").read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.name, set()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    assert set(imported) <= {"numpy", "qucorr"}
+    assert imported["qucorr"] <= set(qucorr.__all__)

@@ -8,7 +8,7 @@ Run the suite and write one JSON file, or compare two such files:
 ``run`` imports ``qucorr`` from ``--src`` (a tree's ``src`` directory; this
 tree's by default), so one checkout's tool can run a parent and a head on the
 same states.  Every class draws its states from its own fixed seed, with the
-X-state and product-state helpers of ``tests/test_measurement.py``.  For each
+X-state and product-state builders of ``tests/states.py``.  For each
 state the file holds its class, index, d, the value (a JSON float is its
 ``repr``), batches, starts and ``converged``, and per class the batch median
 and maximum.  ``compare`` prints the worst drop and the largest gain of the
@@ -39,11 +39,17 @@ MEDIAN_RISE = 1
 
 
 def load(src: Path):
-    """``qucorr`` imported from ``src``, and the test module's state helpers."""
+    """``qucorr`` imported from ``src``, and the state builders of ``tests/states.py``
+    run against it.  A process that already imported ``qucorr`` from elsewhere
+    raises ``ValueError``."""
+    src = src.resolve()
     sys.path.insert(0, str(src))
     q = importlib.import_module("qucorr")
+    found = Path(q.__file__).resolve()
+    if not found.is_relative_to(src):
+        raise ValueError(f"qucorr is imported from {found.parent}, not from {src}")
     spec = importlib.util.spec_from_file_location(
-        "_optimizer_suite_helpers", ROOT / "tests" / "test_measurement.py")
+        "_optimizer_suite_states", ROOT / "tests" / "states.py")
     helpers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(helpers)
     return q, helpers
@@ -170,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("new", type=Path)
     args = parser.parse_args(argv)
     if args.command == "run":
-        doc = run(*load(args.src.resolve()))
+        doc = run(*load(args.src))
         args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         print(f"{len(doc['states'])} states written to {args.out}")
         return 0
