@@ -138,6 +138,14 @@ class TestCorr:
         assert cp.stdout == ""
         assert len(cp.stderr.splitlines()) == 1 and "d >= 3" in cp.stderr
 
+    def test_numeric_error_leaves_stdout_empty(self):
+        # d = 2**62: the 2d x 2d matrix is refused before numpy is asked for it.
+        cp = run_cli("corr", "--alpha", "0", "--gamma", "0.5", "--dim", str(2 ** 62),
+                     "--numeric")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert len(cp.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize("d", [2 ** 62, 2 ** 40], ids=["2**62", "2**40"])
     def test_numeric_at_a_dimension_no_matrix_can_hold(self, d):
         # The 2d x 2d matrix is refused before numpy is asked for it.
