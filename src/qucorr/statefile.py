@@ -7,10 +7,10 @@ A state document is
 with the matrix given row-major in the |i j> -> i*d + j basis and every
 entry a two-element [real, imag] array of finite decimal numbers (JSON
 booleans and the NaN/Infinity tokens are rejected).  Writers emit 17
-significant digits so a round trip reproduces the doubles exactly: one
-``%.17g`` template per document formats the real and imaginary parts, and where
-at least 3/4 of them are +0.0, as in a family member, the template holds those
-as the literal 0 and formats only the rest.  The reader takes the matrix in
+significant digits so a round trip reproduces the doubles exactly: every
+part that is +0.0 is the literal 0 of a cached document, and one ``%.17g``
+template cut from it per document formats only the rest, which in a family
+member are 2d + 2 of the 8d^2 parts.  The reader takes the matrix in
 one pass and names the first malformed row or entry in document order.  This
 module only converts between text and :class:`DensityMatrix`; file handling
 belongs to the caller.
@@ -36,37 +36,28 @@ def _reject_constant(token: str):
 
 def dumps_density(rho: DensityMatrix) -> str:
     """Serialize a state to the JSON document, one matrix row per line, with the bytes of
-    ``format(x, ".17g")`` for every number.  When at least 3/4 of the real and imaginary
-    parts are +0.0 (bit pattern 0; -0.0 is not), as in a family member, the template has
-    them as literal 0s and a ``%.17g`` slot for every other part; else it has a slot for
-    every part, since cutting a template for a dense matrix costs more than it saves."""
-    slots, zeros, offsets = _templates(rho.dim_a, rho.dim_b)
+    ``format(x, ".17g")`` for every number: the literal 0 for each part that is +0.0 (bit
+    pattern 0; -0.0 is not), and a ``%.17g`` slot for every other part."""
+    zeros, offsets = _templates(rho.dim_a, rho.dim_b)
     parts = np.ascontiguousarray(rho.matrix, dtype=complex).view(np.float64).ravel()
-    bits = parts.view(np.uint64)
-    if 4 * np.count_nonzero(bits) > parts.size:
-        return slots % tuple(parts.tolist())
-    nonzero = bits != 0
+    nonzero = parts.view(np.uint64) != 0
     cuts = offsets[nonzero].tolist()
     pieces = [zeros[a:b] for a, b in zip([0] + [c + 1 for c in cuts], cuts + [len(zeros)])]
     return "%.17g".join(pieces) % tuple(parts[nonzero].tolist())
 
 
 @functools.lru_cache(maxsize=16)
-def _templates(dim_a: int, dim_b: int) -> tuple[str, str, np.ndarray]:
-    """The document of a 2 x d state with a ``%.17g`` slot for every part, the same document
-    with a literal 0 for every part, and the offsets of those 0s in it, in part order."""
+def _templates(dim_a: int, dim_b: int) -> tuple[str, np.ndarray]:
+    """The document of a 2 x d state with a literal 0 for every part, and the offsets of
+    those 0s in it, in part order."""
     n = dim_a * dim_b
     head = '{\n  "dims": [%d, %d],\n  "matrix": [\n' % (dim_a, dim_b)
-
-    def document(part: str) -> str:
-        row = "    [" + ", ".join([f"[{part}, {part}]"] * n) + "]"
-        return head + ",\n".join([row] * n) + "\n  ]\n}\n"
-
-    zeros = document("0")
+    row = "    [" + ", ".join(["[0, 0]"] * n) + "]"
+    zeros = head + ",\n".join([row] * n) + "\n  ]\n}\n"
     offsets = len(head) + np.flatnonzero(
         np.frombuffer(zeros[len(head):].encode("ascii"), np.uint8) == ord("0"))
     offsets.flags.writeable = False
-    return document("%.17g"), zeros, offsets
+    return zeros, offsets
 
 
 def loads_density(text: str) -> DensityMatrix:

@@ -262,6 +262,13 @@ class TestConditionalEnsemble:
         assert isinstance(ens, ConditionalEnsemble)
         assert ens.degenerate
         assert ens.p1 < 1e-12
+        # An outcome of probability 1e-10, above DEGENERATE_TOL, still counts: the
+        # second outcome steers the qudit to I/3 and adds eps * log2(3) bits.
+        eps = 1e-10
+        mixed = validate_density(np.diag([1.0 - eps, 0, 0, eps / 3, eps / 3, eps / 3]), 2, 3)
+        z = MeasurementAxis(1.0, 0.0, 0.0, 0.0)
+        assert not conditional_ensemble(mixed, z).degenerate
+        assert abs(conditional_entropy(mixed, z) - eps * np.log2(3.0)) < 1e-14
 
 
 class TestConditionalEntropy:

@@ -75,10 +75,37 @@ def slower(doc):
 def test_each_gate_fails_the_compare(tmp_path, doc, suite, capsys, doctor, message):
     new = copy.deepcopy(doc)
     doctor(new)
-    new["summary"] = suite.summarize(new["states"])
     assert compare_exit(suite, tmp_path, doc, new) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL:")]
     assert len(fails) == 1 and message in fails[0], fails
+
+
+def fewer_states(tmp_path, doc):
+    path = tmp_path / "fewer.json"
+    path.write_text(json.dumps(dict(doc, states=doc["states"][:-1])))
+    return path
+
+
+def not_json(tmp_path, doc):
+    path = tmp_path / "broken.json"
+    path.write_text('{"states": [')
+    return path
+
+
+def missing(tmp_path, doc):
+    return tmp_path / "missing.json"
+
+
+@pytest.mark.parametrize("new_file", [fewer_states, not_json, missing],
+                         ids=["different-states", "not-json", "missing"])
+def test_compare_on_bad_input_exits_2(tmp_path, doc, suite, capsys, new_file):
+    # Exit 1 means a broken gate, so bad input must not end in a traceback's 1.
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    assert suite.main(["compare", str(old), str(new_file(tmp_path, doc))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_compare_into_a_closed_pipe(tmp_path, doc, suite):

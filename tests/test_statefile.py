@@ -265,8 +265,8 @@ def mutated_documents(draw):
 @st.composite
 def zero_patterns(draw):
     """A 2d x 4d array of real and imaginary parts, d in 2..16, each part +0.0, -0.0 or a
-    finite double from random bits, with drawn odds, so that both the writer's templates
-    (mostly +0.0 parts and mostly other parts) are met."""
+    finite double from random bits, with drawn odds, so that the writer meets documents
+    of mostly +0.0 parts and of mostly other parts."""
     d = draw(st.integers(2, 16))
     odds = np.array(draw(st.lists(st.integers(0, 4), min_size=3, max_size=3)
                          .filter(lambda w: sum(w) > 0)), dtype=float)
@@ -296,11 +296,11 @@ class TestProperties:
     @example(parts=_pinned(2, 0.0))
     @example(parts=_pinned(16, 0.0))
     # Rows entirely +0.0 or -0.0, among mostly other numbers and among mostly +0.0
-    # (there at exactly 3/4 +0.0 parts, the most that still gets literal 0s).
+    # (there at exactly 3/4 +0.0 parts).
     @example(parts=_pinned(3, "random", (np.s_[0], 0.0), (np.s_[1], -0.0), (np.s_[-1], 0.0)))
     @example(parts=_pinned(4, 0.0, (np.s_[1], -0.0), (np.s_[-2], "random")))
     # +0.0 in the last cell of every row, so in the document's last cell too, next to
-    # the row break that the template splices, with and without a number before it.
+    # the row break that the writer splices, with and without a number before it.
     @example(parts=_pinned(4, "random", (np.s_[:, -2:], 0.0)))
     @example(parts=_pinned(4, 0.0, (np.s_[:, -3], "random"), (np.s_[:, 0], "random")))
     # A number on each side of a row break, +0.0 everywhere else.

@@ -17,7 +17,12 @@ batch table.  It then checks the gates an optimizer change must keep against
 its parent, prints a ``FAIL:`` line for each one broken and exits 1 if any is:
 no value drops by more than DROP_TOL bits, every search that converged in OLD
 converges in NEW, and no class's median batch count rises by more than
-MEDIAN_RISE.
+MEDIAN_RISE.  ``compare`` reads the batch medians and maxima from the states,
+not from the file's summary, which is there for other readers.
+
+Exit status: 0 when the gates pass, 1 when a gate is broken, and 2 on bad
+input (a file that cannot be read or is not JSON, or two files that hold
+different states), with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -136,8 +141,9 @@ def failures(old: dict, new: dict) -> list[str]:
             out.append(f"FAIL: {state}: value dropped by {a['value'] - b['value']:.3g} bits")
         if a["converged"] and not b["converged"]:
             out.append(f"FAIL: {state}: converged before, not now")
-    for name, a in old["summary"].items():
-        b = new["summary"][name]
+    new_summary = summarize(new["states"])
+    for name, a in summarize(old["states"]).items():
+        b = new_summary[name]
         if b["batches_median"] > a["batches_median"] + MEDIAN_RISE:
             out.append(f"FAIL: {name}: median batches rose from {a['batches_median']:g} "
                        f"to {b['batches_median']:g}")
@@ -159,9 +165,17 @@ def compare(old: dict, new: dict) -> str:
         f"{'class':<20}{'states':>7}{'old batches':>14}{'new batches':>14}",
     ]
     cell = lambda row: f"{row['batches_median']:g} ({row['batches_max']})"
-    for name, a in old["summary"].items():
-        lines.append(f"{name:<20}{a['states']:>7}{cell(a):>14}{cell(new['summary'][name]):>14}")
+    new_summary = summarize(new["states"])
+    for name, a in summarize(old["states"]).items():
+        lines.append(f"{name:<20}{a['states']:>7}{cell(a):>14}{cell(new_summary[name]):>14}")
     return "\n".join(lines + failures(old, new))
+
+
+def _read(path: Path) -> dict:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -180,9 +194,14 @@ def main(argv: list[str] | None = None) -> int:
         args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         print(f"{len(doc['states'])} states written to {args.out}")
         return 0
-    old, new = (json.loads(path.read_text()) for path in (args.old, args.new))
     try:
-        print(compare(old, new), flush=True)
+        old, new = (_read(path) for path in (args.old, args.new))
+        report = compare(old, new)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        print(report, flush=True)
     except BrokenPipeError:
         # The reader left early (``| head``); send the rest, and the final
         # flush at exit, to /dev/null instead of raising again.
