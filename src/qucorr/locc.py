@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import DensityMatrix, random_unitary, tensor, validate_density
-from .family import TwoParamState, build_state
+from .family import TwoParamState, _alpha_max, build_state
 
 
 @dataclass(frozen=True)
@@ -81,24 +81,23 @@ def _stage_table(d: int) -> list[tuple[str, list[tuple[float, np.ndarray]]]]:
     ]
 
 
-def _apply(rho: DensityMatrix, name: str,
-           mixture: list[tuple[float, np.ndarray]]) -> DensityMatrix:
-    """One stage: sum_k p_k U_k rho U_k^dag with U_k = b_k[:2, :2] (x) b_k, validated."""
+def _apply(rho: DensityMatrix, mixture: list[tuple[float, np.ndarray]]) -> DensityMatrix:
+    """One stage: sum_k p_k U_k rho U_k^dag with U_k = b_k[:2, :2] (x) b_k, validated.
+    The table's b_k are fixed; tests/test_twirl.py checks their unitarity once."""
     m = np.zeros_like(rho.matrix)
     for p, b in mixture:
-        u = LocalUnitary(name, b).full()
+        u = tensor(b[:2, :2], b)
         m += p * (u @ rho.matrix @ u.conj().T)
     return validate_density(m, rho.dim_a, rho.dim_b)
 
 
 def locc_stages(rho: DensityMatrix) -> list[tuple[str, DensityMatrix]]:
-    """The paper's protocol on a 2 x d state with d >= 3: two full passes of the
-    stage table, every stage output in order; the last is the twirled state."""
-    if rho.dim_b < 3:
-        raise ValueError(f"locc_stages needs a 2 x d state with d >= 3, got dims {rho.dims}")
+    """The paper's protocol on a 2 x d state, d as :func:`_alpha_max` allows: two
+    full passes of the stage table, every stage output in order; the last is twirled."""
+    _alpha_max(rho.dim_b)
     out: list[tuple[str, DensityMatrix]] = []
     for name, mixture in 2 * _stage_table(rho.dim_b):
-        rho = _apply(rho, name, mixture)
+        rho = _apply(rho, mixture)
         out.append((name, rho))
     return out
 

@@ -100,10 +100,8 @@ class MeasurementAxis:
 
     def unitary(self) -> np.ndarray:
         """The 2x2 unitary V itself."""
-        v = self.t * np.eye(2, dtype=complex)
-        for y, sigma in zip((self.y1, self.y2, self.y3), _PAULI):
-            v = v + 1j * y * sigma
-        return v
+        t, y1, y2, y3 = self.t, self.y1, self.y2, self.y3
+        return np.array([[t + 1j * y3, y2 + 1j * y1], [-y2 + 1j * y1, t - 1j * y3]])
 
 
 @dataclass(frozen=True)
@@ -211,8 +209,10 @@ def _bloch_blocks(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _axis_direction(axis: MeasurementAxis) -> np.ndarray:
-    """Bloch direction n_k = tr[A_0 sigma_k] of the axis, as a (1, 3) batch."""
-    return np.einsum('ab,kba->k', projectors(axis)[0], _PAULI).real[None]
+    """The axis's Bloch direction n(t, y) of the module docstring, as a (1, 3) batch."""
+    t, y1, y2, y3 = axis.t, axis.y1, axis.y2, axis.y3
+    return np.array([[2.0 * (y1 * y3 - t * y2), 2.0 * (y2 * y3 + t * y1),
+                      t * t + y3 * y3 - (y1 * y1 + y2 * y2)]])
 
 
 def _direction_axis(n: np.ndarray) -> MeasurementAxis:

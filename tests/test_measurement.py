@@ -196,6 +196,19 @@ class TestProjectors:
             a0, _ = projectors(axis_from_direction(polar, azimuth))
             assert np.allclose(a0, expected, atol=1e-12)
 
+    def test_closed_form_axis_maps_match_their_definitions(self):
+        # unitary() and _axis_direction are written out in (t, y); here V is
+        # t*I + i*(y . sigma) and n_k is tr[A_0 sigma_k], from this file's PAULI.
+        rng = np.random.default_rng(5)
+        edges = [axis_from_direction(polar, 0.7) for polar in (0.0, np.pi, np.pi / 2.0)]
+        for axis in [random_axis(rng) for _ in range(200)] + edges:   # the poles, the equator
+            y = (axis.y1, axis.y2, axis.y3)
+            v = axis.t * np.eye(2) + 1j * sum(c * s for c, s in zip(y, PAULI))
+            assert np.max(np.abs(axis.unitary() - v)) <= 1e-16
+            a0, _ = projectors(axis)
+            n = [np.trace(a0 @ s).real for s in PAULI]
+            assert np.max(np.abs(measurement._axis_direction(axis)[0] - n)) <= 1e-15
+
 
 class TestConditionalEnsemble:
 

@@ -96,8 +96,19 @@ def missing(tmp_path, doc):
     return tmp_path / "missing.json"
 
 
-@pytest.mark.parametrize("new_file", [fewer_states, not_json, missing],
-                         ids=["different-states", "not-json", "missing"])
+def other_json(content):
+    """A JSON file that is not a suite document."""
+    def write(tmp_path, doc):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(content))
+        return path
+    return write
+
+
+@pytest.mark.parametrize("new_file", [
+    fewer_states, not_json, missing,
+    other_json({}), other_json({"states": [{"class": "x"}]}), other_json([]),
+], ids=["different-states", "not-json", "missing", "no-states", "short-row", "list"])
 def test_compare_on_bad_input_exits_2(tmp_path, doc, suite, capsys, new_file):
     # Exit 1 means a broken gate, so bad input must not end in a traceback's 1.
     old = tmp_path / "old.json"

@@ -35,7 +35,7 @@ STAGE_IDS = [name.replace("(", "_").replace(")", "").replace("/", "_") for name 
 
 def stage(rho, name):
     """Apply the named row of the one-pass stage table to rho."""
-    return _apply(rho, name, dict(_stage_table(rho.dim_b))[name])
+    return _apply(rho, dict(_stage_table(rho.dim_b))[name])
 
 
 def stage_unitary(d, name):
@@ -75,6 +75,14 @@ class TestStageUnitaries:
         # The cycle 0 -> 1 -> 2 -> 0 is unitary, but its {0, 1} block is not.
         with pytest.raises(ValueError, match="not unitary"):
             LocalUnitary("cycle", np.roll(np.eye(3), 1, axis=0))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 8, 16])
+    def test_every_table_unitary_is_an_identified_pair(self, d):
+        # The one unitarity check of the table's b_k; _apply trusts them.
+        for name, mixture in _stage_table(d):
+            for _, b in mixture:
+                LocalUnitary(name, b)
+            assert abs(sum(p for p, _ in mixture) - 1.0) <= 1e-15
 
     def test_cycle_shifts_outer_levels(self):
         b = stage_unitary(4, "cycle_avg").matrix_b

@@ -21,8 +21,8 @@ MEDIAN_RISE.  ``compare`` reads the batch medians and maxima from the states,
 not from the file's summary, which is there for other readers.
 
 Exit status: 0 when the gates pass, 1 when a gate is broken, and 2 on bad
-input (a file that cannot be read or is not JSON, or two files that hold
-different states), with one ``error:`` line on stderr.
+input (a file that cannot be read, is not JSON or is not a suite document, or
+two files that hold different states), with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -171,11 +171,22 @@ def compare(old: dict, new: dict) -> str:
     return "\n".join(lines + failures(old, new))
 
 
+ROW_KEYS = ("class", "index", "d", "value", "batches", "converged")
+
+
 def _read(path: Path) -> dict:
+    """A suite document: a dict whose ``states`` is a list of dicts, each with
+    ``ROW_KEYS``; anything else raises ``ValueError`` naming the file."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
+    rows = doc.get("states") if isinstance(doc, dict) else None
+    if not (isinstance(rows, list)
+            and all(isinstance(row, dict) and all(k in row for k in ROW_KEYS) for row in rows)):
+        raise ValueError(f"{path} is not a suite document: it needs a list of 'states', "
+                         f"each with {', '.join(ROW_KEYS)}")
+    return doc
 
 
 def main(argv: list[str] | None = None) -> int:
