@@ -23,23 +23,23 @@ _EXPORTS = {
         "VALIDATION_TOL", "DensityMatrix", "DimensionMismatchError", "MatrixValidationError",
         "NonFiniteError", "NonHermitianError", "NonUnitTraceError",
         "NotPositiveSemidefiniteError", "commutator_condition", "hermitian_spectrum",
-        "is_classical_diagonal", "negativity_trace_norm", "partial_trace_a", "partial_trace_b",
-        "partial_transpose_a", "quantum_mutual_information", "random_density_matrix",
-        "random_unitary", "tensor", "validate_density", "von_neumann_entropy"),
+        "negativity_trace_norm", "partial_trace_a", "partial_trace_b", "partial_transpose_a",
+        "quantum_mutual_information", "random_density_matrix", "random_unitary", "tensor",
+        "validate_density", "von_neumann_entropy"),
     "closed_form": (
         "CorrelationReport", "ParameterOutOfRangeError", "TwoParamState",
         "classical_correlation", "conditional_entropy_closed", "correlation_report",
         "discord", "entropy_b", "mutual_information", "negativity"),
     "family": (
-        "IntermediateWeights", "NotInFamilyError", "TwirlReport", "bell_vectors",
-        "build_state", "classify_family", "family_spectrum", "marginal_b_spectrum",
-        "nearest_family_member", "random_family_state", "singlet_weight", "twirl"),
+        "IntermediateWeights", "NotInFamilyError", "TwirlReport", "build_state",
+        "classify_family", "family_spectrum", "marginal_b_spectrum", "nearest_family_member",
+        "random_family_state", "singlet_weight", "twirl"),
     "measurement": (
         "ConditionalEnsemble", "MeasurementAxis", "OptimizerConfig", "OptimizerResult",
-        "axis_from_direction", "classical_correlation_numeric", "conditional_ensemble",
-        "conditional_entropy", "discord_numeric", "ensemble_spectrum_spread",
-        "measured_mutual_information", "optimize_measurement", "projectors", "random_axis"),
-    "locc": ("LocalUnitary", "check_family_invariance", "locc_stages", "random_local_unitary"),
+        "classical_correlation_numeric", "conditional_ensemble", "conditional_entropy",
+        "discord_numeric", "ensemble_spectrum_spread", "measured_mutual_information",
+        "optimize_measurement", "projectors", "random_axis"),
+    "locc": ("check_family_invariance", "locc_stages"),
     "statefile": ("StateFormatError", "dumps_density", "loads_density"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -71,18 +71,6 @@ class TwirlReport:
     residual: float
 
 
-def bell_vectors(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four Bell vectors (phi+, phi-, psi+, psi-) embedded in C^2 (x) C^d."""
-    def ket(i: int, j: int) -> np.ndarray:
-        v = np.zeros(2 * d, dtype=complex)
-        v[i * d + j] = 1.0
-        return v
-
-    s = np.sqrt(2.0)
-    return ((ket(0, 0) + ket(1, 1)) / s, (ket(0, 0) - ket(1, 1)) / s,
-            (ket(0, 1) + ket(1, 0)) / s, (ket(0, 1) - ket(1, 0)) / s)
-
-
 def singlet_weight(rho: DensityMatrix) -> float:
     """<psi-| rho |psi->, the family's gamma for any state."""
     return _family_weights(rho)[3]

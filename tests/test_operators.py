@@ -15,7 +15,6 @@ from qucorr.operators import (
     VALIDATION_TOL,
     commutator_condition,
     hermitian_spectrum,
-    is_classical_diagonal,
     negativity_trace_norm,
     partial_trace_a,
     partial_trace_b,
@@ -27,8 +26,8 @@ from qucorr.operators import (
     validate_density,
     von_neumann_entropy,
 )
-from qucorr.family import TwoParamState, bell_vectors, build_state
-from states import random_state
+from qucorr.family import TwoParamState, build_state
+from states import bell_vectors, random_state
 
 
 def singlet_projector(d: int) -> np.ndarray:
@@ -402,18 +401,6 @@ class TestDiscordPredicates:
         rho = validate_density(np.outer(v, v.conj()), 2, 3)
         assert commutator_condition(rho) > 0.1
 
-    def test_classical_diagonal_predicate(self):
-        diag = validate_density(np.diag([0.5, 0.5, 0.0, 0.0, 0.0, 0.0]), 2, 3)
-        assert is_classical_diagonal(diag)
-        singlet = validate_density(singlet_projector(3), 2, 3)
-        assert not is_classical_diagonal(singlet)
-
-    @pytest.mark.parametrize("factor, classical", [(0.5, True), (1.5, False)])
-    def test_classical_diagonal_at_validation_tol(self, factor, classical):
-        m = np.eye(6) / 6.0
-        m[0, 1] = m[1, 0] = factor * VALIDATION_TOL
-        assert is_classical_diagonal(validate_density(m, 2, 3)) is classical
-
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_commutator_matches_the_plain_formula(self, d):
         # On complex states; rho_A transposed reads 0.1539 for 0.1007 at d = 3.
@@ -426,7 +413,6 @@ class TestDiscordPredicates:
         # beta == gamma collapses the Bell projectors to the block identity
         s = TwoParamState(3, 1.0 / 6.0, 1.0 / 6.0)
         rho = build_state(s)
-        assert is_classical_diagonal(rho)
         assert np.max(np.abs(rho.matrix - np.diag(np.diagonal(rho.matrix)))) <= 1e-12
 
 

@@ -29,7 +29,7 @@ def test_every_state_of_every_class(doc, suite):
         assert summary["states"] == classes[name][2], name
     report = suite.compare(doc, doc)
     assert "worst drop: 0 bits" in report and "largest gain: 0 bits" in report
-    assert "FAIL:" not in report
+    assert suite.failures(doc, doc) == []
 
 
 def test_passes_the_gates_against_the_newest_committed_run(doc, suite):
@@ -38,6 +38,13 @@ def test_passes_the_gates_against_the_newest_committed_run(doc, suite):
     heads = [path for path in suite.ROOT.glob("OPT_*.json") if not path.stem.endswith("_parent")]
     newest = max(heads, key=lambda path: int(path.stem.removeprefix("OPT_")))
     assert suite.failures(json.loads(newest.read_text()), doc) == []
+
+
+def test_a_nan_value_fails_the_drop_gate(doc, suite):
+    new = copy.deepcopy(doc)
+    new["states"][0]["value"] = float("nan")
+    fails = suite.failures(doc, new)
+    assert len(fails) == 1 and fails[0].startswith("FAIL: random #0 (d = 3): value dropped"), fails
 
 
 def compare_exit(suite, tmp_path, old, new):
@@ -105,10 +112,30 @@ def other_json(content):
     return write
 
 
+def first_row(**cells):
+    """The suite's own document with ``cells`` set in its first state."""
+    def write(tmp_path, doc):
+        path = tmp_path / "doctored.json"
+        path.write_text(json.dumps(dict(doc, states=[{**doc["states"][0], **cells},
+                                                     *doc["states"][1:]])))
+        return path
+    return write
+
+
+def both_empty(tmp_path, doc):
+    """An empty document, written over the old file too: two files that hold the
+    same (no) states, so only the empty list itself is wrong."""
+    (tmp_path / "old.json").write_text(json.dumps({"states": []}))
+    return other_json({"states": []})(tmp_path, doc)
+
+
 @pytest.mark.parametrize("new_file", [
     fewer_states, not_json, missing,
     other_json({}), other_json({"states": [{"class": "x"}]}), other_json([]),
-], ids=["different-states", "not-json", "missing", "no-states", "short-row", "list"])
+    first_row(value="0.5"), first_row(converged="no"), first_row(value=float("nan")),
+    both_empty,
+], ids=["different-states", "not-json", "missing", "no-states", "short-row", "list",
+        "string-value", "string-converged", "nan-value", "empty-states"])
 def test_compare_on_bad_input_exits_2(tmp_path, doc, suite, capsys, new_file):
     # Exit 1 means a broken gate, so bad input must not end in a traceback's 1.
     old = tmp_path / "old.json"
@@ -117,6 +144,8 @@ def test_compare_on_bad_input_exits_2(tmp_path, doc, suite, capsys, new_file):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    # A bad file is named; two good files that hold different states are not.
+    assert new_file is fewer_states or str(tmp_path) in err, err
 
 
 def test_compare_into_a_closed_pipe(tmp_path, doc, suite):

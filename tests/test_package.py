@@ -15,24 +15,22 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # numpy-free module of closed forms and the LOCC protocol's module.
 NAMES = sorted([
     "ConditionalEnsemble", "CorrelationReport", "DensityMatrix", "DimensionMismatchError",
-    "IntermediateWeights", "LocalUnitary", "MatrixValidationError", "MeasurementAxis",
-    "NonFiniteError", "NonHermitianError", "NonUnitTraceError", "NotInFamilyError",
+    "IntermediateWeights", "MatrixValidationError", "MeasurementAxis", "NonFiniteError",
+    "NonHermitianError", "NonUnitTraceError", "NotInFamilyError",
     "NotPositiveSemidefiniteError", "OptimizerConfig", "OptimizerResult",
     "ParameterOutOfRangeError", "StateFormatError", "TwirlReport", "TwoParamState",
     "VALIDATION_TOL", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
-    "__name__", "__package__", "__path__", "__spec__", "__version__", "axis_from_direction",
-    "bell_vectors", "build_state", "check_family_invariance", "classical_correlation",
-    "classical_correlation_numeric", "classify_family", "commutator_condition",
-    "conditional_ensemble", "conditional_entropy", "conditional_entropy_closed",
-    "correlation_report", "discord", "discord_numeric", "dumps_density",
-    "ensemble_spectrum_spread", "entropy_b", "family", "family_spectrum",
-    "hermitian_spectrum", "is_classical_diagonal", "loads_density", "locc_stages",
-    "marginal_b_spectrum", "measured_mutual_information", "measurement",
-    "mutual_information", "nearest_family_member", "negativity", "negativity_trace_norm",
-    "operators", "optimize_measurement", "partial_trace_a", "partial_trace_b",
-    "partial_transpose_a", "projectors", "quantum_mutual_information", "random_axis",
-    "random_density_matrix", "random_family_state", "random_local_unitary",
-    "random_unitary", "singlet_weight", "statefile", "tensor", "twirl",
+    "__name__", "__package__", "__path__", "__spec__", "__version__", "build_state",
+    "check_family_invariance", "classical_correlation", "classical_correlation_numeric",
+    "classify_family", "commutator_condition", "conditional_ensemble", "conditional_entropy",
+    "conditional_entropy_closed", "correlation_report", "discord", "discord_numeric",
+    "dumps_density", "ensemble_spectrum_spread", "entropy_b", "family", "family_spectrum",
+    "hermitian_spectrum", "loads_density", "locc_stages", "marginal_b_spectrum",
+    "measured_mutual_information", "measurement", "mutual_information",
+    "nearest_family_member", "negativity", "negativity_trace_norm", "operators",
+    "optimize_measurement", "partial_trace_a", "partial_trace_b", "partial_transpose_a",
+    "projectors", "quantum_mutual_information", "random_axis", "random_density_matrix",
+    "random_family_state", "random_unitary", "singlet_weight", "statefile", "tensor", "twirl",
     "validate_density", "von_neumann_entropy",
 ] + ["closed_form", "locc"])
 

@@ -7,7 +7,6 @@ from qucorr.family import (
     TwoParamState,
     _family_weights,
     _halfway_weights,
-    bell_vectors,
     build_state,
     classify_family,
     random_family_state,
@@ -18,16 +17,11 @@ from qucorr.operators import (
     DimensionMismatchError,
     negativity_trace_norm,
     random_density_matrix,
+    tensor,
     validate_density,
 )
-from qucorr.locc import (
-    _apply,
-    _stage_table,
-    LocalUnitary,
-    check_family_invariance,
-    locc_stages,
-    random_local_unitary,
-)
+from qucorr.locc import _apply, _random_pair, _stage_table, check_family_invariance, locc_stages
+from states import bell_vectors
 
 STAGES_D4 = [name for name, _ in _stage_table(4)]
 STAGE_IDS = [name.replace("(", "_").replace(")", "").replace("/", "_") for name in STAGES_D4]
@@ -39,9 +33,13 @@ def stage(rho, name):
 
 
 def stage_unitary(d, name):
-    """The non-identity unitary of a table row, as an identified pair."""
-    mixture = dict(_stage_table(d))[name]
-    return LocalUnitary(name, mixture[-1][1])
+    """The qudit factor b of a table row's non-identity pair b[:2, :2] (x) b."""
+    return dict(_stage_table(d))[name][-1][1]
+
+
+def is_identified_pair(b):
+    """Whether b and its {0, 1} block, the qubit factor, are both unitary to 1e-12."""
+    return all(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))) <= 1e-12 for m in (b, b[:2, :2]))
 
 
 def basis_projector(d, i, j):
@@ -53,39 +51,35 @@ def basis_projector(d, i, j):
 class TestStageUnitaries:
 
     def test_phase_ladder_at_pi(self):
-        u = stage_unitary(3, "phase(pi)")
-        assert np.allclose(u.matrix_b, np.diag([1.0, -1.0, 1.0]), atol=1e-14)
-        assert np.allclose(u.matrix_a, np.diag([1.0, -1.0]), atol=1e-14)
+        b = stage_unitary(3, "phase(pi)")
+        assert np.allclose(b, np.diag([1.0, -1.0, 1.0]), atol=1e-14)
+        assert np.allclose(b[:2, :2], np.diag([1.0, -1.0]), atol=1e-14)
 
     def test_phase_ladder_at_half_pi(self):
-        u = stage_unitary(3, "phase(pi/2)")
-        assert np.allclose(u.matrix_b, np.diag([1.0, 1.0j, -1.0]), atol=1e-14)
+        b = stage_unitary(3, "phase(pi/2)")
+        assert np.allclose(b, np.diag([1.0, 1.0j, -1.0]), atol=1e-14)
 
     def test_non_unitary_factor_rejected(self):
-        with pytest.raises(ValueError):
-            LocalUnitary("broken", np.eye(3) * 2.0)
+        assert not is_identified_pair(np.eye(3) * 2.0)
 
     @pytest.mark.parametrize("matrix_b", [
         np.full((3, 3), np.nan), np.diag([1.0, 1.0, np.nan])], ids=["qubit_block", "outer_level"])
     def test_nan_factor_rejected(self, matrix_b):
-        with pytest.raises(ValueError, match="not unitary"):
-            LocalUnitary("nan", matrix_b)
+        assert not is_identified_pair(matrix_b)
 
     def test_pair_must_keep_qubit_levels_apart(self):
         # The cycle 0 -> 1 -> 2 -> 0 is unitary, but its {0, 1} block is not.
-        with pytest.raises(ValueError, match="not unitary"):
-            LocalUnitary("cycle", np.roll(np.eye(3), 1, axis=0))
+        assert not is_identified_pair(np.roll(np.eye(3), 1, axis=0))
 
     @pytest.mark.parametrize("d", [3, 4, 5, 8, 16])
     def test_every_table_unitary_is_an_identified_pair(self, d):
         # The one unitarity check of the table's b_k; _apply trusts them.
         for name, mixture in _stage_table(d):
-            for _, b in mixture:
-                LocalUnitary(name, b)
+            assert all(is_identified_pair(b) for _, b in mixture), name
             assert abs(sum(p for p, _ in mixture) - 1.0) <= 1e-15
 
     def test_cycle_shifts_outer_levels(self):
-        b = stage_unitary(4, "cycle_avg").matrix_b
+        b = stage_unitary(4, "cycle_avg")
         e2, e3 = np.zeros(4), np.zeros(4)
         e2[2], e3[3] = 1.0, 1.0
         assert np.allclose(b @ e2, e3, atol=1e-14)
@@ -359,16 +353,17 @@ class TestFamilyInvariance:
     def test_generic_states_move(self):
         rng = np.random.default_rng(13)
         rho = random_density_matrix(2, 3, rng)
-        u = random_local_unitary(3, rng).full()
+        b = _random_pair(3, rng)
+        u = tensor(b[:2, :2], b)
         moved = u @ rho.matrix @ u.conj().T
         assert np.linalg.norm(rho.matrix - moved) > 1e-4
 
     def test_random_pair_structure(self):
         rng = np.random.default_rng(14)
-        u = random_local_unitary(5, rng)
-        assert np.allclose(u.matrix_a, u.matrix_b[:2, :2], atol=1e-14)
-        assert np.max(np.abs(u.matrix_b[:2, 2:])) == 0.0
-        assert np.max(np.abs(u.matrix_b[2:, :2])) == 0.0
+        b = _random_pair(5, rng)
+        assert is_identified_pair(b)
+        assert np.max(np.abs(b[:2, 2:])) == 0.0
+        assert np.max(np.abs(b[2:, :2])) == 0.0
 
 
 class TestInvarianceTrials:

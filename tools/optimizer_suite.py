@@ -137,7 +137,7 @@ def failures(old: dict, new: dict) -> list[str]:
     out = []
     for a, b in _pairs(old, new):
         state = f"{a['class']} #{a['index']} (d = {a['d']})"
-        if b["value"] < a["value"] - DROP_TOL:
+        if not b["value"] >= a["value"] - DROP_TOL:   # a NaN value fails too
             out.append(f"FAIL: {state}: value dropped by {a['value'] - b['value']:.3g} bits")
         if a["converged"] and not b["converged"]:
             out.append(f"FAIL: {state}: converged before, not now")
@@ -151,8 +151,8 @@ def failures(old: dict, new: dict) -> list[str]:
 
 
 def compare(old: dict, new: dict) -> str:
-    """A report of ``new`` against ``old``, ending with ``failures``; both must
-    hold the same states."""
+    """A report of ``new`` against ``old``, which must hold the same states;
+    ``main`` prints the ``failures`` lines after it."""
     pairs = _pairs(old, new)
     delta = [b["value"] - a["value"] for a, b in pairs]
     lines = [
@@ -168,24 +168,33 @@ def compare(old: dict, new: dict) -> str:
     new_summary = summarize(new["states"])
     for name, a in summarize(old["states"]).items():
         lines.append(f"{name:<20}{a['states']:>7}{cell(a):>14}{cell(new_summary[name]):>14}")
-    return "\n".join(lines + failures(old, new))
+    return "\n".join(lines)
 
 
-ROW_KEYS = ("class", "index", "d", "value", "batches", "converged")
+def _row_ok(row) -> bool:
+    """A state row: ``class`` a string; ``index``, ``d`` and ``batches`` integers;
+    ``value`` an int or float within the double range (not NaN, not a bool);
+    ``converged`` a bool."""
+    return (isinstance(row, dict)
+            and all(k in row for k in ("class", "index", "d", "value", "batches", "converged"))
+            and isinstance(row["class"], str)
+            and all(type(row[k]) is int for k in ("index", "d", "batches"))
+            and type(row["value"]) in (int, float) and abs(row["value"]) <= sys.float_info.max
+            and type(row["converged"]) is bool)
 
 
 def _read(path: Path) -> dict:
-    """A suite document: a dict whose ``states`` is a list of dicts, each with
-    ``ROW_KEYS``; anything else raises ``ValueError`` naming the file."""
+    """A suite document: a dict whose ``states`` is a non-empty list of rows
+    that pass ``_row_ok``; anything else raises ``ValueError`` naming the file."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     rows = doc.get("states") if isinstance(doc, dict) else None
-    if not (isinstance(rows, list)
-            and all(isinstance(row, dict) and all(k in row for k in ROW_KEYS) for row in rows)):
-        raise ValueError(f"{path} is not a suite document: it needs a list of 'states', "
-                         f"each with {', '.join(ROW_KEYS)}")
+    if not (isinstance(rows, list) and rows and all(map(_row_ok, rows))):
+        raise ValueError(f"{path} is not a suite document: it needs a non-empty list of "
+                         "'states', each with a string class, integer index, d and batches, "
+                         "a finite number value and a true or false converged")
     return doc
 
 
@@ -207,7 +216,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         old, new = (_read(path) for path in (args.old, args.new))
-        report = compare(old, new)
+        fails = failures(old, new)
+        report = "\n".join([compare(old, new), *fails])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -217,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         # The reader left early (``| head``); send the rest, and the final
         # flush at exit, to /dev/null instead of raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 1 if failures(old, new) else 0
+    return 1 if fails else 0
 
 
 if __name__ == "__main__":
