@@ -9,7 +9,7 @@ gamma on the singlet, tied by the unit-trace constraint
 Every correlation measure of a member is a closed form in (alpha, beta, gamma)
 and d, evaluated here on plain floats: this module imports no numpy, so that
 ``qucorr corr`` and ``qucorr sweep`` start without it.  :mod:`qucorr.family`
-builds the member as a matrix and re-exports everything defined here.  All
+builds the member as a matrix.  All
 entropic quantities are in bits (base-2 logarithms): with b = beta, g = gamma and
 H2 the binary entropy, C = (3b+g)(1 - H2(1/2 + (b-g)/(2(3b+g)))) is the classical
 correlation, D = (b+g)(1 - H2(1/2 + (b-g)/(2(b+g)))) the discord and I = C + D the
@@ -50,6 +50,7 @@ class TwoParamState:
 
     beta is never stored: it is computed from the trace constraint, which makes the
     constraint unviolable by construction, and read through :func:`_zero_rounding`.
+    d is stored as an ``int``, whatever integer type it was given as.
     """
 
     d: int
@@ -58,6 +59,7 @@ class TwoParamState:
 
     def __post_init__(self):
         alpha_max = _alpha_max(self.d)
+        object.__setattr__(self, "d", operator.index(self.d))
         if not -PARAM_TOL <= self.alpha <= alpha_max + PARAM_TOL:
             raise ParameterOutOfRangeError(
                 f"alpha={self.alpha!r} outside [0, 1/(2(d-2))] = [0, {alpha_max!r}]")
@@ -141,7 +143,7 @@ def _binary_gap(s: float, t: float) -> float:
 def entropy_b(s: TwoParamState) -> float:
     """Entropy of the qudit marginal in bits."""
     a, b, g, d = s.alpha, s.beta, s.gamma, s.d
-    return float(-(d - 2) * xlog2x(2.0 * a) - 2.0 * xlog2x((3.0 * b + g) / 2.0))
+    return float(0.0 - (d - 2) * xlog2x(2.0 * a) - 2.0 * xlog2x((3.0 * b + g) / 2.0))
 
 
 def conditional_entropy_closed(s: TwoParamState) -> float:
@@ -152,7 +154,7 @@ def conditional_entropy_closed(s: TwoParamState) -> float:
     entropy needs no optimization.
     """
     a, b, g, d = s.alpha, s.beta, s.gamma, s.d
-    return float(-(d - 2) * xlog2x(2.0 * a) - xlog2x(2.0 * b) - xlog2x(b + g))
+    return float(0.0 - (d - 2) * xlog2x(2.0 * a) - xlog2x(2.0 * b) - xlog2x(b + g))
 
 
 def classical_correlation(s: TwoParamState) -> float:

@@ -22,8 +22,8 @@ that preserves the qubit levels {0, 1} of the qudit, which forces the
 post-measurement ensemble of any qubit measurement to have an axis-
 independent spectrum.  That collapses the measurement optimization and gives
 closed forms for every correlation measure.  Those, with the parameters and
-their domain, are defined in :mod:`qucorr.closed_form`, which needs no numpy,
-and re-exported here.  All entropic quantities are in bits (base-2 logarithms).
+their domain, live in :mod:`qucorr.closed_form`, which needs no numpy.  All
+entropic quantities are in bits (base-2 logarithms).
 """
 
 from __future__ import annotations
@@ -32,10 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import (  # the family's scalar half, re-exported
-    MEMBERSHIP_TOL, PARAM_TOL, CorrelationReport, ParameterOutOfRangeError, TwoParamState,
-    _alpha_max, _trace_remainder, classical_correlation, conditional_entropy_closed,
-    correlation_report, discord, entropy_b, mutual_information, negativity)
+from .closed_form import MEMBERSHIP_TOL, TwoParamState, _alpha_max, _trace_remainder
 from .operators import DensityMatrix
 
 
@@ -91,7 +88,7 @@ def build_state(s: TwoParamState) -> DensityMatrix:
     """The member, valid by construction from TwoParamState's domain (alpha, gamma >= -PARAM_TOL,
     beta >= 0, an integer 3 <= d <= 2**1022): finite, real symmetric, eigenvalues >= -1e-12 >=
     -VALIDATION_TOL, trace 1 within 3*PARAM_TOL plus a 2d-term sum's rounding; not validated."""
-    return DensityMatrix(dim_a=2, dim_b=int(s.d), matrix=_family_matrix(s))
+    return DensityMatrix(dim_b=s.d, matrix=_family_matrix(s))
 
 
 def _family_matrix(s: TwoParamState) -> np.ndarray:

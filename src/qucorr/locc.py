@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .closed_form import TwoParamState, _alpha_max
+from .family import build_state
 from .operators import DensityMatrix, random_unitary, tensor, validate_density
-from .family import TwoParamState, _alpha_max, build_state
 
 
 def _stage_table(d: int) -> list[tuple[str, list[tuple[float, np.ndarray]]]]:
@@ -63,7 +64,7 @@ def _apply(rho: DensityMatrix, mixture: list[tuple[float, np.ndarray]]) -> Densi
     for p, b in mixture:
         u = tensor(b[:2, :2], b)
         m += p * (u @ rho.matrix @ u.conj().T)
-    return validate_density(m, rho.dim_a, rho.dim_b)
+    return validate_density(m, 2, rho.dim_b)
 
 
 def locc_stages(rho: DensityMatrix) -> list[tuple[str, DensityMatrix]]:

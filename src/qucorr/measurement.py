@@ -42,6 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form import TwoParamState
+from .family import build_state
 from .operators import (
     DensityMatrix,
     _spectral_entropy,
@@ -49,7 +51,6 @@ from .operators import (
     partial_trace_a,
     quantum_mutual_information,
 )
-from .family import TwoParamState, build_state
 
 # Outcomes with probability at or below this contribute zero entropy.
 DEGENERATE_TOL = 1e-12

@@ -2,7 +2,7 @@
 
 Everything here works on plain complex numpy matrices in the product basis
 |i j> -> row index i*d + j (qubit index i is the major index).  States are
-wrapped in :class:`DensityMatrix`, which carries the (2, d) dimension split; a raw matrix
+wrapped in :class:`DensityMatrix`, which carries the qudit dimension d; a raw matrix
 (a file, a random state, an LOCC stage) becomes one through :func:`validate_density`, a family
 member by construction, so downstream code can rely on Hermiticity, trace and positivity.
 """
@@ -31,7 +31,8 @@ class MatrixValidationError(ValueError):
 
 
 class DimensionMismatchError(MatrixValidationError):
-    """Dims that are not 2 x d (``residual`` NaN), or a shape that does not match them."""
+    """Dims that are not 2 x d or a raw matrix that is not non-empty and square (``residual``
+    NaN), or a shape that does not match the dims."""
 
 
 class NonFiniteError(MatrixValidationError):
@@ -54,29 +55,24 @@ class NotPositiveSemidefiniteError(MatrixValidationError):
 class DensityMatrix:
     """A valid bipartite density operator on C^2 (x) C^d.
 
-    ``dims`` is (2, d), ``int``s with d >= 2; ``matrix`` is a read-only (2d x 2d)
-    complex array in the |i j> -> i*d + j basis.  Immutable and thread-safe; made by
-    :func:`validate_density` or :func:`qucorr.family.build_state`.  Functions that take
-    one trust it and its marginals, whose Hermiticity residual and negative eigenvalue
-    can reach 2x (rho_B) or d x (rho_A) the state's: nothing checks them again.
+    ``dim_b`` is d, an ``int`` >= 2 (the qubit's 2 is fixed, not stored); ``matrix`` is a
+    read-only (2d x 2d) complex array in the |i j> -> i*d + j basis.  Immutable and
+    thread-safe; made by :func:`validate_density` or :func:`qucorr.family.build_state`.
+    Functions that take one trust it and its marginals, whose Hermiticity residual and
+    negative eigenvalue can reach 2x (rho_B) or d x (rho_A) the state's: none is rechecked.
     """
 
-    dim_a: int
     dim_b: int
     matrix: np.ndarray
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.dim_a, self.dim_b)
-
-    @property
-    def total_dim(self) -> int:
-        return self.dim_a * self.dim_b
-
 
 def _hermiticity_residual(m: np.ndarray) -> float:
-    """max |M - M^dag| of a square matrix, the one Hermiticity check: :class:`NonFiniteError`
-    on any NaN/inf entry, :class:`NonHermitianError` above ``VALIDATION_TOL``."""
+    """max |M - M^dag| of a matrix, the one Hermiticity check: :class:`DimensionMismatchError`
+    unless it is a non-empty square 2-D array, :class:`NonFiniteError` on any NaN/inf entry,
+    :class:`NonHermitianError` above ``VALIDATION_TOL``."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {m.shape}",
+                                     residual=float("nan"))
     bad = ~np.isfinite(m)
     if bad.any():
         where = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -153,7 +149,7 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int) -> DensityMatri
             residual=tr_resid)
     _psd_spectrum(m)
     m.flags.writeable = False
-    return DensityMatrix(dim_a=dim_a, dim_b=dim_b, matrix=m)
+    return DensityMatrix(dim_b=dim_b, matrix=m)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,7 +201,8 @@ def _spectral_entropy(lam: np.ndarray) -> np.ndarray:
     """-sum(lam * log2(lam)) in bits over a spectrum's last axis, lam clipped to [0, 1]
     and 0*log2(0) taken as 0."""
     lam = np.clip(lam, 0.0, 1.0)
-    return -np.sum(lam * np.log2(np.where(lam > 0.0, lam, 1.0)), axis=-1)
+    # 0.0 - x, not -x: a pure spectrum's sum is 0.0, and -0.0 is not an entropy.
+    return 0.0 - np.sum(lam * np.log2(np.where(lam > 0.0, lam, 1.0)), axis=-1)
 
 
 def _state_entropy(m: np.ndarray) -> float:

@@ -38,7 +38,7 @@ def dumps_density(rho: DensityMatrix) -> str:
     """Serialize a state to the JSON document, one matrix row per line, with the bytes of
     ``format(x, ".17g")`` for every number: the literal 0 for each part that is +0.0 (bit
     pattern 0; -0.0 is not), and a ``%.17g`` slot for every other part."""
-    zeros, offsets = _templates(rho.dim_a, rho.dim_b)
+    zeros, offsets = _templates(rho.dim_b)
     parts = np.ascontiguousarray(rho.matrix, dtype=complex).view(np.float64).ravel()
     nonzero = parts.view(np.uint64) != 0
     cuts = offsets[nonzero].tolist()
@@ -47,11 +47,11 @@ def dumps_density(rho: DensityMatrix) -> str:
 
 
 @functools.lru_cache(maxsize=16)
-def _templates(dim_a: int, dim_b: int) -> tuple[str, np.ndarray]:
+def _templates(d: int) -> tuple[str, np.ndarray]:
     """The document of a 2 x d state with a literal 0 for every part, and the offsets of
     those 0s in it, in part order."""
-    n = dim_a * dim_b
-    head = '{\n  "dims": [%d, %d],\n  "matrix": [\n' % (dim_a, dim_b)
+    n = 2 * d
+    head = '{\n  "dims": [2, %d],\n  "matrix": [\n' % d
     row = "    [" + ", ".join(["[0, 0]"] * n) + "]"
     zeros = head + ",\n".join([row] * n) + "\n  ]\n}\n"
     offsets = len(head) + np.flatnonzero(

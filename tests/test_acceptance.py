@@ -8,14 +8,16 @@ import time
 
 import numpy as np
 
-from qucorr.family import (
+from qucorr.closed_form import (
     TwoParamState,
-    build_state,
     classical_correlation,
     conditional_entropy_closed,
     discord,
     mutual_information,
     negativity,
+)
+from qucorr.family import (
+    build_state,
     random_family_state,
 )
 from qucorr.measurement import (

@@ -18,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qucorr import cli, closed_form, family, measurement
-from qucorr.family import TwoParamState, classical_correlation, discord, singlet_weight
+from qucorr.closed_form import TwoParamState, classical_correlation, discord
+from qucorr.family import singlet_weight
 from qucorr.operators import partial_trace_b, validate_density, von_neumann_entropy
 from qucorr.statefile import dumps_density, loads_density
 from states import bell_vectors
@@ -604,7 +605,6 @@ NUMBERS = st.one_of(st.floats(), st.floats(0.0, 1.0), st.sampled_from(
     [0.0, 0.05, 0.5, 1.0, _HUGE, -_HUGE, float("nan"), float("inf"), float("-inf")]))
 DIMS = st.integers(-1, 6)
 PARAMS = st.sampled_from(("alpha", "beta", "gamma"))
-INPUTS = st.sampled_from(INPUT_NAMES)
 
 
 def assert_exits_0_or_2(argv: list[str]) -> int:
@@ -640,23 +640,13 @@ class TestExitCodeProperty:
                              f"--vary={vary}", f"--from={start!r}",
                              f"--to={stop!r}", f"--steps={steps}"])
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(name=INPUTS, report=st.booleans())
+    # `check` and `discord` run on every input in the two implication tests below.
+    @pytest.mark.parametrize("report", [False, True], ids=["plain", "report"])
+    @pytest.mark.parametrize("name", INPUT_NAMES)
     def test_twirl(self, cli_inputs, name, report):
         assert_exits_0_or_2(["twirl", f"--in={cli_inputs[name]}",
                              f"--out={cli_inputs['directory'] / 'twirled.json'}"]
                             + ["--report"] * report)
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(name=INPUTS)
-    def test_discord(self, cli_inputs, name):
-        assert_exits_0_or_2(["discord", f"--in={cli_inputs[name]}"])
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(name=INPUTS)
-    @example(name="qubit_pair")
-    def test_check(self, cli_inputs, name):
-        assert_exits_0_or_2(["check", f"--in={cli_inputs[name]}"])
 
     @pytest.mark.parametrize("command", ["check", "discord", "twirl"])
     def test_state_outside_2_x_d_names_the_split(self, cli_inputs, command):

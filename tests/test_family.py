@@ -1,33 +1,36 @@
 """Closed-form correlation measures for the two-parameter family."""
 
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from qucorr import operators
-from qucorr.family import (
+from qucorr.closed_form import (
     CorrelationReport,
     PARAM_TOL,
-    NotInFamilyError,
     ParameterOutOfRangeError,
     TwoParamState,
-    _family_matrix,
-    _family_weights,
-    _projected_params,
     _trace_remainder,
-    build_state,
     classical_correlation,
-    classify_family,
     conditional_entropy_closed,
     correlation_report,
     discord,
     entropy_b,
+    mutual_information,
+    negativity,
+)
+from qucorr.family import (
+    NotInFamilyError,
+    _family_matrix,
+    _family_weights,
+    _projected_params,
+    build_state,
+    classify_family,
     family_spectrum,
     marginal_b_spectrum,
-    mutual_information,
     nearest_family_member,
-    negativity,
     random_family_state,
     twirl,
 )
@@ -121,8 +124,11 @@ class TestTwoParamState:
     def test_non_integer_dimension_is_out_of_range(self):
         with pytest.raises(ParameterOutOfRangeError, match="d >= 3"):
             TwoParamState(3.5, 0.1, 0.2)
-        # A numpy integer is an integer.
-        assert build_state(TwoParamState(np.int64(4), 0.1, 0.2)).dims == (2, 4)
+        # A numpy integer is an integer, and is stored as an int.
+        s = TwoParamState(np.int64(4), 0.1, 0.2)
+        assert type(s.d) is int and type(s.beta) is float
+        assert repr(s) == "TwoParamState(d=4, alpha=0.1, gamma=0.2)"
+        assert build_state(s).dim_b == 4
 
     @pytest.mark.parametrize("d, alpha, gamma", BETA_ROUNDS_BELOW_ZERO)
     def test_beta_rounding_below_zero_reads_zero(self, d, alpha, gamma):
@@ -168,7 +174,7 @@ class TestBuildState:
         for s in certificate_members(d):
             rho = build_state(s)
             assert np.array_equal(validate_density(rho.matrix, 2, d).matrix, rho.matrix)
-            assert type(rho.dim_b) is int and rho.dims == (2, d)
+            assert type(rho.dim_b) is int and rho.dim_b == d
             assert not rho.matrix.flags.writeable
             assert family_spectrum(s).min() >= -PARAM_TOL
             assert np.allclose(family_spectrum(s), hermitian_spectrum(rho.matrix), atol=1e-13)
@@ -269,6 +275,9 @@ class TestEntropies:
     def test_marginal_entropy_corner_cases(self):
         assert np.isclose(entropy_b(TwoParamState(3, 0.0, 1.0)), 1.0, atol=1e-12)
         assert np.isclose(entropy_b(TwoParamState(3, 0.0, 0.0)), 1.0, atol=1e-12)
+        # At d = 3 and alpha = 1/2 the qudit marginal is pure.
+        pure = entropy_b(TwoParamState(3, 0.5, 0.0))
+        assert pure == 0.0 and math.copysign(1.0, pure) == 1.0
 
     def test_marginal_entropy_matches_generic_path(self):
         rng = np.random.default_rng(2)
@@ -282,7 +291,8 @@ class TestEntropies:
         assert np.isclose(got, np.log2(3.0) - 2.0 / 3.0, atol=1e-12)
 
     def test_conditional_entropy_singlet_is_zero(self):
-        assert conditional_entropy_closed(TwoParamState(3, 0.0, 1.0)) == 0.0
+        got = conditional_entropy_closed(TwoParamState(3, 0.0, 1.0))
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
     def test_conditional_entropy_frozen_point(self):
         # alpha=0.2, gamma=0.15 gives beta=0.15; terms evaluated independently

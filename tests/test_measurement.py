@@ -1,6 +1,7 @@
 """Projective measurements, steered ensembles and the numeric optimizer."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -10,12 +11,14 @@ import numpy as np
 import pytest
 
 from qucorr import measurement, operators
-from qucorr.family import (
+from qucorr.closed_form import (
     TwoParamState,
-    build_state,
     classical_correlation,
     conditional_entropy_closed,
     discord,
+)
+from qucorr.family import (
+    build_state,
     random_family_state,
 )
 from qucorr.measurement import (
@@ -308,6 +311,10 @@ class TestConditionalEntropy:
         rng = np.random.default_rng(9)
         for _ in range(5):
             assert conditional_entropy(pure, random_axis(rng)) < 1e-12
+        # No entropy, and so no correlation, reads -0.0.
+        axis = MeasurementAxis(1.0, 0.0, 0.0, 0.0)
+        assert math.copysign(1.0, measured_mutual_information(pure, axis)) == 1.0
+        assert math.copysign(1.0, classical_correlation_numeric(pure)[0]) == 1.0
 
     def test_maximally_mixed_gives_log_d(self):
         rho = validate_density(np.eye(6) / 6.0, 2, 3)

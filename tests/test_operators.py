@@ -1,6 +1,7 @@
 """Operator-algebra contracts: validation, tensor structure, spectra, entropy."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -26,7 +27,8 @@ from qucorr.operators import (
     validate_density,
     von_neumann_entropy,
 )
-from qucorr.family import TwoParamState, build_state
+from qucorr.closed_form import TwoParamState
+from qucorr.family import build_state
 from states import bell_vectors, random_state
 
 
@@ -39,8 +41,7 @@ class TestValidateDensity:
 
     def test_maximally_mixed_is_valid(self):
         rho = validate_density(np.eye(6) / 6.0, 2, 3)
-        assert rho.dims == (2, 3)
-        assert rho.total_dim == 6
+        assert rho.dim_b == 3
 
     def test_pure_projector_is_valid(self):
         rho = validate_density(singlet_projector(3), 2, 3)
@@ -92,12 +93,12 @@ class TestValidateDensity:
 
     def test_numpy_integer_dims_are_stored_as_int(self):
         rho = validate_density(np.eye(6) / 6.0, np.int64(2), np.int64(3))
-        assert rho.dims == (2, 3)
-        assert all(type(x) is int for x in rho.dims)
+        assert rho.dim_b == 3
+        assert type(rho.dim_b) is int
 
     def test_zero_dim_array_dims(self):
         # A 0-d integer array passes operator.index; a 0-d float array does not.
-        assert validate_density(np.eye(6) / 6.0, 2, np.array(3)).dims == (2, 3)
+        assert validate_density(np.eye(6) / 6.0, 2, np.array(3)).dim_b == 3
         with pytest.raises(DimensionMismatchError, match="2 x d"):
             validate_density(np.eye(6) / 6.0, np.array(2.0), 3)
 
@@ -311,6 +312,14 @@ class TestHermitianSpectrum:
         with pytest.raises(NonHermitianError):
             spectrum(m)
 
+    # numpy would take a stack of matrices, or fail with a message naming no invariant.
+    @pytest.mark.parametrize("spectrum", [hermitian_spectrum, von_neumann_entropy],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3), (0, 0), (3,)], ids=str)
+    def test_not_a_non_empty_square_matrix_rejected(self, shape, spectrum):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"got shape {shape}")):
+            spectrum(np.ones(shape))
+
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
     def test_nan_rejected(self, where):
         m = np.diag([0.0, 1.0]).astype(complex)
@@ -338,6 +347,7 @@ class TestEntropy:
         psi_m = bell_vectors(3)[3]
         assert np.isclose(von_neumann_entropy(np.outer(psi_m, psi_m.conj())),
                           0.0, atol=1e-12)
+        assert math.copysign(1.0, von_neumann_entropy(np.diag([1.0, 0.0]))) == 1.0
 
     def test_family_marginal_matches_closed_form(self):
         s = TwoParamState(3, 0.08, 0.35)

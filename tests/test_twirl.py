@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from qucorr.closed_form import TwoParamState
 from qucorr.family import (
-    TwoParamState,
     _family_weights,
     _halfway_weights,
     build_state,
