@@ -50,7 +50,7 @@ class TwoParamState:
 
     beta is never stored: it is computed from the trace constraint, which makes the
     constraint unviolable by construction, and read through :func:`_zero_rounding`.
-    d is stored as an ``int``, whatever integer type it was given as.
+    d is stored as an ``int``, alpha and gamma as ``float``s, whatever numeric types they came as.
     """
 
     d: int
@@ -66,6 +66,8 @@ class TwoParamState:
         if not -PARAM_TOL <= self.gamma <= 1.0 + PARAM_TOL:
             raise ParameterOutOfRangeError(
                 f"gamma={self.gamma!r} outside [0, 1]")
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "gamma", float(self.gamma))
         if self.beta < -PARAM_TOL:
             raise ParameterOutOfRangeError(
                 f"beta={self.beta!r} < 0 (trace constraint leaves no weight "

@@ -78,9 +78,6 @@ REFINE_MAXITER = 500
 # of a slower reference search; 3e-4 falls 3.6e-13 short and 1e-3 1.4e-12.
 STENCIL_STEP = 1e-4
 
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
-
-
 @dataclass(frozen=True)
 class MeasurementAxis:
     """Coefficients (t, y1, y2, y3) of the SU(2) element V = t*I + i*(y . sigma).
@@ -193,9 +190,13 @@ def projectors(axis: MeasurementAxis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bloch_blocks(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """rho_B and the stacked T_k = tr_A[(sigma_k (x) I) rho], shape (3, d, d)."""
-    blocks = rho.matrix.reshape(2, rho.dim_b, 2, rho.dim_b)
-    return partial_trace_a(rho), np.einsum('kab,bjal->kjl', _PAULI, blocks)
+    """rho_B = a + e and T = (T_x, T_y, T_z) = (c + b, i(b - c), a - e), shape (3, d, d),
+    from the d x d qubit blocks a = rho_00, b = rho_01, c = rho_10 and e = rho_11."""
+    d, m = rho.dim_b, rho.matrix
+    a, b, c, e = m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
+    # + 0.0 turns -0.0 into 0.0, as a sum does: the real part of 1j * x is
+    # 0 * x.real - x.imag, which is -0.0 where x.imag is 0.0 and x.real negative.
+    return a + e, np.array([c + b, 1j * (b - c), a - e]) + 0.0
 
 
 def _axis_direction(axis: MeasurementAxis) -> np.ndarray:
@@ -242,6 +243,8 @@ def _neighbour_table(grid: np.ndarray) -> np.ndarray:
 
 _GRID = _hemisphere(GRID_POINTS)
 _NEIGHBOURS = _neighbour_table(_GRID)
+# The axis of a flat look: the first grid direction.
+_FLAT_AXIS = _direction_axis(_GRID[0])
 # A walk's stencil around its trial point, in tangent coordinates of unit
 # spacing: +-e1, +-e2 and +-(e1 + e2).  _FIT maps the trial's value and the six
 # stencil values to the model's g1, g2, h11, h12, h22 by central differences,
@@ -298,14 +301,15 @@ def _steer(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray):
     m[0] *= 0.5
     np.subtract(rho_b, m[0], out=m[1])
     p = np.einsum('ogjj->og', m).real
-    safe_p = np.where(p > DEGENERATE_TOL, p, 1.0)
-    return p, m, np.linalg.eigvalsh(m) / safe_p[:, :, None]
+    lam = np.linalg.eigvalsh(m)
+    lam /= np.where(p > DEGENERATE_TOL, p, 1.0)[:, :, None]
+    return p, m, lam
 
 
 def _conditional_entropy_batch(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray) -> np.ndarray:
     """sum_+- p S(M/p) in bits per direction; eigenvalues are clipped to [0, 1]."""
     p, _, lam = _steer(rho_b, t, n)
-    return np.sum(np.where(p > DEGENERATE_TOL, p * _spectral_entropy(lam), 0.0), axis=0)
+    return np.where(p > DEGENERATE_TOL, p * _spectral_entropy(lam), 0.0).sum(axis=0)
 
 
 def conditional_ensemble(rho: DensityMatrix, axis: MeasurementAxis) -> ConditionalEnsemble:
@@ -348,9 +352,9 @@ def optimize_measurement(rho: DensityMatrix,
     # look stops the search; otherwise a second kernel call evaluates the rest
     # of the first batch, the other grid directions and the probes.
     look = _conditional_entropy_batch(rho_b, t, _GRID[:GRID_POINTS // 8])
-    if np.ptp(look) <= FLAT_TOL:
+    if look.max() - look.min() <= FLAT_TOL:
         value = entropy_b - float(look[0])
-        return OptimizerResult(value=value, axis=_direction_axis(_GRID[0]), grid_value=value,
+        return OptimizerResult(value=value, axis=_FLAT_AXIS, grid_value=value,
                                refine_gain=0.0, starts=0, batches=1, evaluations=len(look),
                                converged=True, grid_s=time.perf_counter() - start, refine_s=0.0)
     batch = _GRID
@@ -379,7 +383,7 @@ def optimize_measurement(rho: DensityMatrix,
     s, pred = np.zeros((count, 2)), np.ones(count)
     radius = np.full(count, REFINE_STEP)
     active = np.ones(count, dtype=bool)
-    spacing = STENCIL_STEP * np.ptp(first) ** -0.25
+    spacing = STENCIL_STEP * (first.max() - first.min()) ** -0.25
     stencil, fit = spacing * _STENCIL, _FIT / spacing ** np.array([1, 1, 2, 2, 2])
     grid_s = time.perf_counter() - start
 

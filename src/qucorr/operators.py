@@ -200,9 +200,9 @@ def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
 def _spectral_entropy(lam: np.ndarray) -> np.ndarray:
     """-sum(lam * log2(lam)) in bits over a spectrum's last axis, lam clipped to [0, 1]
     and 0*log2(0) taken as 0."""
-    lam = np.clip(lam, 0.0, 1.0)
+    lam = np.minimum(np.maximum(lam, 0.0), 1.0)
     # 0.0 - x, not -x: a pure spectrum's sum is 0.0, and -0.0 is not an entropy.
-    return 0.0 - np.sum(lam * np.log2(np.where(lam > 0.0, lam, 1.0)), axis=-1)
+    return 0.0 - (lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
 
 
 def _state_entropy(m: np.ndarray) -> float:
@@ -210,8 +210,8 @@ def _state_entropy(m: np.ndarray) -> float:
     # At the edge of validation the clipped spectrum sums to 1 + O(d VALIDATION_TOL),
     # which makes I negative unless it is rescaled.  Steered blocks are not rescaled:
     # a degenerate outcome's block is near zero, and its sum would divide by ~0.
-    lam = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
-    return float(_spectral_entropy(lam / np.sum(lam)))
+    lam = np.minimum(np.maximum(np.linalg.eigvalsh(m), 0.0), 1.0)
+    return float(_spectral_entropy(lam / lam.sum()))
 
 
 def von_neumann_entropy(m: np.ndarray) -> float:

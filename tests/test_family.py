@@ -130,6 +130,15 @@ class TestTwoParamState:
         assert repr(s) == "TwoParamState(d=4, alpha=0.1, gamma=0.2)"
         assert build_state(s).dim_b == 4
 
+    def test_numpy_floats_are_stored_as_floats(self):
+        # An np.float32 alpha kept as given ran beta and every closed form in float32.
+        s = TwoParamState(3, np.float32(0.05), np.float32(0.3))
+        assert type(s.alpha) is float and type(s.gamma) is float and type(s.beta) is float
+        assert correlation_report(s) == correlation_report(
+            TwoParamState(3, float(np.float32(0.05)), float(np.float32(0.3))))
+        with pytest.raises(TypeError):
+            TwoParamState(3, "0.05", 0.3)
+
     @pytest.mark.parametrize("d, alpha, gamma", BETA_ROUNDS_BELOW_ZERO)
     def test_beta_rounding_below_zero_reads_zero(self, d, alpha, gamma):
         # The spectra and closed forms read the beta that build_state places.

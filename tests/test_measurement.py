@@ -131,6 +131,28 @@ def oracle_classical_correlation(rho):
     return float(best)
 
 
+class TestBlochBlocks:
+    """``_bloch_blocks`` against its definition: rho_B = tr_A rho and
+    T_k = tr_A[(sigma_k (x) I) rho], with this file's PAULI.  The optimizer's
+    maximum is blind to a mirrored n_y, so the value tests need not catch a
+    sign or an order slip in T."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    def test_matches_the_definition(self, d):
+        rng = np.random.default_rng(370 + d)
+        states = [random_density_matrix(2, d, rng) for _ in range(3)]
+        if d >= 3:
+            states.append(build_state(random_family_state(d, rng)))
+        trace_a = lambda m: m.reshape(2, d, 2, d).trace(axis1=0, axis2=2)
+        for rho in states:
+            rho_b, t = measurement._bloch_blocks(rho)
+            assert rho_b.shape == (d, d) and t.shape == (3, d, d)
+            assert np.max(np.abs(rho_b - trace_a(rho.matrix))) <= 1e-15
+            for k, sigma in enumerate(PAULI):
+                expected = trace_a(np.kron(sigma, np.eye(d)) @ rho.matrix)
+                assert np.max(np.abs(t[k] - expected)) <= 1e-15, k
+
+
 class TestMeasurementAxis:
 
     def test_unit_norm_enforced(self):

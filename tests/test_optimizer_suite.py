@@ -4,6 +4,7 @@ committed head run, and the gates of its ``compare`` command."""
 import ast
 import copy
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -58,6 +59,25 @@ def compare_exit(suite, tmp_path, old, new):
 def test_self_compare_exits_0(tmp_path, doc, suite, capsys):
     assert compare_exit(suite, tmp_path, doc, doc) == 0
     assert "FAIL:" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cell, moved", [
+    ("value", lambda value: math.nextafter(value, math.inf)),
+    ("batches", lambda batches: batches + 1),
+    ("starts", lambda starts: starts + 1),
+    ("converged", lambda converged: not converged),
+])
+def test_compare_counts_the_identical_states(tmp_path, doc, suite, capsys, cell, moved):
+    # A report line, not a gate: the files are read from JSON, so a value is
+    # identical only if it round-trips to the same float.hex.
+    m = len(doc["states"])
+    line = "identical: {} of %d states (value by float.hex, batches, starts, converged)" % m
+    compare_exit(suite, tmp_path, doc, doc)
+    assert line.format(m) in capsys.readouterr().out.splitlines()
+    new = copy.deepcopy(doc)
+    new["states"][5][cell] = moved(new["states"][5][cell])
+    compare_exit(suite, tmp_path, doc, new)
+    assert line.format(m - 1) in capsys.readouterr().out.splitlines()
 
 
 def dropped(doc):

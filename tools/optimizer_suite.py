@@ -12,13 +12,15 @@ X-state and product-state builders of ``tests/states.py``.  For each
 state the file holds its class, index, d, the value (a JSON float is its
 ``repr``), batches, starts and ``converged``, and per class the batch median
 and maximum.  ``compare`` prints the worst drop and the largest gain of the
-value, the states whose batch counts differ, and the per-class median (max)
-batch table.  It then checks the gates an optimizer change must keep against
-its parent, prints a ``FAIL:`` line for each one broken and exits 1 if any is:
-no value drops by more than DROP_TOL bits, every search that converged in OLD
-converges in NEW, and no class's median batch count rises by more than
-MEDIAN_RISE.  ``compare`` reads the batch medians and maxima from the states,
-not from the file's summary, which is there for other readers.
+value, the states whose batch counts differ, the states whose value (by
+``float.hex``), batches, starts and ``converged`` are all identical, and the
+per-class median (max) batch table.  It then checks the gates an optimizer
+change must keep against its parent, prints a ``FAIL:`` line for each one
+broken and exits 1 if any is: no value drops by more than DROP_TOL bits, every
+search that converged in OLD converges in NEW, and no class's median batch
+count rises by more than MEDIAN_RISE.  ``compare`` reads the batch medians and
+maxima from the states, not from the file's summary, which is there for other
+readers.
 
 Exit status: 0 when the gates pass, 1 when a gate is broken, and 2 on bad
 input (a file that cannot be read, is not JSON or is not a suite document, or
@@ -150,6 +152,14 @@ def failures(old: dict, new: dict) -> list[str]:
     return out
 
 
+def _same(a: dict, b: dict) -> bool:
+    """Whether two rows of one state agree bit for bit: the value's ``float.hex``,
+    batches, starts and converged."""
+    cells = lambda row: (float(row["value"]).hex(), row["batches"], row.get("starts"),
+                         row["converged"])
+    return cells(a) == cells(b)
+
+
 def compare(old: dict, new: dict) -> str:
     """A report of ``new`` against ``old``, which must hold the same states;
     ``main`` prints the ``failures`` lines after it."""
@@ -162,6 +172,8 @@ def compare(old: dict, new: dict) -> str:
         f"batch counts differ: {sum(a['batches'] != b['batches'] for a, b in pairs)} states",
         f"not converged: {sum(not a['converged'] for a, _ in pairs)} old, "
         f"{sum(not b['converged'] for _, b in pairs)} new",
+        f"identical: {sum(_same(a, b) for a, b in pairs)} of {len(pairs)} states "
+        "(value by float.hex, batches, starts, converged)",
         f"{'class':<20}{'states':>7}{'old batches':>14}{'new batches':>14}",
     ]
     cell = lambda row: f"{row['batches_median']:g} ({row['batches_max']})"
