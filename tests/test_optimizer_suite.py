@@ -153,9 +153,9 @@ def both_empty(tmp_path, doc):
     fewer_states, not_json, missing,
     other_json({}), other_json({"states": [{"class": "x"}]}), other_json([]),
     first_row(value="0.5"), first_row(converged="no"), first_row(value=float("nan")),
-    both_empty,
+    first_row(starts=None), both_empty,
 ], ids=["different-states", "not-json", "missing", "no-states", "short-row", "list",
-        "string-value", "string-converged", "nan-value", "empty-states"])
+        "string-value", "string-converged", "nan-value", "null-starts", "empty-states"])
 def test_compare_on_bad_input_exits_2(tmp_path, doc, suite, capsys, new_file):
     # Exit 1 means a broken gate, so bad input must not end in a traceback's 1.
     old = tmp_path / "old.json"

@@ -155,7 +155,7 @@ def failures(old: dict, new: dict) -> list[str]:
 def _same(a: dict, b: dict) -> bool:
     """Whether two rows of one state agree bit for bit: the value's ``float.hex``,
     batches, starts and converged."""
-    cells = lambda row: (float(row["value"]).hex(), row["batches"], row.get("starts"),
+    cells = lambda row: (float(row["value"]).hex(), row["batches"], row["starts"],
                          row["converged"])
     return cells(a) == cells(b)
 
@@ -184,13 +184,14 @@ def compare(old: dict, new: dict) -> str:
 
 
 def _row_ok(row) -> bool:
-    """A state row: ``class`` a string; ``index``, ``d`` and ``batches`` integers;
+    """A state row: ``class`` a string; ``index``, ``d``, ``batches`` and ``starts`` integers;
     ``value`` an int or float within the double range (not NaN, not a bool);
     ``converged`` a bool."""
     return (isinstance(row, dict)
-            and all(k in row for k in ("class", "index", "d", "value", "batches", "converged"))
+            and all(k in row for k in ("class", "index", "d", "value", "batches", "starts",
+                                       "converged"))
             and isinstance(row["class"], str)
-            and all(type(row[k]) is int for k in ("index", "d", "batches"))
+            and all(type(row[k]) is int for k in ("index", "d", "batches", "starts"))
             and type(row["value"]) in (int, float) and abs(row["value"]) <= sys.float_info.max
             and type(row["converged"]) is bool)
 
@@ -205,8 +206,8 @@ def _read(path: Path) -> dict:
     rows = doc.get("states") if isinstance(doc, dict) else None
     if not (isinstance(rows, list) and rows and all(map(_row_ok, rows))):
         raise ValueError(f"{path} is not a suite document: it needs a non-empty list of "
-                         "'states', each with a string class, integer index, d and batches, "
-                         "a finite number value and a true or false converged")
+                         "'states', each with a string class, integer index, d, batches and "
+                         "starts, a finite number value and a true or false converged")
     return doc
 
 
