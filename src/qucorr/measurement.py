@@ -26,7 +26,9 @@ point that is no worse than its nearest neighbours on the whole sphere starts
 a trust-region walk, best first, and all walks advance together, one kernel
 batch per iteration.  Each walk evaluates its trial point and a six-point
 stencil around it, along the point's unit polar and azimuth vectors, and fits
-a quadratic model there.  A better trial becomes the walk's point; the next is
+a quadratic model there.  Between kernel calls a walk is a few plain floats,
+updated in scalar arithmetic: on a handful of walks, numpy's cost per call
+outweighed the work of each step.  A better trial becomes the walk's point; the next is
 a damped Newton step on the model in the same frame, inside the walk's radius
 (half the grid's spacing at first, then shrunk or grown with the ratio of
 actual to predicted decrease).  A walk ends when its model predicts a decrease
@@ -37,6 +39,7 @@ states and exact for the family.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -69,7 +72,7 @@ MAX_STARTS = 8
 # Each walk starts with trust radius REFINE_STEP on the tangent plane, half the
 # grid's spacing (GRID_POINTS directions share the hemisphere's area 2 pi);
 # REFINE_MAXITER caps the batches of the whole search.
-REFINE_STEP = 0.5 * np.sqrt(2.0 * np.pi / GRID_POINTS)
+REFINE_STEP = 0.5 * math.sqrt(2.0 * math.pi / GRID_POINTS)
 REFINE_MAXITER = 500
 # The stencil spacing is STENCIL_STEP * spread**-0.25 for a first batch that
 # spreads by `spread` bits: the model's rounding error grows as 1/spacing**2
@@ -249,7 +252,7 @@ _FLAT_AXIS = _direction_axis(_GRID[0])
 # spacing: +-e1, +-e2 and +-(e1 + e2).  _FIT maps the trial's value and the six
 # stencil values to the model's g1, g2, h11, h12, h22 by central differences,
 # still to be divided by the spacing, once for g and twice for h.
-_STENCIL = np.array([[[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]]], float)
+_STENCIL = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]], float)
 _FIT = np.array([[0, 0, -2, 2, -2],
                  [1, 0, 1, -1, 0],
                  [-1, 0, 1, -1, 0],
@@ -259,31 +262,71 @@ _FIT = np.array([[0, 0, -2, 2, -2],
                  [0, 0, 0, 1, 0]], float) / [2, 2, 1, 2, 1]
 
 
-def _retract(p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Unit vectors along p + s . F for tangent steps ``s`` (w, k, 2) at unit vectors
-    ``p`` (w, 3); F is the polar/azimuth frame at p's angles, a function of p."""
+def _retraction(p: tuple, steps: list) -> list[tuple[float, float, float]]:
+    """Unit vectors along p + s . F, in plain floats, for the tangent steps s in
+    ``steps`` at the unit vector ``p``; F is the polar/azimuth frame at p's angles."""
     # Any orthonormal frame would do: the damped Newton step and its predicted
     # decrease turn with the frame, so the search differs only by rounding.
-    _, frame = _sphere(np.arccos(np.clip(p[:, 2], -1.0, 1.0)), np.arctan2(p[:, 1], p[:, 0]))
-    q = p[:, None] + s @ frame
-    return q / np.sqrt(np.einsum('wki,wki->wk', q, q))[:, :, None]
+    px, py, pz = p
+    polar, azimuth = math.acos(min(1.0, max(-1.0, pz))), math.atan2(py, px)
+    cp, sp, ca, sa = math.cos(polar), math.sin(polar), math.cos(azimuth), math.sin(azimuth)
+    q = [(px + s1 * cp * ca - s2 * sa, py + s1 * cp * sa + s2 * ca, pz - s1 * sp)
+         for s1, s2 in steps]
+    return [(x / norm, y / norm, z / norm) for x, y, z in q for norm in [math.hypot(x, y, z)]]
 
 
-def _trust_step(g: np.ndarray, h: np.ndarray, radius: np.ndarray):
-    """Damped Newton steps s = -(h + mu I)^-1 g (w, 2) on the model
-    g . s + s . h . s / 2, with mu = max(0, |g|/radius - lambda_min(h)), and
-    their predicted decreases (Levenberg-Marquardt; Nocedal and Wright, 4.3).
+def _trust_step(g1: float, g2: float, h11: float, h12: float, h22: float, radius: float):
+    """The damped Newton step s = (s1, s2) = -(h + mu I)^-1 g on the model
+    g . s + s . h . s / 2, with mu = max(0, |g|/radius - lambda_min(h)), and its
+    predicted decrease (Levenberg-Marquardt; Nocedal and Wright, 4.3).
 
     Every eigenvalue of h + mu I is at least |g|/radius, so |s| <= radius, and
     s is the Newton step whenever |g| <= lambda_min(h) * radius.  In h's
-    eigenbasis the decrease is sum g_i^2 (lambda_i + 2 mu) / (2 (lambda_i + mu)^2),
-    positive for every g != 0; g = 0 gives a zero step and a zero decrease.
+    eigenbasis (in closed form) the decrease is sum g_i^2 (lambda_i + 2 mu) /
+    (2 (lambda_i + mu)^2), positive for every g != 0; g = 0 gives s = 0, pred = 0.
     """
-    lam, basis = np.linalg.eigh(h)
-    ge = (g[:, None] @ basis)[:, 0]
-    damped = lam + np.maximum(0.0, np.hypot(*g.T) / radius - lam[:, 0])[:, None]
-    se = np.divide(-ge, damped, out=np.zeros_like(ge), where=damped > 0.0)
-    return (basis @ se[:, :, None])[:, :, 0], -np.sum(se * (ge + 0.5 * lam * se), axis=1)
+    # h's eigenvalues lo <= hi, along (-s, c) and (c, s).
+    mean, half = 0.5 * (h11 + h22), 0.5 * (h11 - h22)
+    spread, angle = math.hypot(half, h12), 0.5 * math.atan2(h12, half)
+    lo, hi, c, s = mean - spread, mean + spread, math.cos(angle), math.sin(angle)
+    g_lo, g_hi = g2 * c - g1 * s, g1 * c + g2 * s
+    mu = max(0.0, math.hypot(g1, g2) / radius - lo)
+    e_lo = -g_lo / (lo + mu) if lo + mu > 0.0 else 0.0
+    e_hi = -g_hi / (hi + mu) if hi + mu > 0.0 else 0.0
+    pred = -(e_lo * (g_lo + 0.5 * lo * e_lo) + e_hi * (g_hi + 0.5 * hi * e_hi))
+    return (e_hi * c - e_lo * s, e_hi * s + e_lo * c), pred
+
+
+@dataclass(slots=True)
+class _Walk:
+    """One trust-region walk in plain floats: point x, value fx, the model (g1, g2,
+    h11, h12, h22) fitted there, trust radius, and the trial y = x + s whose model
+    decrease is pred.  The first trial is the start, and fx = inf accepts it."""
+
+    x: tuple
+    y: tuple
+    fx: float = math.inf
+    model: tuple = (0.0,) * 5
+    s: tuple = (0.0, 0.0)
+    pred: float = 1.0
+    radius: float = REFINE_STEP
+
+    def advance(self, value: float, model: list[float]) -> bool:
+        """Take the trial's value and the model (g1, g2, h11, h12, h22) fitted at
+        the trial, and set the next trial; False once the walk has ended."""
+        # Shrink the radius after a poor prediction, widen it after a good one
+        # (Nocedal and Wright, Algorithm 4.1); move to a better trial, and take
+        # the model fitted there.
+        ratio = (self.fx - value) / self.pred
+        if ratio < 0.25:
+            self.radius = 0.25 * math.hypot(*self.s)
+        elif ratio > 0.75:
+            self.radius = max(self.radius, 2.0 * math.hypot(*self.s))
+        if value < self.fx:
+            self.x, self.fx, self.model = self.y, value, model
+        self.s, self.pred = _trust_step(*self.model, self.radius)
+        self.y = _retraction(self.x, [self.s])[0]
+        return self.pred > FLAT_TOL
 
 
 def _steer(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray):
@@ -373,49 +416,27 @@ def optimize_measurement(rho: DensityMatrix,
     minima = np.flatnonzero(np.all(grid[:, None] <= grid[_NEIGHBOURS], axis=1))
     minima = minima[np.argsort(grid[minima], kind="stable")]
     starts = [best] + [int(i) for i in minima if i != best][:MAX_STARTS - 1]
-    count = len(starts)
-    # Walk k sits at x[k] with value fx[k], model (g, hess) at x[k], trust
-    # radius, and trial y[k] = x[k] + s[k] whose model decrease is pred[k].
-    # Each walk's first trial is its start; fx = inf accepts it.
-    y = batch[starts]
-    x, fx = y.copy(), np.full(count, np.inf)
-    g, hess = np.zeros((count, 2)), np.zeros((count, 2, 2))
-    s, pred = np.zeros((count, 2)), np.ones(count)
-    radius = np.full(count, REFINE_STEP)
-    active = np.ones(count, dtype=bool)
+    walks = [_Walk(x=p, y=p) for p in map(tuple, batch[starts].tolist())]
     spacing = STENCIL_STEP * (first.max() - first.min()) ** -0.25
-    stencil, fit = spacing * _STENCIL, _FIT / spacing ** np.array([1, 1, 2, 2, 2])
+    stencil, fit = (spacing * _STENCIL).tolist(), _FIT / spacing ** np.array([1, 1, 2, 2, 2])
     grid_s = time.perf_counter() - start
 
-    while active.any() and batches < REFINE_MAXITER:
-        walks = np.flatnonzero(active)
-        points = np.concatenate([y[walks, None], _retract(y[walks], stencil)], axis=1)
-        cond = _conditional_entropy_batch(rho_b, t, points.reshape(-1, 3))
-        cond = cond.reshape(len(walks), -1)
-        batches, evaluations = batches + 1, evaluations + cond.size
-        # Shrink the radius after a poor prediction, widen it after a good one
-        # (Nocedal and Wright, Algorithm 4.1); move to every better trial and
-        # fit the model there from its stencil.
-        ratio = (fx[walks] - cond[:, 0]) / pred[walks]
-        length = np.sqrt(np.sum(s[walks] ** 2, axis=1))
-        radius[walks] = np.where(ratio < 0.25, 0.25 * length,
-                                 np.where(ratio > 0.75, np.maximum(radius[walks], 2.0 * length),
-                                          radius[walks]))
-        moved = cond[:, 0] < fx[walks]
-        walk = walks[moved]
-        x[walk], fx[walk] = y[walk], cond[moved, 0]
-        model = cond[moved] @ fit
-        g[walk], hess[walk] = model[:, :2], model[:, [[2, 3], [3, 4]]]
-        s[walks], pred[walks] = _trust_step(g[walks], hess[walks], radius[walks])
-        active[walks] = pred[walks] > FLAT_TOL
-        y[walks] = _retract(x[walks], s[walks, None])[:, 0]
+    # Each batch holds every active walk's trial point, then its stencil.
+    active = walks
+    while active and batches < REFINE_MAXITER:
+        points = [q for walk in active for q in [walk.y, *_retraction(walk.y, stencil)]]
+        cond = _conditional_entropy_batch(rho_b, t, np.array(points)).reshape(len(active), -1)
+        batches, evaluations = batches + 1, evaluations + len(points)
+        values, models = cond[:, 0].tolist(), (cond @ fit).tolist()
+        active = [walk for walk, v, m in zip(active, values, models) if walk.advance(v, m)]
 
-    top = int(np.argmin(fx))
-    value, grid_value = entropy_b - float(fx[top]), entropy_b - float(first[best])
-    return OptimizerResult(value=value, axis=_direction_axis(x[top]), grid_value=grid_value,
-                           refine_gain=value - grid_value, starts=len(starts), batches=batches,
-                           evaluations=evaluations, converged=not active.any(),
-                           grid_s=grid_s, refine_s=time.perf_counter() - start - grid_s)
+    top = min(walks, key=lambda walk: walk.fx)
+    value, grid_value = entropy_b - top.fx, entropy_b - float(first[best])
+    return OptimizerResult(value=value, axis=_direction_axis(np.array(top.x)),
+                           grid_value=grid_value, refine_gain=value - grid_value,
+                           starts=len(starts), batches=batches, evaluations=evaluations,
+                           converged=not active, grid_s=grid_s,
+                           refine_s=time.perf_counter() - start - grid_s)
 
 
 def classical_correlation_numeric(rho: DensityMatrix,

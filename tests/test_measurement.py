@@ -43,6 +43,7 @@ from qucorr.operators import (
     partial_trace_b,
     quantum_mutual_information,
     random_density_matrix,
+    random_unitary,
     tensor,
     validate_density,
     von_neumann_entropy,
@@ -525,6 +526,21 @@ class TestOptimizerOracle:
         m = (1.0 - 1e-6) * rho.matrix + 1e-6 * random_density_matrix(2, 4, rng).matrix
         self.assert_matches_oracle(validate_density(m, 2, 4))
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 8])
+    def test_local_unitaries_leave_the_value(self, d):
+        # C is invariant under U_A (x) U_B.  The rotation turns the objective
+        # against the fixed grid and the walks' polar/azimuth frames, so the
+        # search runs from other starts along other paths to the same maximum.
+        rng = np.random.default_rng(600 + d)
+        for _ in range(6):
+            rho = random_density_matrix(2, d, rng)
+            value, _ = classical_correlation_numeric(rho)
+            for _ in range(3):
+                u = tensor(random_unitary(2, rng), random_unitary(d, rng))
+                turned, _ = classical_correlation_numeric(
+                    validate_density(u @ rho.matrix @ u.conj().T, 2, d))
+                assert abs(turned - value) <= 1e-12
+
 
 class TestDenseOracle:
     """``oracle_classical_correlation`` itself: independent of the optimizer,
@@ -567,16 +583,24 @@ class TestTrustStep:
         h = q @ (lam[:, :, None] * q.transpose(0, 2, 1))
         return g, h, 10.0 ** rng.uniform(-3, 0, count)
 
+    @staticmethod
+    def steps(g, h, radius):
+        """The step of every model, taken in plain floats as the walks take it:
+        s (count, 2) and pred (count,)."""
+        out = [measurement._trust_step(*gk, hk[0][0], hk[0][1], hk[1][1], rk)
+               for gk, hk, rk in zip(g.tolist(), h.tolist(), radius.tolist())]
+        return np.array([s for s, _ in out]), np.array([pred for _, pred in out])
+
     @pytest.mark.parametrize("definite", [True, False])
     def test_step_stays_in_the_radius(self, definite):
         g, h, radius = self.models(definite)
-        s, _ = measurement._trust_step(g, h, radius)
+        s, _ = self.steps(g, h, radius)
         assert np.all(np.linalg.norm(s, axis=1) <= radius * (1.0 + 1e-12))
 
     @pytest.mark.parametrize("definite", [True, False])
     def test_predicted_decrease(self, definite):
         g, h, radius = self.models(definite)
-        s, pred = measurement._trust_step(g, h, radius)
+        s, pred = self.steps(g, h, radius)
         model = np.einsum('wi,wi->w', g, s) + 0.5 * np.einsum('wi,wij,wj->w', s, h, s)
         np.testing.assert_allclose(pred, -model, rtol=0.0, atol=1e-12)
         assert np.all(pred > 0.0)
@@ -587,17 +611,18 @@ class TestTrustStep:
         g, h, radius = self.models(True)
         small = np.linalg.norm(g, axis=1) <= np.linalg.eigvalsh(h)[:, 0] * radius
         assert small.sum() >= 20
-        s, _ = measurement._trust_step(g[small], h[small], radius[small])
+        s, _ = self.steps(g[small], h[small], radius[small])
         np.testing.assert_allclose(s, -np.linalg.solve(h[small], g[small][:, :, None])[:, :, 0],
                                    rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("definite", [True, False])
     def test_zero_gradient(self, definite):
+        # h = -I and h = 0 damp to a zero matrix; a division by zero in plain
+        # floats would raise ZeroDivisionError.
         _, h, radius = self.models(definite, count=20)
         h = np.r_[h, [-np.eye(2), np.zeros((2, 2))]]
         radius = np.r_[radius, 0.1, 0.1]
-        with np.errstate(all="raise"):
-            s, pred = measurement._trust_step(np.zeros((len(h), 2)), h, radius)
+        s, pred = self.steps(np.zeros((len(h), 2)), h, radius)
         assert np.all(s == 0.0)
         assert np.all(pred == 0.0)
 
@@ -620,17 +645,24 @@ class TestRetract:
         s = np.random.default_rng(501).standard_normal((count, 1, 2))
         return length * s / np.linalg.norm(s, axis=2)[:, :, None]
 
+    @staticmethod
+    def retract(p, s):
+        """The scalar retraction at every point p (w, 3) of its steps s (w, k, 2),
+        as an array (w, k, 3)."""
+        return np.array([measurement._retraction(pk, sk)
+                         for pk, sk in zip(p.tolist(), s.tolist())])
+
     @pytest.mark.parametrize("length", [0.0, 1e-6, 0.1, 2.0])
     def test_unit_norm(self, length):
         p = self.points()
-        q = measurement._retract(p, self.steps(len(p), length))
+        q = self.retract(p, self.steps(len(p), length))
         np.testing.assert_allclose(np.linalg.norm(q, axis=2), 1.0, rtol=0.0, atol=1e-15)
 
     def test_zero_step_returns_the_point(self):
         # Within one unit in the last place of 1, the rounding of the
         # normalization.
         p = self.points()
-        q = measurement._retract(p, np.zeros((len(p), 1, 2)))[:, 0]
+        q = self.retract(p, np.zeros((len(p), 1, 2)))[:, 0]
         np.testing.assert_allclose(q, p, rtol=0.0, atol=np.spacing(1.0))
 
     def test_small_step_is_tangent(self):
@@ -638,12 +670,12 @@ class TestRetract:
         # normalization, |s|^2/2 = 5e-13 along -p, and has length |s|.
         p = self.points()
         s = self.steps(len(p), 1e-6)
-        move = measurement._retract(p, s)[:, 0] - p
+        move = self.retract(p, s)[:, 0] - p
         np.testing.assert_allclose(np.einsum('wi,wi->w', move, p), 0.0, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(move, axis=1), 1e-6, rtol=0.0, atol=1e-12)
 
     def test_frame_at_the_angles_of_the_point(self):
-        # The frame _retract uses: the polar and azimuth unit vectors at p's
+        # The frame _retraction uses: the polar and azimuth unit vectors at p's
         # angles.  They are orthonormal and orthogonal to p, and the same
         # angles give p back.
         p = self.points()
@@ -654,8 +686,36 @@ class TestRetract:
                                    rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(frame @ p[:, :, None], 0.0, rtol=0.0, atol=1e-15)
         steps = np.array([[[1e-6, 0.0], [0.0, 1e-6]]]).repeat(len(p), axis=0)
-        move = measurement._retract(p, steps) - p[:, None]
+        move = self.retract(p, steps) - p[:, None]
         np.testing.assert_allclose(move, 1e-6 * frame, rtol=0.0, atol=1e-12)
+
+
+class TestWalk:
+
+    @pytest.mark.parametrize("ratio, radius, expected", [
+        (-1.0, 1.0, 0.15625), (0.2, 1.0, 0.15625), (0.25, 1.0, 1.0), (0.5, 1.0, 1.0),
+        (0.75, 1.0, 1.0), (0.9, 1.0, 1.25), (0.9, 2.0, 2.0)])
+    def test_radius_rule(self, ratio, radius, expected):
+        # Nocedal and Wright, Algorithm 4.1, on the ratio of the trial's actual
+        # to predicted decrease: below 0.25 the radius shrinks to 0.25 |s|,
+        # above 0.75 it becomes max(r, 2 |s|), and in between it stays.  The
+        # step s = (0.375, 0.5) has length 0.625, and every figure is exact.
+        x, y = (0.6, 0.0, 0.8), (0.0, 0.6, 0.8)
+        walk = measurement._Walk(x=x, y=y, fx=0.0, model=(1e-3, 0.0, 1.0, 0.0, 1.0),
+                                 s=(0.375, 0.5), pred=1.0, radius=radius)
+        walk.advance(-ratio, [0.0, 0.0, 1.0, 0.0, 1.0])
+        assert walk.radius == expected
+        assert (walk.x, walk.fx) == ((y, -ratio) if ratio > 0.0 else (x, 0.0))
+
+    def test_first_trial_keeps_half_the_grid_spacing(self):
+        # A walk's first trial is its start, accepted with ratio inf and a zero
+        # step: its radius stays half the spacing of the grid's GRID_POINTS
+        # directions on the hemisphere's area 2 pi.
+        x = (0.6, 0.0, 0.8)
+        walk = measurement._Walk(x=x, y=x)
+        assert walk.advance(0.5, [1e-3, 0.0, 1.0, 0.0, 1.0])
+        assert walk.radius == 0.5 * math.sqrt(2.0 * math.pi / GRID_POINTS)
+        assert (walk.x, walk.fx) == (x, 0.5)
 
 
 class TestOptimizeMeasurement:
@@ -697,6 +757,20 @@ class TestOptimizeMeasurement:
         assert result.evaluations == sum(sizes)
         assert result.grid_s >= 0.0 and result.refine_s >= 0.0
         assert classical_correlation_numeric(rho) == (result.value, result.axis)
+
+    @pytest.mark.parametrize("rho, starts", [
+        (random_density_matrix(2, 4, np.random.default_rng(370)), 1),
+        (crossover_x_state(np.random.default_rng(70), 3, 1e-4), 5)], ids=["random", "x-crossover"])
+    def test_walk_batches(self, monkeypatch, rho, starts):
+        # After the grid's two calls, every batch holds each active walk's
+        # trial and its six stencil points, and no walk comes back once ended.
+        sizes = self.counted_kernel(monkeypatch)
+        result = optimize_measurement(rho)
+        walks = sizes[2:]
+        assert (result.starts, result.converged) == (starts, True)
+        assert walks[0] == 7 * result.starts
+        assert all(size % 7 == 0 for size in walks)
+        assert all(later <= earlier for earlier, later in zip(walks, walks[1:]))
 
     def test_probes_join_the_first_batch(self, monkeypatch):
         sizes = self.counted_kernel(monkeypatch)
