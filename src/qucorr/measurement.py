@@ -28,11 +28,11 @@ batch per iteration.  Each walk evaluates its trial point and a six-point
 stencil around it, along the point's unit polar and azimuth vectors, and fits
 a quadratic model there.  Between kernel calls a walk is a few plain floats,
 updated in scalar arithmetic: on a handful of walks, numpy's cost per call
-outweighed the work of each step.  A better trial becomes the walk's point; the next is
-a damped Newton step on the model in the same frame, inside the walk's radius
-(half the grid's spacing at first, then shrunk or grown with the ratio of
-actual to predicted decrease).  A walk ends when its model predicts a decrease
-of at most FLAT_TOL bits.  The maximum is a certified lower bound for general
+outweighed the work of each step.  A better trial becomes the walk's point;
+the next is a damped Newton step on the model in the same frame, inside the
+walk's radius (half the grid's spacing at first, then shrunk or grown with the
+ratio of actual to predicted decrease).  A walk ends when its model predicts a
+decrease of at most FLAT_TOL bits.  The maximum is a certified lower bound for general
 states and exact for the family.
 ``optimize_measurement`` reports what the search did.
 """
