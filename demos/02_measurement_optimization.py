@@ -9,12 +9,14 @@ flat hemisphere grid and stops there.  For arbitrary states it refines every
 local minimum of the grid by damped Newton steps on a quadratic model fitted
 from a small stencil around each walk's trial point; the damping keeps each
 step within the walk's trust radius.  All starts share one batch per step.
+
+A measurement is its Bloch direction n: the projector pair is (I +- n.sigma)/2,
+so every function that takes one accepts any non-zero 3-vector.
 """
 
 import numpy as np
 
 from qucorr import (
-    MeasurementAxis,
     TwoParamState,
     build_state,
     classical_correlation,
@@ -55,7 +57,7 @@ print(f"closed form                     : {conditional_entropy_closed(s):.12f}")
 value, axis = classical_correlation_numeric(rho)
 print(f"\nclassical correlation, optimizer  : {value:.12f}")
 print(f"classical correlation, closed form: {classical_correlation(s):.12f}")
-print(f"optimal axis: t={axis.t:.4f}, y=({axis.y1:.4f}, {axis.y2:.4f}, {axis.y3:.4f})")
+print("optimal axis: n = (" + ", ".join(f"{c:.4f}" for c in axis) + ")")
 
 # --- arbitrary states ----------------------------------------------------
 # For a generic mixed state the optimizer returns a certified lower bound.
@@ -80,7 +82,7 @@ print(f"                   entanglement = "
 
 # A computational-basis measurement is just one sample of the objective:
 # the optimum can only sit above it.
-fixed = MeasurementAxis(1.0, 0.0, 0.0, 0.0)
+fixed = (0.0, 0.0, 1.0)
 sample = measured_mutual_information(generic, fixed)
 print(f"\nobjective at the z-axis : {sample:.9f}")
 print(f"optimized value         : {value:.9f}  (>= sample)")

@@ -35,7 +35,7 @@ _EXPORTS = {
         "classify_family", "family_spectrum", "marginal_b_spectrum", "nearest_family_member",
         "random_family_state", "singlet_weight", "twirl"),
     "measurement": (
-        "ConditionalEnsemble", "MeasurementAxis", "OptimizerConfig", "OptimizerResult",
+        "ConditionalEnsemble", "OptimizerConfig", "OptimizerResult",
         "classical_correlation_numeric", "conditional_ensemble", "conditional_entropy",
         "discord_numeric", "ensemble_spectrum_spread", "measured_mutual_information",
         "optimize_measurement", "projectors", "random_axis"),

@@ -74,7 +74,7 @@ def cmd_corr(args: argparse.Namespace) -> int:
         print(f"discord_numeric = {_fmt(q_num)}")
         print(f"delta_classical = {_fmt(abs(c_num - report.classical))}")
         print(f"delta_discord = {_fmt(abs(q_num - report.discord))}")
-        print(f"axis = ({_fmt(axis.t)}, {_fmt(axis.y1)}, {_fmt(axis.y2)}, {_fmt(axis.y3)})")
+        print(f"axis = ({', '.join(map(_fmt, axis))})")
     return 0
 
 
@@ -156,7 +156,7 @@ def cmd_discord(args: argparse.Namespace) -> int:
     print(f"discord_numeric = {_fmt(mutual - c_num)}")
     print(f"negativity = {_fmt(negativity_trace_norm(rho))}")
     print(f"commutator_norm = {_fmt(commutator_condition(rho))}")
-    print(f"axis = ({_fmt(axis.t)}, {_fmt(axis.y1)}, {_fmt(axis.y2)}, {_fmt(axis.y3)})")
+    print(f"axis = ({', '.join(map(_fmt, axis))})")
     return 0
 
 

@@ -5,7 +5,9 @@ with V = t*I + i*(y . sigma) in SU(2); A_0 = (I + n . sigma)/2 points along
 
     n = (2(y1 y3 - t y2), 2(y2 y3 + t y1), t^2 - y1^2 - y2^2 + y3^2)
 
-and A_1 along -n.  The qudit is left in the unnormalized blocks
+and A_1 along -n.  The pair depends on V only through n, so a measurement is
+its Bloch direction here: any finite, non-zero 3-vector, normalized where it is
+passed in.  The qudit is left in the unnormalized blocks
 
     M+-(n) = (rho_B +- n . T) / 2,    T_k = tr_A[(sigma_k (x) I) rho],
 
@@ -81,29 +83,6 @@ REFINE_MAXITER = 500
 # of a slower reference search; 3e-4 falls 3.6e-13 short and 1e-3 1.4e-12.
 STENCIL_STEP = 1e-4
 
-@dataclass(frozen=True)
-class MeasurementAxis:
-    """Coefficients (t, y1, y2, y3) of the SU(2) element V = t*I + i*(y . sigma).
-
-    The coefficients must satisfy t^2 + y1^2 + y2^2 + y3^2 = 1; axes (t, y)
-    and (-t, -y) describe the same projector pair.
-    """
-
-    t: float
-    y1: float
-    y2: float
-    y3: float
-
-    def __post_init__(self):
-        norm = self.t ** 2 + self.y1 ** 2 + self.y2 ** 2 + self.y3 ** 2
-        if not abs(norm - 1.0) <= 1e-12:
-            raise ValueError(f"axis coefficients must have unit norm, got {norm!r}")
-
-    def unitary(self) -> np.ndarray:
-        """The 2x2 unitary V itself."""
-        t, y1, y2, y3 = self.t, self.y1, self.y2, self.y3
-        return np.array([[t + 1j * y3, y2 + 1j * y1], [-y2 + 1j * y1, t - 1j * y3]])
-
 
 @dataclass(frozen=True)
 class ConditionalEnsemble:
@@ -118,13 +97,6 @@ class ConditionalEnsemble:
     p1: float
     rho0: np.ndarray
     rho1: np.ndarray
-
-    @property
-    def degenerate(self) -> bool:
-        return min(self.p0, self.p1) <= DEGENERATE_TOL
-
-    def outcomes(self) -> tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]:
-        return ((self.p0, self.rho0), (self.p1, self.rho1))
 
 
 @dataclass(frozen=True)
@@ -154,8 +126,10 @@ class OptimizerResult:
     """What ``optimize_measurement`` found, and what the search cost.
 
     ``value`` is the best measured mutual information in bits, reached along
-    ``axis``; ``grid_value`` is the first batch's best, so ``refine_gain =
-    value - grid_value >= 0``.  On a flat look (the grid's first eighth, every
+    the unit Bloch direction ``axis``, a tuple (n_x, n_y, n_z) folded so that
+    (n_z, n_y, n_x) >= (0, 0, 0), since -n is the same measurement.
+    ``grid_value`` is the first batch's best, so ``refine_gain = value -
+    grid_value >= 0``.  On a flat look (the grid's first eighth, every
     eighth point of the spiral) the search stops with ``starts = 0``,
     ``batches = 1`` and ``evaluations = GRID_POINTS // 8``, and returns the
     first grid direction and its own value.  Otherwise the first batch takes
@@ -166,7 +140,7 @@ class OptimizerResult:
     """
 
     value: float
-    axis: MeasurementAxis
+    axis: tuple[float, float, float]
     grid_value: float
     refine_gain: float
     starts: int
@@ -177,19 +151,32 @@ class OptimizerResult:
     refine_s: float
 
 
-def random_axis(rng: np.random.Generator) -> MeasurementAxis:
-    """Uniform random axis: a normalized 4-vector of standard normals."""
+def random_axis(rng: np.random.Generator) -> tuple[float, float, float]:
+    """Uniform random Bloch direction: n(t, y) of the module docstring, for a
+    normalized 4-vector (t, y1, y2, y3) of standard normals."""
     x = rng.standard_normal(4)
     x /= np.linalg.norm(x)
-    return MeasurementAxis(*map(float, x))
+    t, y1, y2, y3 = x.tolist()
+    return (2.0 * (y1 * y3 - t * y2), 2.0 * (y2 * y3 + t * y1),
+            t * t + y3 * y3 - (y1 * y1 + y2 * y2))
 
 
-def projectors(axis: MeasurementAxis) -> tuple[np.ndarray, np.ndarray]:
-    """The projector pair V|0><0|V^dag, V|1><1|V^dag; orthogonal and complete."""
-    v = axis.unitary()
-    a0 = np.outer(v[:, 0], v[:, 0].conj())
-    a1 = np.outer(v[:, 1], v[:, 1].conj())
-    return a0, a1
+def _unit_direction(direction) -> np.ndarray:
+    """The unit vector along ``direction``, as a (1, 3) batch; any finite,
+    non-zero 3-vector is accepted."""
+    n = np.asarray(direction, dtype=float)
+    norm = math.hypot(*n.tolist()) if n.shape == (3,) else math.nan
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"direction must be a finite, non-zero 3-vector, got {direction!r}")
+    return n[None] / norm
+
+
+def projectors(direction) -> tuple[np.ndarray, np.ndarray]:
+    """The projector pair (I + n . sigma)/2, (I - n . sigma)/2 along the unit
+    vector n of ``direction``; orthogonal and complete."""
+    nx, ny, nz = _unit_direction(direction)[0]
+    n_sigma = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
+    return 0.5 * (np.eye(2) + n_sigma), 0.5 * (np.eye(2) - n_sigma)
 
 
 def _bloch_blocks(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -202,22 +189,9 @@ def _bloch_blocks(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return a + e, np.array([c + b, 1j * (b - c), a - e]) + 0.0
 
 
-def _axis_direction(axis: MeasurementAxis) -> np.ndarray:
-    """The axis's Bloch direction n(t, y) of the module docstring, as a (1, 3) batch."""
-    t, y1, y2, y3 = axis.t, axis.y1, axis.y2, axis.y3
-    return np.array([[2.0 * (y1 * y3 - t * y2), 2.0 * (y2 * y3 + t * y1),
-                      t * t + y3 * y3 - (y1 * y1 + y2 * y2)]])
-
-
-def _direction_axis(n: np.ndarray) -> MeasurementAxis:
-    """Axis whose first projector points along the unit Bloch vector ``n``, or
-    along -n (the same measurement) if (n_z, n_y, n_x) < (0, 0, 0)."""
-    if tuple(n[::-1]) < (0.0, 0.0, 0.0):
-        n = -n
-    # The quaternion itself: t >= 1/sqrt(2), and no angle, since arccos(n_z)
-    # loses the precision of n near the pole.
-    t = np.sqrt(0.5 * (1.0 + n[2]))
-    return MeasurementAxis(float(t), float(n[1] / (2.0 * t)), float(-n[0] / (2.0 * t)), 0.0)
+def _fold(n: tuple) -> tuple:
+    """``n``, or -n (the same measurement) if (n_z, n_y, n_x) < (0, 0, 0)."""
+    return tuple(-c for c in n) if n[::-1] < (0.0, 0.0, 0.0) else n
 
 
 def _sphere(polar: np.ndarray, azimuth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +221,7 @@ def _neighbour_table(grid: np.ndarray) -> np.ndarray:
 _GRID = _hemisphere(GRID_POINTS)
 _NEIGHBOURS = _neighbour_table(_GRID)
 # The axis of a flat look: the first grid direction.
-_FLAT_AXIS = _direction_axis(_GRID[0])
+_FLAT_AXIS = tuple(_GRID[0].tolist())
 # A walk's stencil around its trial point, in tangent coordinates of unit
 # spacing: +-e1, +-e2 and +-(e1 + e2).  _FIT maps the trial's value and the six
 # stencil values to the model's g1, g2, h11, h12, h22 by central differences,
@@ -355,30 +329,31 @@ def _conditional_entropy_batch(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray) 
     return np.where(p > DEGENERATE_TOL, p * _spectral_entropy(lam), 0.0).sum(axis=0)
 
 
-def conditional_ensemble(rho: DensityMatrix, axis: MeasurementAxis) -> ConditionalEnsemble:
-    """Measure the qubit along ``axis`` and steer the qudit.
+def conditional_ensemble(rho: DensityMatrix, direction) -> ConditionalEnsemble:
+    """Measure the qubit along the Bloch ``direction`` and steer the qudit.
 
     p_i = tr[(A_i (x) I) rho (A_i (x) I)]; the steered states are the qudit
     reductions of the projected blocks.  Outcomes with p_i <= DEGENERATE_TOL
     keep their unnormalized block so the ensemble is always returned.
     """
-    p, m, _ = _steer(*_bloch_blocks(rho), _axis_direction(axis))
+    p, m, _ = _steer(*_bloch_blocks(rho), _unit_direction(direction))
     p = p[:, 0]
     states = m[:, 0] / np.where(p > DEGENERATE_TOL, p, 1.0)[:, None, None]
     states.flags.writeable = False
     return ConditionalEnsemble(p0=float(p[0]), p1=float(p[1]), rho0=states[0], rho1=states[1])
 
 
-def conditional_entropy(rho: DensityMatrix, axis: MeasurementAxis) -> float:
-    """sum_i p_i S(rho_i) in bits, computed as the optimizer's objective is:
-    degenerate outcomes contribute zero, steered spectra are clipped to [0, 1]."""
-    return float(_conditional_entropy_batch(*_bloch_blocks(rho), _axis_direction(axis))[0])
+def conditional_entropy(rho: DensityMatrix, direction) -> float:
+    """sum_i p_i S(rho_i) in bits for the measurement along the Bloch ``direction``,
+    computed as the optimizer's objective is: degenerate outcomes contribute
+    zero, steered spectra are clipped to [0, 1]."""
+    return float(_conditional_entropy_batch(*_bloch_blocks(rho), _unit_direction(direction))[0])
 
 
-def measured_mutual_information(rho: DensityMatrix, axis: MeasurementAxis) -> float:
+def measured_mutual_information(rho: DensityMatrix, direction) -> float:
     """S(rho_B) minus the conditional entropy of the steered ensemble, in bits."""
     entropy_b = _state_entropy(partial_trace_a(rho))
-    return entropy_b - conditional_entropy(rho, axis)
+    return entropy_b - conditional_entropy(rho, direction)
 
 
 def optimize_measurement(rho: DensityMatrix,
@@ -432,7 +407,7 @@ def optimize_measurement(rho: DensityMatrix,
 
     top = min(walks, key=lambda walk: walk.fx)
     value, grid_value = entropy_b - top.fx, entropy_b - float(first[best])
-    return OptimizerResult(value=value, axis=_direction_axis(np.array(top.x)),
+    return OptimizerResult(value=value, axis=_fold(top.x),
                            grid_value=grid_value, refine_gain=value - grid_value,
                            starts=len(starts), batches=batches, evaluations=evaluations,
                            converged=not active, grid_s=grid_s,
@@ -441,7 +416,7 @@ def optimize_measurement(rho: DensityMatrix,
 
 def classical_correlation_numeric(rho: DensityMatrix,
                                   config: OptimizerConfig | None = None,
-                                  ) -> tuple[float, MeasurementAxis]:
+                                  ) -> tuple[float, tuple[float, float, float]]:
     """``optimize_measurement``'s best value and the axis that attains it."""
     result = optimize_measurement(rho, config)
     return result.value, result.axis
@@ -466,7 +441,7 @@ def ensemble_spectrum_spread(s: TwoParamState, samples: int, seed: int) -> float
     reference = np.sort(np.r_[[2.0 * s.alpha] * (s.d - 2), 2.0 * s.beta,
                               s.beta + s.gamma])[::-1]
     rng = np.random.default_rng(seed)
-    n = np.concatenate([_axis_direction(random_axis(rng)) for _ in range(samples)])
+    n = np.array([random_axis(rng) for _ in range(samples)])
     p, _, lam = _steer(*_bloch_blocks(build_state(s)), n)
     deviation = np.max(np.abs(lam[:, :, ::-1] - reference), axis=2)
     return float(np.max(deviation[p > DEGENERATE_TOL], initial=0.0))

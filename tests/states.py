@@ -1,6 +1,6 @@
 """State builders shared by the test modules and ``tools/optimizer_suite.py``,
 and the test builders of the paper's fixed objects: the Bell vectors and the
-measurement axis along a Bloch direction.
+Bloch direction at given angles.
 
 The suite loads this file by path against whichever tree's ``qucorr`` it
 runs, so it imports only numpy and names in ``qucorr.__all__``.
@@ -8,7 +8,7 @@ runs, so it imports only numpy and names in ``qucorr.__all__``.
 
 import numpy as np
 
-from qucorr import MeasurementAxis, tensor, validate_density
+from qucorr import tensor, validate_density
 
 
 def bell_vectors(d):
@@ -23,15 +23,12 @@ def bell_vectors(d):
             (ket(0, 1) + ket(1, 0)) / s, (ket(0, 1) - ket(1, 0)) / s)
 
 
-def axis_from_direction(polar, azimuth):
-    """Axis whose first projector points along the Bloch direction (polar, azimuth)."""
-    half = 0.5 * polar
-    return MeasurementAxis(
-        t=float(np.cos(half)),
-        y1=float(np.sin(half) * np.sin(azimuth)),
-        y2=float(-np.sin(half) * np.cos(azimuth)),
-        y3=0.0,
-    )
+def sphere_point(polar, azimuth):
+    """The unit Bloch vector at the given polar and azimuth angles (broadcast,
+    components last)."""
+    return np.stack([np.sin(polar) * np.cos(azimuth),
+                     np.sin(polar) * np.sin(azimuth),
+                     np.cos(polar)], axis=-1)
 
 
 def bit_entropy(lam):
@@ -88,6 +85,34 @@ def random_state(n, rng):
     m = g @ g.conj().T
     m /= np.trace(m).real
     return m
+
+
+def isotropic_state(rng, d):
+    """A 2 x d state whose correlation matrix G_kl = Re tr(T_k T_l) is isotropic,
+    so that G's eigen-axes are arbitrary: rho = (I_2 (x) rho_B + eps S)/2 with
+    S = sum_k sigma_k (x) E_k.
+
+    The E_k are three Hilbert-Schmidt-orthonormal, traceless Hermitian d x d
+    matrices, from Gram-Schmidt on random Hermitian ones, so T_k = eps E_k and
+    G = eps^2 I.  rho_B is I/d or (I/d + a random state)/2, and eps a uniform
+    0.2-0.95 fraction of lambda_min(rho_B) / |lambda_min(S)|, the largest eps
+    that keeps every such rho positive.
+    """
+    e = []
+    for _ in range(3):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = g + g.conj().T
+        h -= np.trace(h).real / d * np.eye(d)
+        for f in e:
+            h -= np.trace(f @ h).real * f
+        e.append(h / np.sqrt(np.trace(h @ h).real))
+    pauli = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+    s = sum(np.kron(p, f) for p, f in zip(pauli, e))
+    rho_b = np.eye(d) / d
+    if rng.uniform() < 0.5:
+        rho_b = 0.5 * (rho_b + random_state(d, rng))
+    eps = rng.uniform(0.2, 0.95) * np.linalg.eigvalsh(rho_b)[0] / -np.linalg.eigvalsh(s)[0]
+    return validate_density(0.5 * (np.kron(np.eye(2), rho_b) + eps * s), 2, d)
 
 
 def product_state(rng, d=3):

@@ -420,26 +420,30 @@ class TestDiscordCommand:
         assert abs(got["discord_numeric"] - expected) < 1e-6
 
     def test_axis_prints_no_negative_zero(self):
-        # The search ends about 2e-9 from the z axis, with y3 = 0.0.
+        # The search ends about 2e-9 from the z axis: three components, the
+        # Bloch direction, none of them printed as -0.
         cp = run_cli("discord", "--in", str(FIXTURES / "classical_diag_2x3.json"))
         assert cp.returncode == 0, cp.stderr
         axis = parse_report(cp.stdout)["axis"].strip("()").split(", ")
-        assert "-0" not in axis
-        assert "0" in axis
+        assert len(axis) == 3 and axis[2] == "1"
+        assert not any(c.startswith("-") for c in axis)
 
     def test_negative_zero_axis_component_prints_0(self):
-        # On the z axis itself the axis has y2 = -n_x / (2t) = -0.0.
-        axis = measurement._direction_axis(np.array([0.0, 0.0, 1.0]))
-        assert axis.y2 == 0.0 and np.signbit(axis.y2)
-        assert cli._fmt(axis.y2) == "0"
+        # The fold negates -z to (-0.0, -0.0, 1.0).
+        axis = measurement._fold((0.0, 0.0, -1.0))
+        assert axis == (0.0, 0.0, 1.0) and np.signbit(axis[0]) and np.signbit(axis[1])
+        assert [cli._fmt(c) for c in axis] == ["0", "0", "1"]
 
     def test_axis_on_the_upper_hemisphere(self):
-        # n and -n are one measurement; the printed axis is the one with
-        # Bloch z = t^2 - y1^2 - y2^2 + y3^2 >= 0.
-        cp = run_cli("discord", "--in", str(FIXTURES / "random_2x4.json"))
-        assert cp.returncode == 0, cp.stderr
-        t, y1, y2, y3 = map(float, parse_report(cp.stdout)["axis"].strip("()").split(","))
-        assert t ** 2 - y1 ** 2 - y2 ** 2 + y3 ** 2 >= 0.0
+        # n and -n are one measurement; the printed axis is the unit Bloch
+        # direction with (n_z, n_y, n_x) >= (0, 0, 0), in `corr --numeric` too.
+        for argv in (["discord", "--in", str(FIXTURES / "random_2x4.json")],
+                     ["corr", "--numeric", "--alpha", "0.05", "--gamma", "0.55", "--dim", "5"]):
+            cp = run_cli(*argv)
+            assert cp.returncode == 0, cp.stderr
+            n = tuple(map(float, parse_report(cp.stdout)["axis"].strip("()").split(",")))
+            assert len(n) == 3 and n[::-1] >= (0.0, 0.0, 0.0)
+            assert abs(sum(c * c for c in n) - 1.0) <= 1e-11
 
     def test_probe_options_are_gone(self):
         cp = run_cli("discord", "--help")

@@ -22,11 +22,11 @@ from qucorr.family import (
     random_family_state,
 )
 from qucorr.measurement import (
+    DEGENERATE_TOL,
     FLAT_TOL,
     GRID_POINTS,
     MAX_STARTS,
     ConditionalEnsemble,
-    MeasurementAxis,
     OptimizerConfig,
     OptimizerResult,
     classical_correlation_numeric,
@@ -49,13 +49,16 @@ from qucorr.operators import (
     von_neumann_entropy,
 )
 from qucorr.statefile import loads_density
-from states import axis_from_direction, crossover_x_state, product_state, x_state_candidates
+from states import (crossover_x_state, isotropic_state, product_state, sphere_point,
+                    x_state_candidates)
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+# The computational-basis measurement, along the Bloch z axis.
+Z = (0.0, 0.0, 1.0)
 
 
 def dense_ensemble(rho, axis):
@@ -69,12 +72,6 @@ def dense_ensemble(rho, axis):
         p = float(np.trace(block).real)
         out.append((p, np.einsum('ijil->jl', block.reshape(2, d, 2, d)) / p))
     return out
-
-
-def sphere_point(polar, azimuth):
-    return np.stack([np.sin(polar) * np.cos(azimuth),
-                     np.sin(polar) * np.sin(azimuth),
-                     np.cos(polar)], axis=-1)
 
 
 def oracle_classical_correlation(rho):
@@ -155,44 +152,71 @@ class TestBlochBlocks:
 
 
 class TestMeasurementAxis:
+    """A measurement is its Bloch direction.  The four functions that take one
+    accept any finite, non-zero 3-vector and normalize it, and refuse anything
+    else with a ValueError that names the direction."""
+
+    TAKERS = {
+        "projectors": lambda rho, n: projectors(n),
+        "conditional_ensemble": conditional_ensemble,
+        "conditional_entropy": conditional_entropy,
+        "measured_mutual_information": measured_mutual_information,
+    }
 
     def test_unit_norm_enforced(self):
-        with pytest.raises(ValueError):
-            MeasurementAxis(1.0, 0.5, 0.0, 0.0)
+        # Scaling by 2 is exact, in the vector and in its norm, so the
+        # normalized direction and every value are the same to the bit.  A
+        # scale near either end of the double range normalizes as well.
+        rng = np.random.default_rng(0)
+        rho = random_density_matrix(2, 3, rng)
+        for _ in range(10):
+            n = np.array(random_axis(rng))
+            assert conditional_entropy(rho, 2 * n) == conditional_entropy(rho, n)
+            assert measured_mutual_information(rho, 2 * n) == measured_mutual_information(rho, n)
+            assert conditional_ensemble(rho, 2 * n).p0 == conditional_ensemble(rho, n).p0
+            for a, b in zip(projectors(2 * n), projectors(n)):
+                assert np.array_equal(a, b)
+            for scale in (1e-300, 1e300):
+                assert abs(conditional_entropy(rho, scale * n)
+                           - conditional_entropy(rho, n)) <= 1e-14
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_coefficient_rejected(self, bad):
-        with pytest.raises(ValueError, match="unit norm"):
-            MeasurementAxis(bad, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="unit norm"):
-            MeasurementAxis(1.0, 0.0, bad, 0.0)
+        rho = random_density_matrix(2, 3, np.random.default_rng(0))
+        for take in self.TAKERS.values():
+            for direction in [(bad, 0.0, 1.0), (0.0, -bad, 0.0)]:
+                with pytest.raises(ValueError, match="direction must be a finite"):
+                    take(rho, direction)
 
-    def test_unitary_is_special_unitary(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            v = random_axis(rng).unitary()
-            assert np.allclose(v @ v.conj().T, np.eye(2), atol=1e-12)
-            assert np.isclose(np.linalg.det(v), 1.0, atol=1e-12)
+    def test_zero_or_misshapen_direction_rejected(self):
+        rho = random_density_matrix(2, 3, np.random.default_rng(0))
+        for take in self.TAKERS.values():
+            for direction in [(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, 1.0),
+                              (0.0, 0.0, 1.0, 0.0), [[0.0, 0.0, 1.0]], 1.0]:
+                with pytest.raises(ValueError, match="non-zero 3-vector"):
+                    take(rho, direction)
 
     def test_sign_flip_gives_same_projectors(self):
+        # -n is the same measurement as n, with its outcomes swapped.
         rng = np.random.default_rng(1)
+        rho = random_density_matrix(2, 3, rng)
         for _ in range(10):
-            axis = random_axis(rng)
-            flipped = MeasurementAxis(-axis.t, -axis.y1, -axis.y2, -axis.y3)
-            for a, b in zip(projectors(axis), projectors(flipped)):
+            n = np.array(random_axis(rng))
+            for a, b in zip(projectors(n), projectors(-n)[::-1]):
                 assert np.allclose(a, b, atol=1e-14)
+            assert abs(conditional_entropy(rho, -n) - conditional_entropy(rho, n)) <= 1e-14
 
 
 class TestProjectors:
 
     def test_identity_axis_gives_computational_projectors(self):
-        a0, a1 = projectors(MeasurementAxis(1.0, 0.0, 0.0, 0.0))
+        a0, a1 = projectors(Z)
         assert np.allclose(a0, np.diag([1.0, 0.0]), atol=1e-14)
         assert np.allclose(a1, np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_y_rotation_gives_plus_minus_projectors(self):
-        r = 1.0 / np.sqrt(2.0)
-        a0, a1 = projectors(MeasurementAxis(r, 0.0, r, 0.0))
+        # A quarter turn about y takes z to x.
+        a0, a1 = projectors((1.0, 0.0, 0.0))
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
         minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
         pair = {tuple(np.round(p.ravel().real, 12)) for p in (a0, a1)}
@@ -211,27 +235,24 @@ class TestProjectors:
     def test_direction_parametrization_points_along_bloch_vector(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            polar = rng.uniform(0.0, np.pi)
-            azimuth = rng.uniform(0.0, 2.0 * np.pi)
-            n = np.array([np.sin(polar) * np.cos(azimuth),
-                          np.sin(polar) * np.sin(azimuth),
-                          np.cos(polar)])
+            n = sphere_point(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi))
             expected = 0.5 * (np.eye(2) + sum(c * s for c, s in zip(n, PAULI)))
-            a0, _ = projectors(axis_from_direction(polar, azimuth))
+            a0, _ = projectors(n)
             assert np.allclose(a0, expected, atol=1e-12)
 
     def test_closed_form_axis_maps_match_their_definitions(self):
-        # unitary() and _axis_direction are written out in (t, y); here V is
-        # t*I + i*(y . sigma) and n_k is tr[A_0 sigma_k], from this file's PAULI.
-        rng = np.random.default_rng(5)
-        edges = [axis_from_direction(polar, 0.7) for polar in (0.0, np.pi, np.pi / 2.0)]
-        for axis in [random_axis(rng) for _ in range(200)] + edges:   # the poles, the equator
-            y = (axis.y1, axis.y2, axis.y3)
-            v = axis.t * np.eye(2) + 1j * sum(c * s for c, s in zip(y, PAULI))
-            assert np.max(np.abs(axis.unitary() - v)) <= 1e-16
-            a0, _ = projectors(axis)
-            n = [np.trace(a0 @ s).real for s in PAULI]
-            assert np.max(np.abs(measurement._axis_direction(axis)[0] - n)) <= 1e-15
+        # random_axis writes the map n(t, y) out in (t, y).  Here the same draw
+        # builds V = t*I + i*(y . sigma) from this file's PAULI, and n_k is
+        # tr[A_0 sigma_k] with A_0 = V|0><0|V^dag, which projectors(n) returns.
+        rng, draws = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(200):
+            n = random_axis(rng)
+            x = draws.standard_normal(4)
+            t, *y = x / np.linalg.norm(x)
+            v = t * np.eye(2) + 1j * sum(c * s for c, s in zip(y, PAULI))
+            a0 = np.outer(v[:, 0], v[:, 0].conj())
+            assert np.max(np.abs(np.array(n) - [np.trace(a0 @ s).real for s in PAULI])) <= 1e-15
+            assert np.max(np.abs(projectors(n)[0] - a0)) <= 1e-15
 
 
 class TestConditionalEnsemble:
@@ -243,16 +264,16 @@ class TestConditionalEnsemble:
             rho = random_density_matrix(2, d, rng)
             axis = random_axis(rng)
             ens = conditional_ensemble(rho, axis)
-            for (p, state), (p_ref, state_ref) in zip(ens.outcomes(), dense_ensemble(rho, axis)):
+            outcomes = ((ens.p0, ens.rho0), (ens.p1, ens.rho1))
+            for (p, state), (p_ref, state_ref) in zip(outcomes, dense_ensemble(rho, axis)):
                 assert abs(p - p_ref) < 1e-14
                 assert np.max(np.abs(state - state_ref)) < 1e-14
                 assert not state.flags.writeable
             # Two directions make the outcome and direction axes equally long,
             # so a sum over the wrong one still has the right shape.
-            axes = (axis, axis_from_direction(1.0, 2.0))
-            batch = measurement._conditional_entropy_batch(
-                *measurement._bloch_blocks(rho),
-                np.concatenate([measurement._axis_direction(a) for a in axes]))
+            axes = (axis, sphere_point(1.0, 2.0))
+            batch = measurement._conditional_entropy_batch(*measurement._bloch_blocks(rho),
+                                                           np.array(axes))
             np.testing.assert_allclose(batch, [conditional_entropy(rho, a) for a in axes],
                                        rtol=0.0, atol=1e-14)
 
@@ -266,7 +287,7 @@ class TestConditionalEnsemble:
 
     def test_uniform_triplet_steered_spectrum(self):
         rho = build_state(TwoParamState(3, 0.0, 0.0))
-        ens = conditional_ensemble(rho, MeasurementAxis(1.0, 0.0, 0.0, 0.0))
+        ens = conditional_ensemble(rho, Z)
         lam = np.sort(np.linalg.eigvalsh(ens.rho0))[::-1]
         assert np.allclose(lam, [2.0 / 3.0, 1.0 / 3.0, 0.0], atol=1e-12)
 
@@ -284,7 +305,7 @@ class TestConditionalEnsemble:
             rho = random_density_matrix(2, int(rng.integers(3, 6)), rng)
             ens = conditional_ensemble(rho, random_axis(rng))
             assert abs(ens.p0 + ens.p1 - 1.0) < 1e-12
-            for p, state in ens.outcomes():
+            for p, state in ((ens.p0, ens.rho0), (ens.p1, ens.rho1)):
                 assert p > -1e-12
                 if p > 1e-12:
                     assert np.linalg.eigvalsh(state)[0] > -1e-12
@@ -295,17 +316,16 @@ class TestConditionalEnsemble:
         v = np.zeros(6, dtype=complex)
         v[0] = 1.0
         pure = validate_density(np.outer(v, v.conj()), 2, 3)
-        ens = conditional_ensemble(pure, MeasurementAxis(1.0, 0.0, 0.0, 0.0))
+        ens = conditional_ensemble(pure, Z)
         assert isinstance(ens, ConditionalEnsemble)
-        assert ens.degenerate
-        assert ens.p1 < 1e-12
+        assert ens.p1 <= DEGENERATE_TOL
         # An outcome of probability 1e-10, above DEGENERATE_TOL, still counts: the
         # second outcome steers the qudit to I/3 and adds eps * log2(3) bits.
         eps = 1e-10
         mixed = validate_density(np.diag([1.0 - eps, 0, 0, eps / 3, eps / 3, eps / 3]), 2, 3)
-        z = MeasurementAxis(1.0, 0.0, 0.0, 0.0)
-        assert not conditional_ensemble(mixed, z).degenerate
-        assert abs(conditional_entropy(mixed, z) - eps * np.log2(3.0)) < 1e-14
+        ens = conditional_ensemble(mixed, Z)
+        assert min(ens.p0, ens.p1) > DEGENERATE_TOL
+        assert abs(conditional_entropy(mixed, Z) - eps * np.log2(3.0)) < 1e-14
 
 
 class TestConditionalEntropy:
@@ -335,13 +355,12 @@ class TestConditionalEntropy:
         for _ in range(5):
             assert conditional_entropy(pure, random_axis(rng)) < 1e-12
         # No entropy, and so no correlation, reads -0.0.
-        axis = MeasurementAxis(1.0, 0.0, 0.0, 0.0)
-        assert math.copysign(1.0, measured_mutual_information(pure, axis)) == 1.0
+        assert math.copysign(1.0, measured_mutual_information(pure, Z)) == 1.0
         assert math.copysign(1.0, classical_correlation_numeric(pure)[0]) == 1.0
 
     def test_maximally_mixed_gives_log_d(self):
         rho = validate_density(np.eye(6) / 6.0, 2, 3)
-        got = conditional_entropy(rho, MeasurementAxis(1.0, 0.0, 0.0, 0.0))
+        got = conditional_entropy(rho, Z)
         assert np.isclose(got, np.log2(3.0), atol=1e-12)
 
 
@@ -349,7 +368,7 @@ class TestMeasuredMutualInformation:
 
     def test_singlet_with_computational_axis(self):
         rho = build_state(TwoParamState(3, 0.0, 1.0))
-        got = measured_mutual_information(rho, MeasurementAxis(1.0, 0.0, 0.0, 0.0))
+        got = measured_mutual_information(rho, Z)
         assert np.isclose(got, 1.0, atol=1e-12)
 
     def test_product_state_carries_nothing(self):
@@ -525,6 +544,18 @@ class TestOptimizerOracle:
         rho, _, _ = product_state(rng, d=4)
         m = (1.0 - 1e-6) * rho.matrix + 1e-6 * random_density_matrix(2, 4, rng).matrix
         self.assert_matches_oracle(validate_density(m, 2, 4))
+
+    @pytest.mark.parametrize("seed, d", [(3996, 3), (3423, 3), (1609, 4), (5740, 4),
+                                         (3185, 5), (3098, 5)])
+    def test_isotropic_correlation_matrix(self, seed, d):
+        # G_kl = Re tr(T_k T_l) is isotropic, so its eigen-axes are arbitrary.
+        # A search started only from them misses the maximum of each of these
+        # states by 1.0e-5 to 6.1e-5 bits, and so they cannot replace the grid.
+        rho = isotropic_state(np.random.default_rng(seed), d)
+        _, t = measurement._bloch_blocks(rho)
+        g = np.einsum('kij,lji->kl', t, t).real
+        assert np.max(np.abs(g - g[0, 0] * np.eye(3))) <= 1e-15
+        self.assert_matches_oracle(rho)
 
     @pytest.mark.parametrize("d", [3, 4, 5, 8])
     def test_local_unitaries_leave_the_value(self, d):
@@ -757,6 +788,8 @@ class TestOptimizeMeasurement:
         assert result.evaluations == sum(sizes)
         assert result.grid_s >= 0.0 and result.refine_s >= 0.0
         assert classical_correlation_numeric(rho) == (result.value, result.axis)
+        assert type(result.axis) is tuple and [type(c) for c in result.axis] == [float] * 3
+        assert abs(math.hypot(*result.axis) - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("rho, starts", [
         (random_density_matrix(2, 4, np.random.default_rng(370)), 1),
@@ -840,17 +873,21 @@ class TestOptimizeMeasurement:
         rng = np.random.default_rng(390)
         directions = [n / np.linalg.norm(n) for n in rng.standard_normal((20, 3))]
         for n in directions + [np.array([1.0, 0.0, 0.0])]:
-            assert measurement._direction_axis(-n) == measurement._direction_axis(n)
+            assert measurement._fold(tuple((-n).tolist())) == measurement._fold(tuple(n.tolist()))
 
     @pytest.mark.parametrize("n", [
         sphere_point(1e-3, 0.3), sphere_point(1e-5, 2.0), sphere_point(1e-7, -2.5),
         sphere_point(np.pi / 2.0, 1.1), np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]),
     ], ids=["1e-3", "1e-5", "1e-7", "equator", "+z", "-z"])
     def test_direction_round_trip(self, n):
-        # n -> axis -> n, up to the sign the axis folds away.  An axis whose
-        # angle came from arccos(n_z) was off by 3.2e-11 at 1e-7 from the pole.
-        back = measurement._axis_direction(measurement._direction_axis(n))[0]
-        assert min(np.max(np.abs(back - n)), np.max(np.abs(back + n))) <= 1e-15
+        # The returned axis is the walk's point or its negation, bit for bit,
+        # on the upper hemisphere.  No conversion stands between them: an axis
+        # whose angle came from arccos(n_z) was off by 3.2e-11 at 1e-7 from
+        # the pole.
+        point = tuple(n.tolist())
+        back = measurement._fold(point)
+        assert back in (point, tuple(-c for c in point))
+        assert back[::-1] >= (0.0, 0.0, 0.0)
 
     def test_walks_end_on_a_flat_stencil(self):
         # The product state with a 1e-6 admixture of the oracle tests: its

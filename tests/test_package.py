@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # numpy-free module of closed forms and the LOCC protocol's module.
 NAMES = sorted([
     "ConditionalEnsemble", "CorrelationReport", "DensityMatrix", "DimensionMismatchError",
-    "IntermediateWeights", "MatrixValidationError", "MeasurementAxis", "NonFiniteError",
+    "IntermediateWeights", "MatrixValidationError", "NonFiniteError",
     "NonHermitianError", "NonUnitTraceError", "NotInFamilyError",
     "NotPositiveSemidefiniteError", "OptimizerConfig", "OptimizerResult",
     "ParameterOutOfRangeError", "StateFormatError", "TwirlReport", "TwoParamState",
