@@ -156,12 +156,8 @@ class TestMeasurementAxis:
     accept any finite, non-zero 3-vector and normalize it, and refuse anything
     else with a ValueError that names the direction."""
 
-    TAKERS = {
-        "projectors": lambda rho, n: projectors(n),
-        "conditional_ensemble": conditional_ensemble,
-        "conditional_entropy": conditional_entropy,
-        "measured_mutual_information": measured_mutual_information,
-    }
+    TAKERS = (lambda rho, n: projectors(n), conditional_ensemble, conditional_entropy,
+              measured_mutual_information)
 
     def test_unit_norm_enforced(self):
         # Scaling by 2 is exact, in the vector and in its norm, so the
@@ -183,14 +179,14 @@ class TestMeasurementAxis:
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_coefficient_rejected(self, bad):
         rho = random_density_matrix(2, 3, np.random.default_rng(0))
-        for take in self.TAKERS.values():
+        for take in self.TAKERS:
             for direction in [(bad, 0.0, 1.0), (0.0, -bad, 0.0)]:
                 with pytest.raises(ValueError, match="direction must be a finite"):
                     take(rho, direction)
 
     def test_zero_or_misshapen_direction_rejected(self):
         rho = random_density_matrix(2, 3, np.random.default_rng(0))
-        for take in self.TAKERS.values():
+        for take in self.TAKERS:
             for direction in [(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, 1.0),
                               (0.0, 0.0, 1.0, 0.0), [[0.0, 0.0, 1.0]], 1.0]:
                 with pytest.raises(ValueError, match="non-zero 3-vector"):
