@@ -14,7 +14,12 @@ passed in.  The qudit is left in the unnormalized blocks
 with probabilities tr M+-.  They are linear in n, and one private kernel,
 ``_steer``, forms them from (rho_B, T) for every ensemble, entropy and
 spectrum below.  The classical correlation is the supremum over n of
-S(rho_B) - sum p S(M/p).
+S(rho_B) - sum p S(M/p).  Past its first k qudit levels a state often has no
+entry off the qudit's diagonal in any of its four d x d blocks: k = 2 for
+every family member and embedded X state, at any d.  There rho_B and every
+M+-(n) are diagonal, so the optimizer finds k once per call, and the kernel
+diagonalizes only the leading k x k blocks and reads the other d - k
+eigenvalues off the diagonal.  A generic state has k = d.
 
 The optimizer is a multi-start search.  Directions n and -n give the same
 measurement, so its first batch is a Fibonacci grid on the upper hemisphere
@@ -51,6 +56,7 @@ from .closed_form import TwoParamState
 from .family import build_state
 from .operators import (
     DensityMatrix,
+    _rescaled_entropy,
     _spectral_entropy,
     _state_entropy,
     partial_trace_a,
@@ -164,8 +170,14 @@ def random_axis(rng: np.random.Generator) -> tuple[float, float, float]:
 def _unit_direction(direction) -> np.ndarray:
     """The unit vector along ``direction``, as a (1, 3) batch; any finite,
     non-zero 3-vector is accepted."""
-    n = np.asarray(direction, dtype=float)
-    norm = math.hypot(*n.tolist()) if n.shape == (3,) else math.nan
+    try:
+        n = np.asarray(direction)
+        if n.dtype.kind == "c":  # a cast would drop the imaginary part
+            raise TypeError
+        n = np.asarray(n, dtype=float)
+        norm = math.hypot(*n.tolist()) if n.shape == (3,) else math.nan
+    except (TypeError, ValueError):  # complex, text or ragged entries
+        norm = math.nan
     if not 0.0 < norm < math.inf:
         raise ValueError(f"direction must be a finite, non-zero 3-vector, got {direction!r}")
     return n[None] / norm
@@ -303,12 +315,35 @@ class _Walk:
         return self.pred > FLAT_TOL
 
 
-def _steer(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray):
+def _coupled_levels(rho: DensityMatrix) -> int:
+    """The smallest k such that no qudit level >= k has an entry off the qudit's
+    diagonal in any of rho's four d x d qubit blocks.  Then rho_B and every T_k,
+    and so every steered block M+-(n), are exactly diagonal on those levels."""
+    d = rho.dim_b
+    off = (rho.matrix != 0.0).reshape(2, d, 2, d).any(axis=(0, 2))
+    off.flat[::d + 1] = False
+    coupled = (off | off.T).any(axis=1).tolist()
+    return max((j + 1 for j, c in enumerate(coupled) if c), default=0)
+
+
+def _eigvalsh(m: np.ndarray, k: int) -> np.ndarray:
+    """Eigenvalues of the Hermitian (..., d, d) stack ``m``, exact when its levels
+    >= k are uncoupled: ``eigvalsh`` of the leading k x k block, then m's diagonal
+    on the other d - k levels.  Ascending only for k = d."""
+    if k == m.shape[-1]:
+        return np.linalg.eigvalsh(m)
+    return np.concatenate([np.linalg.eigvalsh(m[..., :k, :k]),
+                           m.diagonal(axis1=-2, axis2=-1)[..., k:].real], axis=-1)
+
+
+def _steer(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray, k: int):
     """The steering kernel: p (2, g), M (2, g, d, d) and lam (2, g, d) for the
     outcomes +n (index 0) and -n (index 1) of the (g, 3) directions ``n``.
 
-    M = (rho_B +- n . T)/2, p = tr M and lam = eigvalsh(M)/p, ascending
-    (unnormalized if p is degenerate).
+    M = (rho_B +- n . T)/2, p = tr M and lam = eigvalsh(M)/p (unnormalized if p
+    is degenerate), with the qudit's levels >= k uncoupled (``_coupled_levels``):
+    only M's leading k x k block is diagonalized, and lam is ascending only for
+    k = d.
     """
     d = rho_b.shape[0]
     m = np.empty((2, len(n), d * d), dtype=complex)
@@ -318,14 +353,15 @@ def _steer(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray):
     m[0] *= 0.5
     np.subtract(rho_b, m[0], out=m[1])
     p = np.einsum('ogjj->og', m).real
-    lam = np.linalg.eigvalsh(m)
+    lam = _eigvalsh(m, k)
     lam /= np.where(p > DEGENERATE_TOL, p, 1.0)[:, :, None]
     return p, m, lam
 
 
-def _conditional_entropy_batch(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _conditional_entropy_batch(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray,
+                               k: int) -> np.ndarray:
     """sum_+- p S(M/p) in bits per direction; eigenvalues are clipped to [0, 1]."""
-    p, _, lam = _steer(rho_b, t, n)
+    p, _, lam = _steer(rho_b, t, n, k)
     return np.where(p > DEGENERATE_TOL, p * _spectral_entropy(lam), 0.0).sum(axis=0)
 
 
@@ -336,7 +372,7 @@ def conditional_ensemble(rho: DensityMatrix, direction) -> ConditionalEnsemble:
     reductions of the projected blocks.  Outcomes with p_i <= DEGENERATE_TOL
     keep their unnormalized block so the ensemble is always returned.
     """
-    p, m, _ = _steer(*_bloch_blocks(rho), _unit_direction(direction))
+    p, m, _ = _steer(*_bloch_blocks(rho), _unit_direction(direction), rho.dim_b)
     p = p[:, 0]
     states = m[:, 0] / np.where(p > DEGENERATE_TOL, p, 1.0)[:, None, None]
     states.flags.writeable = False
@@ -347,7 +383,8 @@ def conditional_entropy(rho: DensityMatrix, direction) -> float:
     """sum_i p_i S(rho_i) in bits for the measurement along the Bloch ``direction``,
     computed as the optimizer's objective is: degenerate outcomes contribute
     zero, steered spectra are clipped to [0, 1]."""
-    return float(_conditional_entropy_batch(*_bloch_blocks(rho), _unit_direction(direction))[0])
+    return float(_conditional_entropy_batch(*_bloch_blocks(rho), _unit_direction(direction),
+                                            rho.dim_b)[0])
 
 
 def measured_mutual_information(rho: DensityMatrix, direction) -> float:
@@ -365,11 +402,12 @@ def optimize_measurement(rho: DensityMatrix,
     """
     start = time.perf_counter()
     rho_b, t = _bloch_blocks(rho)
-    entropy_b = _state_entropy(rho_b)
+    k = _coupled_levels(rho)
+    entropy_b = _rescaled_entropy(_eigvalsh(rho_b, k))
     # The look: the grid's first directions, one turn of the spiral.  A flat
     # look stops the search; otherwise a second kernel call evaluates the rest
     # of the first batch, the other grid directions and the probes.
-    look = _conditional_entropy_batch(rho_b, t, _GRID[:GRID_POINTS // 8])
+    look = _conditional_entropy_batch(rho_b, t, _GRID[:GRID_POINTS // 8], k)
     if look.max() - look.min() <= FLAT_TOL:
         value = entropy_b - float(look[0])
         return OptimizerResult(value=value, axis=_FLAT_AXIS, grid_value=value,
@@ -381,7 +419,7 @@ def optimize_measurement(rho: DensityMatrix,
         polar = np.arccos(rng.uniform(-1.0, 1.0, config.random_probes))
         azimuth = rng.uniform(0.0, 2.0 * np.pi, config.random_probes)
         batch = np.r_[batch, _sphere(polar, azimuth)[0]]
-    first = np.r_[look, _conditional_entropy_batch(rho_b, t, batch[GRID_POINTS // 8:])]
+    first = np.r_[look, _conditional_entropy_batch(rho_b, t, batch[GRID_POINTS // 8:], k)]
     batches, evaluations = 2, len(batch)
 
     # Starts: the best first-batch direction (it may be a probe), then the grid's
@@ -400,7 +438,7 @@ def optimize_measurement(rho: DensityMatrix,
     active = walks
     while active and batches < REFINE_MAXITER:
         points = [q for walk in active for q in [walk.y, *_retraction(walk.y, stencil)]]
-        cond = _conditional_entropy_batch(rho_b, t, np.array(points)).reshape(len(active), -1)
+        cond = _conditional_entropy_batch(rho_b, t, np.array(points), k).reshape(len(active), -1)
         batches, evaluations = batches + 1, evaluations + len(points)
         values, models = cond[:, 0].tolist(), (cond @ fit).tolist()
         active = [walk for walk, v, m in zip(active, values, models) if walk.advance(v, m)]
@@ -442,6 +480,6 @@ def ensemble_spectrum_spread(s: TwoParamState, samples: int, seed: int) -> float
                               s.beta + s.gamma])[::-1]
     rng = np.random.default_rng(seed)
     n = np.array([random_axis(rng) for _ in range(samples)])
-    p, _, lam = _steer(*_bloch_blocks(build_state(s)), n)
+    p, _, lam = _steer(*_bloch_blocks(build_state(s)), n, s.d)
     deviation = np.max(np.abs(lam[:, :, ::-1] - reference), axis=2)
     return float(np.max(deviation[p > DEGENERATE_TOL], initial=0.0))

@@ -207,10 +207,15 @@ def _spectral_entropy(lam: np.ndarray) -> np.ndarray:
 
 def _state_entropy(m: np.ndarray) -> float:
     """Entropy in bits of a state or marginal, its clipped spectrum rescaled to unit sum."""
+    return _rescaled_entropy(np.linalg.eigvalsh(m))
+
+
+def _rescaled_entropy(lam: np.ndarray) -> float:
+    """Entropy in bits of a state's spectrum ``lam``, clipped and rescaled to unit sum."""
     # At the edge of validation the clipped spectrum sums to 1 + O(d VALIDATION_TOL),
     # which makes I negative unless it is rescaled.  Steered blocks are not rescaled:
     # a degenerate outcome's block is near zero, and its sum would divide by ~0.
-    lam = np.minimum(np.maximum(np.linalg.eigvalsh(m), 0.0), 1.0)
+    lam = np.minimum(np.maximum(lam, 0.0), 1.0)
     return float(_spectral_entropy(lam / lam.sum()))
 
 

@@ -192,6 +192,17 @@ class TestMeasurementAxis:
                 with pytest.raises(ValueError, match="non-zero 3-vector"):
                     take(rho, direction)
 
+    def test_complex_or_text_direction_rejected(self):
+        # Complex entries are refused, not cast to their real parts, and text
+        # gets the same error as any other bad direction.
+        rho = random_density_matrix(2, 3, np.random.default_rng(0))
+        for take in self.TAKERS:
+            for direction in [(1j, 0.0, 0.0), np.array([1.0 + 0j, 0.0, 0.0]), "abc",
+                              ("x", "y", "z"), [[1.0], [0.0, 0.0]]]:
+                with pytest.raises(ValueError, match="direction must be a finite, "
+                                                     "non-zero 3-vector, got"):
+                    take(rho, direction)
+
     def test_sign_flip_gives_same_projectors(self):
         # -n is the same measurement as n, with its outcomes swapped.
         rng = np.random.default_rng(1)
@@ -251,6 +262,105 @@ class TestProjectors:
             assert np.max(np.abs(projectors(n)[0] - a0)) <= 1e-15
 
 
+def moved_levels(rho, order):
+    """``rho`` with qudit level j relabelled ``order[j]``."""
+    d, back = rho.dim_b, np.argsort(order)
+    m = rho.matrix.reshape(2, d, 2, d)[:, back][:, :, :, back]
+    return validate_density(m.reshape(2 * d, 2 * d), 2, d)
+
+
+def with_diagonal(rho, rng, weight=0.3):
+    """``rho`` mixed with a random diagonal state, so that every level is populated."""
+    d = rho.dim_b
+    diagonal = np.diag(rng.dirichlet(np.ones(2 * d)))
+    return validate_density((1.0 - weight) * rho.matrix + weight * diagonal, 2, d)
+
+
+def with_entry(d, row, col, value=0.05):
+    """The maximally mixed 2 x d state plus ``value`` at (row, col) and, if
+    ``value`` is not tiny, its conjugate at (col, row)."""
+    m = np.eye(2 * d, dtype=complex) / (2 * d)
+    m[row, col] += value
+    if abs(value) > 1e-9:
+        m[col, row] += np.conj(value)
+    return validate_density(m, 2, d)
+
+
+DIAGONAL_FIXTURE = Path(__file__).parent / "fixtures" / "classical_diag_2x3.json"
+
+
+class TestCoupledLevels:
+    """Past the first k = ``_coupled_levels`` qudit levels every steered block
+    M+-(n) is diagonal.  The kernel diagonalizes only the leading k x k block
+    and reads the other eigenvalues off M's diagonal, and must agree with the
+    full d x d kernel."""
+
+    @pytest.mark.parametrize("rho, k", [
+        (build_state(TwoParamState(3, 0.05, 0.55)), 2),
+        (build_state(TwoParamState(16, 0.01, 0.3)), 2),
+        (build_state(TwoParamState(5, 0.0, 1.0)), 2),
+        (crossover_x_state(np.random.default_rng(70), 4, 1e-4), 2),
+        (loads_density(DIAGONAL_FIXTURE.read_text()), 0),
+        (random_density_matrix(2, 5, np.random.default_rng(0)), 5),
+        (with_entry(5, 0, 3), 4),
+        (with_entry(5, 1, 5 + 2), 3),
+        (with_entry(5, 2, 5 + 2), 0),
+        (with_entry(5, 3, 5 + 0, 1e-12), 4),
+        (moved_levels(crossover_x_state(np.random.default_rng(71), 6, 1e-4), [4, 5, 0, 1, 2, 3]),
+         6),
+    ], ids=["family-d3", "family-d16", "singlet-d5", "x-state", "diagonal", "random",
+            "qudit-coherence-0-3", "cross-coherence-1-2", "cross-coherence-2-2",
+            "one-sided-1e-12", "x-state-on-the-last-levels"])
+    def test_levels(self, rho, k):
+        # A coherence between the qubit's blocks on one qudit level couples no
+        # level; an entry without its mirror image still couples its levels.
+        assert measurement._coupled_levels(rho) == k
+
+    @staticmethod
+    def states():
+        rng = np.random.default_rng(380)
+        members = [build_state(random_family_state(d, rng)) for d in range(3, 17) for _ in range(3)]
+        crossovers = [crossover_x_state(rng, d, gap) for d in (3, 5) for gap in (1e-4, -1e-3)]
+        last = moved_levels(crossover_x_state(rng, 5, 1e-4), [3, 4, 0, 1, 2])
+        return (members + crossovers + [with_diagonal(rho, rng) for rho in crossovers]
+                + [loads_density(DIAGONAL_FIXTURE.read_text()), with_diagonal(last, rng)])
+
+    def test_split_kernel_matches_the_full_kernel(self):
+        # The spectra agree to 1e-15.  The entropies sum the same terms in
+        # another order, so they agree to 1e-15 relative (3 ulp at 2.7 bits).
+        rng = np.random.default_rng(381)
+        n = np.r_[measurement._GRID, [random_axis(rng) for _ in range(32)]]
+        ks = []
+        for rho in self.states():
+            rho_b, t = measurement._bloch_blocks(rho)
+            d, k = rho.dim_b, measurement._coupled_levels(rho)
+            ks.append(k)
+            p, m, lam = measurement._steer(rho_b, t, n, k)
+            p_full, m_full, lam_full = measurement._steer(rho_b, t, n, d)
+            assert np.array_equal(p, p_full) and np.array_equal(m, m_full)
+            assert np.max(np.abs(np.sort(lam, axis=2) - lam_full)) <= 1e-15
+            split = measurement._conditional_entropy_batch(rho_b, t, n, k)
+            full = measurement._conditional_entropy_batch(rho_b, t, n, d)
+            assert np.all(np.abs(split - full) <= 1e-15 * np.maximum(1.0, full))
+            entropy_b = operators._rescaled_entropy(measurement._eigvalsh(rho_b, k))
+            assert abs(entropy_b - operators._state_entropy(rho_b)) <= 1e-15 * max(1.0, entropy_b)
+        assert ks == [2] * 50 + [0, 5]
+
+    def test_state_coupled_at_its_last_level_takes_the_full_kernel(self, monkeypatch):
+        # Levels 0-2 are uncoupled but precede the coupled ones, so k = d: the
+        # search is the one the full kernel gives, bit for bit.
+        rng = np.random.default_rng(382)
+        rho = with_diagonal(moved_levels(crossover_x_state(rng, 5, 1e-4), [3, 4, 0, 1, 2]), rng)
+        assert measurement._coupled_levels(rho) == 5
+        result = optimize_measurement(rho)
+        kernel = measurement._conditional_entropy_batch
+        monkeypatch.setattr(measurement, "_conditional_entropy_batch",
+                            lambda rho_b, t, n, k: kernel(rho_b, t, n, len(rho_b)))
+        untimed = lambda result: dataclasses.replace(result, grid_s=0.0, refine_s=0.0)
+        assert untimed(optimize_measurement(rho)) == untimed(result)
+        assert result.batches > 2
+
+
 class TestConditionalEnsemble:
 
     @pytest.mark.parametrize("d", [3, 4, 8])
@@ -269,7 +379,7 @@ class TestConditionalEnsemble:
             # so a sum over the wrong one still has the right shape.
             axes = (axis, sphere_point(1.0, 2.0))
             batch = measurement._conditional_entropy_batch(*measurement._bloch_blocks(rho),
-                                                           np.array(axes))
+                                                           np.array(axes), d)
             np.testing.assert_allclose(batch, [conditional_entropy(rho, a) for a in axes],
                                        rtol=0.0, atol=1e-14)
 
@@ -404,6 +514,17 @@ class TestOptimizer:
         value, _ = classical_correlation_numeric(rho)
         assert abs(value - classical_correlation(TwoParamState(3, 0.1, 0.3))) < 1e-7
 
+    @pytest.mark.parametrize("d", [64, 256])
+    def test_large_d_family_member_matches_closed_form(self, d):
+        # A member couples only qudit levels 0 and 1, so its steered blocks are
+        # 2 x 2 blocks plus a diagonal at every d.
+        rng = np.random.default_rng(390 + d)
+        for _ in range(3):
+            s = random_family_state(d, rng)
+            result = optimize_measurement(build_state(s))
+            assert result.batches == 1
+            assert abs(result.value - classical_correlation(s)) <= 1e-12
+
     def test_product_state_optimum_is_zero(self):
         rng = np.random.default_rng(12)
         prod, _, _ = product_state(rng)
@@ -529,7 +650,8 @@ class TestOptimizerOracle:
         for delta in (1.0e-12, 1.3e-12, 2.0e-12):
             rho = validate_density((1.0 - delta) * member + delta * other, 2, 3)
             rho_b, t = measurement._bloch_blocks(rho)
-            grid = measurement._conditional_entropy_batch(rho_b, t, measurement._GRID)
+            grid = measurement._conditional_entropy_batch(rho_b, t, measurement._GRID,
+                                                          measurement._coupled_levels(rho))
             flat.append((np.ptp(grid[:GRID_POINTS // 8]) <= FLAT_TOL, np.ptp(grid) <= FLAT_TOL))
             value, _ = classical_correlation_numeric(rho)
             assert value >= oracle_classical_correlation(rho) - 1e-12
@@ -552,6 +674,13 @@ class TestOptimizerOracle:
         g = np.einsum('kij,lji->kl', t, t).real
         assert np.max(np.abs(g - g[0, 0] * np.eye(3))) <= 1e-15
         self.assert_matches_oracle(rho)
+
+    @pytest.mark.xfail(strict=True, reason="the walks end 6.05e-9 bits below the oracle; "
+                                           "drop this marker once the search reaches it")
+    def test_isotropic_state_below_the_oracle(self):
+        # A known miss on the isotropic class, 4 starts and 9 batches,
+        # converged: value 0.036759315097 against the oracle's 0.036759321146.
+        self.assert_matches_oracle(isotropic_state(np.random.default_rng(2940), 3))
 
     @pytest.mark.parametrize("d", [3, 4, 5, 8])
     def test_local_unitaries_leave_the_value(self, d):
@@ -753,9 +882,9 @@ class TestOptimizeMeasurement:
         sizes = []
         kernel = measurement._conditional_entropy_batch
 
-        def counting(rho_b, t, n):
+        def counting(rho_b, t, n, k):
             sizes.append(len(n))
-            return kernel(rho_b, t, n)
+            return kernel(rho_b, t, n, k)
 
         monkeypatch.setattr(measurement, "_conditional_entropy_batch", counting)
         return sizes
@@ -838,8 +967,8 @@ class TestOptimizeMeasurement:
         # grid direction keeps the value one unsplit call gives it.
         kernel, calls = measurement._conditional_entropy_batch, []
 
-        def recording(rho_b, t, n):
-            calls.append((n, kernel(rho_b, t, n)))
+        def recording(rho_b, t, n, k):
+            calls.append((n, kernel(rho_b, t, n, k)))
             return calls[-1][1]
 
         monkeypatch.setattr(measurement, "_conditional_entropy_batch", recording)
@@ -850,7 +979,7 @@ class TestOptimizeMeasurement:
         same = np.all(directions[:, None] == measurement._GRID[None], axis=2)
         assert np.all(same.sum(axis=1) == 1) and np.all(same.sum(axis=0) == 1)
         rho_b, t = measurement._bloch_blocks(rho)
-        reference = kernel(rho_b, t, measurement._GRID)
+        reference = kernel(rho_b, t, measurement._GRID, rho.dim_b)
         assert np.array_equal(values, reference[np.argmax(same, axis=1)])
         assert result.grid_value == von_neumann_entropy(rho_b) - reference.min()
 
