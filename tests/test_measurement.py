@@ -276,12 +276,12 @@ def with_diagonal(rho, rng, weight=0.3):
     return validate_density((1.0 - weight) * rho.matrix + weight * diagonal, 2, d)
 
 
-def with_entry(d, row, col, value=0.05):
-    """The maximally mixed 2 x d state plus ``value`` at (row, col) and, if
-    ``value`` is not tiny, its conjugate at (col, row)."""
+def with_entry(d, row, col, value=0.05, mirrored=True):
+    """The maximally mixed 2 x d state plus ``value`` at (row, col), and its
+    conjugate at (col, row) if ``mirrored``."""
     m = np.eye(2 * d, dtype=complex) / (2 * d)
     m[row, col] += value
-    if abs(value) > 1e-9:
+    if mirrored:
         m[col, row] += np.conj(value)
     return validate_density(m, 2, d)
 
@@ -305,7 +305,7 @@ class TestCoupledLevels:
         (with_entry(5, 0, 3), 4),
         (with_entry(5, 1, 5 + 2), 3),
         (with_entry(5, 2, 5 + 2), 0),
-        (with_entry(5, 3, 5 + 0, 1e-12), 4),
+        (with_entry(5, 3, 5 + 0, 1e-12, mirrored=False), 4),
         (moved_levels(crossover_x_state(np.random.default_rng(71), 6, 1e-4), [4, 5, 0, 1, 2, 3]),
          6),
     ], ids=["family-d3", "family-d16", "singlet-d5", "x-state", "diagonal", "random",
