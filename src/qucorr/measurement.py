@@ -13,13 +13,13 @@ passed in.  The qudit is left in the unnormalized blocks
 
 with probabilities tr M+-.  They are linear in n, and one private kernel,
 ``_steer``, forms them from (rho_B, T) for every ensemble, entropy and
-spectrum below.  The classical correlation is the supremum over n of
-S(rho_B) - sum p S(M/p).  Past its first k qudit levels a state often has no
-entry off the qudit's diagonal in any of its four d x d blocks: k = 2 for
-every family member and embedded X state, at any d.  There rho_B and every
-M+-(n) are diagonal, so the optimizer finds k once per call, and the kernel
-diagonalizes only the leading k x k blocks and reads the other d - k
-eigenvalues off the diagonal.  A generic state has k = d.
+spectrum below; each of those takes only the spectrum it needs.  The classical
+correlation is the supremum over n of S(rho_B) - sum p S(M/p).  Past its first
+k qudit levels a state often has no entry off the qudit's diagonal in any of
+its four d x d blocks: k = 2 for every family member and embedded X state, at
+any d.  There rho_B and every M+-(n) are diagonal, so the optimizer finds k
+once per call, diagonalizes only the leading k x k blocks and reads the other
+d - k eigenvalues off the diagonal.  A generic state has k = d.
 
 The optimizer is a multi-start search.  Directions n and -n give the same
 measurement, so its first batch is a Fibonacci grid on the upper hemisphere
@@ -196,9 +196,7 @@ def _bloch_blocks(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     from the d x d qubit blocks a = rho_00, b = rho_01, c = rho_10 and e = rho_11."""
     d, m = rho.dim_b, rho.matrix
     a, b, c, e = m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
-    # + 0.0 turns -0.0 into 0.0, as a sum does: the real part of 1j * x is
-    # 0 * x.real - x.imag, which is -0.0 where x.imag is 0.0 and x.real negative.
-    return a + e, np.array([c + b, 1j * (b - c), a - e]) + 0.0
+    return a + e, np.array([c + b, 1j * (b - c), a - e])
 
 
 def _fold(n: tuple) -> tuple:
@@ -206,19 +204,17 @@ def _fold(n: tuple) -> tuple:
     return tuple(-c for c in n) if n[::-1] < (0.0, 0.0, 0.0) else n
 
 
-def _sphere(polar: np.ndarray, azimuth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch directions (g, 3) at polar and azimuth angles of shape (g,), and
-    their tangent frames (g, 2, 3): the unit polar and azimuth vectors."""
-    cp, sp, ca, sa = np.cos(polar), np.sin(polar), np.cos(azimuth), np.sin(azimuth)
-    frame = np.stack([cp * ca, cp * sa, -sp, -sa, ca, np.zeros_like(sa)], axis=1)
-    return np.stack([sp * ca, sp * sa, cp], axis=1), frame.reshape(-1, 2, 3)
+def _sphere(polar: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
+    """Bloch directions (g, 3) at polar and azimuth angles of shape (g,)."""
+    sp = np.sin(polar)
+    return np.stack([sp * np.cos(azimuth), sp * np.sin(azimuth), np.cos(polar)], axis=1)
 
 
 def _hemisphere(count: int) -> np.ndarray:
     """``count`` Fibonacci-spiral directions (count, 3) with equal area on z > 0,
     the look first (every eighth of them), then the rest in spiral order."""
     k = np.arange(count) + 0.5
-    n = _sphere(np.arccos(1.0 - k / count), k * np.pi * (3.0 - np.sqrt(5.0)))[0]
+    n = _sphere(np.arccos(1.0 - k / count), k * np.pi * (3.0 - np.sqrt(5.0)))
     return np.r_[n[::8], np.delete(n, np.s_[::8], axis=0)]
 
 
@@ -327,24 +323,19 @@ def _coupled_levels(rho: DensityMatrix) -> int:
 
 
 def _eigvalsh(m: np.ndarray, k: int) -> np.ndarray:
-    """Eigenvalues of the Hermitian (..., d, d) stack ``m``, exact when its levels
-    >= k are uncoupled: ``eigvalsh`` of the leading k x k block, then m's diagonal
-    on the other d - k levels.  Ascending only for k = d."""
+    """Eigenvalues of the Hermitian (..., d, d) stack ``m``, in no set order, exact
+    when its levels >= k are uncoupled: ``eigvalsh`` of the leading k x k block,
+    then m's diagonal on the other d - k levels."""
     if k == m.shape[-1]:
         return np.linalg.eigvalsh(m)
     return np.concatenate([np.linalg.eigvalsh(m[..., :k, :k]),
                            m.diagonal(axis1=-2, axis2=-1)[..., k:].real], axis=-1)
 
 
-def _steer(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray, k: int):
-    """The steering kernel: p (2, g), M (2, g, d, d) and lam (2, g, d) for the
-    outcomes +n (index 0) and -n (index 1) of the (g, 3) directions ``n``.
-
-    M = (rho_B +- n . T)/2, p = tr M and lam = eigvalsh(M)/p (unnormalized if p
-    is degenerate), with the qudit's levels >= k uncoupled (``_coupled_levels``):
-    only M's leading k x k block is diagonalized, and lam is ascending only for
-    k = d.
-    """
+def _steer(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray):
+    """The steering kernel: the blocks M = (rho_B +- n . T)/2, shape (2, g, d, d),
+    and their traces p (2, g) for the outcomes +n (index 0) and -n (index 1) of
+    the (g, 3) directions ``n``."""
     d = rho_b.shape[0]
     m = np.empty((2, len(n), d * d), dtype=complex)
     np.matmul(n, t.reshape(3, d * d), out=m[0])
@@ -352,16 +343,16 @@ def _steer(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray, k: int):
     m[0] += rho_b
     m[0] *= 0.5
     np.subtract(rho_b, m[0], out=m[1])
-    p = np.einsum('ogjj->og', m).real
-    lam = _eigvalsh(m, k)
-    lam /= np.where(p > DEGENERATE_TOL, p, 1.0)[:, :, None]
-    return p, m, lam
+    return np.einsum('ogjj->og', m).real, m
 
 
 def _conditional_entropy_batch(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray,
                                k: int) -> np.ndarray:
-    """sum_+- p S(M/p) in bits per direction; eigenvalues are clipped to [0, 1]."""
-    p, _, lam = _steer(rho_b, t, n, k)
+    """sum_+- p S(M/p) in bits per direction, with the qudit's levels >= k
+    uncoupled (``_coupled_levels``); eigenvalues are clipped to [0, 1]."""
+    p, m = _steer(rho_b, t, n)
+    lam = _eigvalsh(m, k)
+    lam /= np.where(p > DEGENERATE_TOL, p, 1.0)[:, :, None]
     return np.where(p > DEGENERATE_TOL, p * _spectral_entropy(lam), 0.0).sum(axis=0)
 
 
@@ -372,7 +363,7 @@ def conditional_ensemble(rho: DensityMatrix, direction) -> ConditionalEnsemble:
     reductions of the projected blocks.  Outcomes with p_i <= DEGENERATE_TOL
     keep their unnormalized block so the ensemble is always returned.
     """
-    p, m, _ = _steer(*_bloch_blocks(rho), _unit_direction(direction), rho.dim_b)
+    p, m = _steer(*_bloch_blocks(rho), _unit_direction(direction))
     p = p[:, 0]
     states = m[:, 0] / np.where(p > DEGENERATE_TOL, p, 1.0)[:, None, None]
     states.flags.writeable = False
@@ -380,9 +371,11 @@ def conditional_ensemble(rho: DensityMatrix, direction) -> ConditionalEnsemble:
 
 
 def conditional_entropy(rho: DensityMatrix, direction) -> float:
-    """sum_i p_i S(rho_i) in bits for the measurement along the Bloch ``direction``,
-    computed as the optimizer's objective is: degenerate outcomes contribute
-    zero, steered spectra are clipped to [0, 1]."""
+    """sum_i p_i S(rho_i) in bits for the measurement along the Bloch ``direction``:
+    degenerate outcomes contribute zero, steered spectra are clipped to [0, 1].
+    It diagonalizes the full d x d blocks, where the optimizer splits them at
+    ``_coupled_levels``; the two agree to 1e-15 relative
+    (``test_split_kernel_matches_the_full_kernel``)."""
     return float(_conditional_entropy_batch(*_bloch_blocks(rho), _unit_direction(direction),
                                             rho.dim_b)[0])
 
@@ -418,7 +411,7 @@ def optimize_measurement(rho: DensityMatrix,
         rng = np.random.default_rng(config.seed)
         polar = np.arccos(rng.uniform(-1.0, 1.0, config.random_probes))
         azimuth = rng.uniform(0.0, 2.0 * np.pi, config.random_probes)
-        batch = np.r_[batch, _sphere(polar, azimuth)[0]]
+        batch = np.r_[batch, _sphere(polar, azimuth)]
     first = np.r_[look, _conditional_entropy_batch(rho_b, t, batch[GRID_POINTS // 8:], k)]
     batches, evaluations = 2, len(batch)
 
@@ -480,6 +473,7 @@ def ensemble_spectrum_spread(s: TwoParamState, samples: int, seed: int) -> float
                               s.beta + s.gamma])[::-1]
     rng = np.random.default_rng(seed)
     n = np.array([random_axis(rng) for _ in range(samples)])
-    p, _, lam = _steer(*_bloch_blocks(build_state(s)), n, s.d)
+    p, m = _steer(*_bloch_blocks(build_state(s)), n)
+    lam = np.linalg.eigvalsh(m) / np.where(p > DEGENERATE_TOL, p, 1.0)[:, :, None]
     deviation = np.max(np.abs(lam[:, :, ::-1] - reference), axis=2)
     return float(np.max(deviation[p > DEGENERATE_TOL], initial=0.0))

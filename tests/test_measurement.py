@@ -286,14 +286,15 @@ def with_entry(d, row, col, value=0.05, mirrored=True):
     return validate_density(m, 2, d)
 
 
-DIAGONAL_FIXTURE = Path(__file__).parent / "fixtures" / "classical_diag_2x3.json"
+FIXTURES = Path(__file__).parent / "fixtures"
+DIAGONAL_FIXTURE = FIXTURES / "classical_diag_2x3.json"
 
 
 class TestCoupledLevels:
     """Past the first k = ``_coupled_levels`` qudit levels every steered block
-    M+-(n) is diagonal.  The kernel diagonalizes only the leading k x k block
+    M+-(n) is diagonal.  The optimizer diagonalizes only the leading k x k block
     and reads the other eigenvalues off M's diagonal, and must agree with the
-    full d x d kernel."""
+    full d x d eigensolve."""
 
     @pytest.mark.parametrize("rho, k", [
         (build_state(TwoParamState(3, 0.05, 0.55)), 2),
@@ -335,10 +336,9 @@ class TestCoupledLevels:
             rho_b, t = measurement._bloch_blocks(rho)
             d, k = rho.dim_b, measurement._coupled_levels(rho)
             ks.append(k)
-            p, m, lam = measurement._steer(rho_b, t, n, k)
-            p_full, m_full, lam_full = measurement._steer(rho_b, t, n, d)
-            assert np.array_equal(p, p_full) and np.array_equal(m, m_full)
-            assert np.max(np.abs(np.sort(lam, axis=2) - lam_full)) <= 1e-15
+            _, m = measurement._steer(rho_b, t, n)
+            lam = np.sort(measurement._eigvalsh(m, k), axis=2)
+            assert np.max(np.abs(lam - np.linalg.eigvalsh(m))) <= 1e-15
             split = measurement._conditional_entropy_batch(rho_b, t, n, k)
             full = measurement._conditional_entropy_batch(rho_b, t, n, d)
             assert np.all(np.abs(split - full) <= 1e-15 * np.maximum(1.0, full))
@@ -382,6 +382,22 @@ class TestConditionalEnsemble:
                                                            np.array(axes), d)
             np.testing.assert_allclose(batch, [conditional_entropy(rho, a) for a in axes],
                                        rtol=0.0, atol=1e-14)
+
+    def test_computes_no_spectrum(self, monkeypatch):
+        # Validation diagonalizes the state, so it is built before eigvalsh goes.
+        rng = np.random.default_rng(105)
+        rho = random_density_matrix(2, 5, rng)
+        axis = random_axis(rng)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("conditional_ensemble computed a spectrum")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        ens = conditional_ensemble(rho, axis)
+        for (p, state), (p_ref, state_ref) in zip(((ens.p0, ens.rho0), (ens.p1, ens.rho1)),
+                                                  dense_ensemble(rho, axis)):
+            assert abs(p - p_ref) < 1e-14
+            assert np.max(np.abs(state - state_ref)) < 1e-14
 
     def test_family_outcomes_are_equiprobable(self):
         rng = np.random.default_rng(4)
@@ -545,11 +561,21 @@ class TestOptimizer:
                 sample = measured_mutual_information(rho, random_axis(rng))
                 assert value >= sample - 1e-12
 
-    def test_returned_axis_attains_returned_value(self):
-        rng = np.random.default_rng(14)
-        rho = random_density_matrix(2, 4, rng)
+    @pytest.mark.parametrize("rho", [
+        *(loads_density(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))),
+        build_state(TwoParamState(3, 0.05, 0.55)),
+        build_state(TwoParamState(16, 0.01, 0.3)),
+        crossover_x_state(np.random.default_rng(72), 3, 1e-4),
+        crossover_x_state(np.random.default_rng(73), 5, 1e-4),
+        isotropic_state(np.random.default_rng(3996), 3),
+        *(random_density_matrix(2, d, np.random.default_rng(14)) for d in (3, 8, 16)),
+    ], ids=[*(path.stem for path in sorted(FIXTURES.glob("*.json"))), "family-d3", "family-d16",
+            "x-state-d3", "x-state-d5", "isotropic-d3", "random-d3", "random-d8", "random-d16"])
+    def test_returned_axis_attains_returned_value(self, rho):
+        # The optimizer's split kernel (k = 0, 2, 3, 4, 8 or 16 levels here)
+        # against the full-kernel objective at the folded axis it returns.
         value, axis = classical_correlation_numeric(rho)
-        assert abs(measured_mutual_information(rho, axis) - value) < 1e-9
+        assert abs(measured_mutual_information(rho, axis) - value) <= 1e-13
 
     def test_random_probes_are_reproducible(self):
         rng = np.random.default_rng(15)
@@ -710,7 +736,9 @@ class TestDenseOracle:
             raise AssertionError("the oracle reached the optimizer's code")
 
         for module, name in [(measurement, "_steer"), (measurement, "_bloch_blocks"),
-                             (operators, "_spectral_entropy"), (operators, "_state_entropy")]:
+                             (measurement, "_eigvalsh"), (measurement, "_coupled_levels"),
+                             (operators, "_spectral_entropy"), (operators, "_state_entropy"),
+                             (operators, "_rescaled_entropy")]:
             monkeypatch.setattr(module, name, forbidden)
         assert oracle_classical_correlation(rho) == expected
 
@@ -835,8 +863,11 @@ class TestRetract:
         # angles.  They are orthonormal and orthogonal to p, and the same
         # angles give p back.
         p = self.points()
-        n, frame = measurement._sphere(np.arccos(np.clip(p[:, 2], -1.0, 1.0)),
-                                       np.arctan2(p[:, 1], p[:, 0]))
+        polar, azimuth = np.arccos(np.clip(p[:, 2], -1.0, 1.0)), np.arctan2(p[:, 1], p[:, 0])
+        n = measurement._sphere(polar, azimuth)
+        cp, sp, ca, sa = np.cos(polar), np.sin(polar), np.cos(azimuth), np.sin(azimuth)
+        frame = np.stack([cp * ca, cp * sa, -sp, -sa, ca, np.zeros_like(sa)],
+                         axis=1).reshape(-1, 2, 3)
         np.testing.assert_allclose(n, p, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(frame @ frame.transpose(0, 2, 1) - np.eye(2), 0.0,
                                    rtol=0.0, atol=1e-15)
