@@ -562,15 +562,16 @@ class TestOptimizer:
                 assert value >= sample - 1e-12
 
     @pytest.mark.parametrize("rho", [
-        *(loads_density(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))),
-        build_state(TwoParamState(3, 0.05, 0.55)),
-        build_state(TwoParamState(16, 0.01, 0.3)),
-        crossover_x_state(np.random.default_rng(72), 3, 1e-4),
-        crossover_x_state(np.random.default_rng(73), 5, 1e-4),
-        isotropic_state(np.random.default_rng(3996), 3),
-        *(random_density_matrix(2, d, np.random.default_rng(14)) for d in (3, 8, 16)),
-    ], ids=[*(path.stem for path in sorted(FIXTURES.glob("*.json"))), "family-d3", "family-d16",
-            "x-state-d3", "x-state-d5", "isotropic-d3", "random-d3", "random-d8", "random-d16"])
+        *(pytest.param(loads_density(path.read_text()), id=path.stem)
+          for path in sorted(FIXTURES.glob("*.json"))),
+        pytest.param(build_state(TwoParamState(3, 0.05, 0.55)), id="family-d3"),
+        pytest.param(build_state(TwoParamState(16, 0.01, 0.3)), id="family-d16"),
+        pytest.param(crossover_x_state(np.random.default_rng(72), 3, 1e-4), id="x-state-d3"),
+        pytest.param(crossover_x_state(np.random.default_rng(73), 5, 1e-4), id="x-state-d5"),
+        pytest.param(isotropic_state(np.random.default_rng(3996), 3), id="isotropic-d3"),
+        *(pytest.param(random_density_matrix(2, d, np.random.default_rng(14)), id=f"random-d{d}")
+          for d in (3, 8, 16)),
+    ])
     def test_returned_axis_attains_returned_value(self, rho):
         # The optimizer's split kernel (k = 0, 2, 3, 4, 8 or 16 levels here)
         # against the full-kernel objective at the folded axis it returns.
