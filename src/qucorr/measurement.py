@@ -351,8 +351,7 @@ def _conditional_entropy_batch(rho_b: np.ndarray, t: np.ndarray, n: np.ndarray,
     """sum_+- p S(M/p) in bits per direction, with the qudit's levels >= k
     uncoupled (``_coupled_levels``); eigenvalues are clipped to [0, 1]."""
     p, m = _steer(rho_b, t, n)
-    lam = _eigvalsh(m, k)
-    lam /= np.where(p > DEGENERATE_TOL, p, 1.0)[:, :, None]
+    lam = _eigvalsh(m, k) / np.where(p > DEGENERATE_TOL, p, 1.0)[:, :, None]
     return np.where(p > DEGENERATE_TOL, p * _spectral_entropy(lam), 0.0).sum(axis=0)
 
 
