@@ -15,7 +15,6 @@ from qucorr import (
     build_state,
     correlation_report,
     family_spectrum,
-    hermitian_spectrum,
     marginal_b_spectrum,
 )
 
@@ -31,7 +30,7 @@ print(np.round(rho.matrix.real, 4))
 
 # The analytic spectrum matches a dense eigensolver on the assembled matrix.
 print("\nspectrum, closed form :", np.round(family_spectrum(s), 6))
-print("spectrum, eigensolver :", np.round(hermitian_spectrum(rho.matrix), 6))
+print("spectrum, eigensolver :", np.round(np.linalg.eigvalsh(rho.matrix)[::-1], 6))
 print("qudit marginal        :", np.round(marginal_b_spectrum(s), 6))
 
 # All four correlation measures at once.

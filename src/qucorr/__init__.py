@@ -22,9 +22,9 @@ _EXPORTS = {
     "operators": (
         "VALIDATION_TOL", "DensityMatrix", "DimensionMismatchError", "MatrixValidationError",
         "NonFiniteError", "NonHermitianError", "NonUnitTraceError",
-        "NotPositiveSemidefiniteError", "commutator_condition", "hermitian_spectrum",
-        "negativity_trace_norm", "partial_trace_a", "partial_trace_b", "partial_transpose_a",
-        "quantum_mutual_information", "random_density_matrix", "random_unitary", "tensor",
+        "NotPositiveSemidefiniteError", "commutator_condition", "negativity_trace_norm",
+        "partial_trace_a", "partial_trace_b", "partial_transpose_a",
+        "quantum_mutual_information", "random_density_matrix", "random_unitary",
         "validate_density", "von_neumann_entropy"),
     "closed_form": (
         "CorrelationReport", "ParameterOutOfRangeError", "TwoParamState",

@@ -33,7 +33,7 @@ import numpy as np
 
 from .closed_form import TwoParamState, _alpha_max
 from .family import build_state
-from .operators import DensityMatrix, random_unitary, tensor, validate_density
+from .operators import DensityMatrix, random_unitary, validate_density
 
 
 def _stage_table(d: int) -> list[tuple[str, list[tuple[float, np.ndarray]]]]:
@@ -62,7 +62,7 @@ def _apply(rho: DensityMatrix, mixture: list[tuple[float, np.ndarray]]) -> Densi
     The table's b_k are fixed; tests/test_twirl.py checks their unitarity once."""
     m = np.zeros_like(rho.matrix)
     for p, b in mixture:
-        u = tensor(b[:2, :2], b)
+        u = np.kron(b[:2, :2], b)
         m += p * (u @ rho.matrix @ u.conj().T)
     return validate_density(m, 2, rho.dim_b)
 
@@ -102,7 +102,7 @@ def check_family_invariance(s: TwoParamState, trials: int, seed: int) -> float:
     worst = 0.0
     for _ in range(trials):
         b = _random_pair(s.d, rng)
-        u = tensor(b[:2, :2], b)
+        u = np.kron(b[:2, :2], b)
         moved = u @ rho.matrix @ u.conj().T
         worst = max(worst, float(np.linalg.norm(rho.matrix - moved)))
     return worst

@@ -152,11 +152,6 @@ def validate_density(matrix: np.ndarray, dim_a: int, dim_b: int) -> DensityMatri
     return DensityMatrix(dim_b=dim_b, matrix=m)
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, consistent with the |i j> -> i*d + j convention."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def partial_trace_a(rho: DensityMatrix) -> np.ndarray:
     """Trace out the qubit factor, returning the d x d marginal of side B."""
     return np.einsum('ijil->jl', rho.matrix.reshape(2, rho.dim_b, 2, rho.dim_b))
@@ -184,17 +179,6 @@ def _negativity(pt_spectrum: np.ndarray) -> float:
     """``negativity_trace_norm`` from the spectrum of the partial transpose."""
     # 0.0 - x, not -x: with no negative eigenvalue the sum is 0.0 and -2 * 0.0 is -0.0.
     return 0.0 - 2.0 * float(np.sum(np.minimum(pt_spectrum, 0.0)))
-
-
-def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending.
-
-    Raises :class:`NonFiniteError` on NaN/inf entries and :class:`NonHermitianError`
-    if the input deviates from Hermiticity by more than ``VALIDATION_TOL``.
-    """
-    m = np.asarray(m, dtype=complex)
-    _hermiticity_residual(m)
-    return np.linalg.eigvalsh(m)[::-1]
 
 
 def _spectral_entropy(lam: np.ndarray) -> np.ndarray:
@@ -245,7 +229,7 @@ def commutator_condition(rho: DensityMatrix) -> float:
     discord; a zero value decides nothing (the criterion is one-directional).
     """
     rho_a = partial_trace_b(rho)
-    big = tensor(rho_a, np.eye(rho.dim_b))
+    big = np.kron(rho_a, np.eye(rho.dim_b))
     comm = rho.matrix @ big - big @ rho.matrix
     return float(np.linalg.norm(comm))
 

@@ -1,6 +1,7 @@
-"""State builders shared by the test modules and ``tools/optimizer_suite.py``,
-and the test builders of the paper's fixed objects: the Bell vectors and the
-Bloch direction at given angles.
+"""Every state builder of the test modules and ``tools/optimizer_suite.py``, the
+paper's fixed objects (the Pauli matrices, the Bell vectors, the Bloch direction
+at given angles), and the dense oracle of the classical correlation that the
+optimizer is checked against.
 
 The suite loads this file by path against whichever tree's ``qucorr`` it
 runs, so it imports only numpy and names in ``qucorr.__all__``.
@@ -8,7 +9,13 @@ runs, so it imports only numpy and names in ``qucorr.__all__``.
 
 import numpy as np
 
-from qucorr import tensor, validate_density
+from qucorr import projectors, random_density_matrix, validate_density
+
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 
 def bell_vectors(d):
@@ -106,8 +113,7 @@ def isotropic_state(rng, d):
         for f in e:
             h -= np.trace(f @ h).real * f
         e.append(h / np.sqrt(np.trace(h @ h).real))
-    pauli = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
-    s = sum(np.kron(p, f) for p, f in zip(pauli, e))
+    s = sum(np.kron(p, f) for p, f in zip(PAULI, e))
     rho_b = np.eye(d) / d
     if rng.uniform() < 0.5:
         rho_b = 0.5 * (rho_b + random_state(d, rng))
@@ -118,4 +124,86 @@ def isotropic_state(rng, d):
 def product_state(rng, d=3):
     rho_a = random_state(2, rng)
     rho_b = random_state(d, rng)
-    return validate_density(tensor(rho_a, rho_b), 2, d), rho_a, rho_b
+    return validate_density(np.kron(rho_a, rho_b), 2, d), rho_a, rho_b
+
+
+def admixture(rho, eps, rng):
+    """``rho`` mixed with weight ``eps`` of a ``random_density_matrix`` drawn from ``rng``."""
+    m = (1.0 - eps) * rho.matrix + eps * random_density_matrix(2, rho.dim_b, rng).matrix
+    return validate_density(m, 2, rho.dim_b)
+
+
+def rank_state(rng, d, rank):
+    """A random 2 x d state of the given rank: G G^dag / tr(G G^dag) with a complex
+    Gaussian G of ``rank`` columns."""
+    g = rng.standard_normal((2 * d, rank)) + 1j * rng.standard_normal((2 * d, rank))
+    m = g @ g.conj().T
+    return validate_density(m / np.trace(m).real, 2, d)
+
+
+def dense_ensemble(rho, axis):
+    """Reference steering straight from the definition: the qudit reductions of
+    (A_i (x) I) rho (A_i (x) I), each with its probability."""
+    d = rho.dim_b
+    out = []
+    for a in projectors(axis):
+        k = np.kron(a, np.eye(d))
+        block = k @ rho.matrix @ k
+        p = float(np.trace(block).real)
+        out.append((p, np.einsum('ijil->jl', block.reshape(2, d, 2, d)) / p))
+    return out
+
+
+def oracle_classical_correlation(rho):
+    """Reference maximum of the measured mutual information by dense scan.
+
+    Each value comes straight from the definition, for every direction n of a
+    round in one batch: A = (I +- n.sigma)/2, the qudit reductions of
+    (A (x) I) rho (A (x) I), and -sum(lam log2 lam) of their ``eigvalsh``, in
+    this function's own arithmetic, so it shares no code with the optimizer.
+    A polar x azimuth grid over the upper hemisphere, pole and equator
+    included, picks the best 3 directions; around each, a 9 x 9 tangent cap
+    shrinks by 4 per round, recentred on its best point, until its radius is
+    below 1e-6.
+    """
+    d = rho.dim_b
+
+    def reduce(m):
+        return np.einsum('...aiaj->...ij', m.reshape(m.shape[:-2] + (2, d, 2, d)))
+
+    def entropy(states):
+        lam = np.linalg.eigvalsh(states)
+        # An eigenvalue <= 0 adds 0, as 1 log2 1 does; so does an outcome with p = 0.
+        lam = np.where(lam > 0.0, lam, 1.0)
+        return -np.sum(lam * np.log2(lam), axis=-1)
+
+    entropy_b = entropy(reduce(rho.matrix))
+
+    def values(n):
+        out = entropy_b
+        for sign in (1.0, -1.0):
+            k = np.kron((np.eye(2) + sign * np.einsum('nk,kab->nab', n, PAULI)) / 2.0, np.eye(d))
+            block = reduce(k @ rho.matrix @ k)
+            p = np.trace(block, axis1=-2, axis2=-1).real
+            out = out - p * entropy(block / np.where(p > 0.0, p, 1.0)[:, None, None])
+        return out
+
+    polar, azimuth = np.meshgrid(np.linspace(0.0, np.pi / 2.0, 13)[1:],
+                                 np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False), indexing='ij')
+    coarse = np.vstack([sphere_point(0.0, 0.0), sphere_point(polar, azimuth).reshape(-1, 3)])
+    offsets = np.linspace(-1.0, 1.0, 9)
+    u, v = (g.reshape(-1, 1) for g in np.meshgrid(offsets, offsets, indexing='ij'))
+    best = -np.inf
+    for center in coarse[np.argsort(values(coarse))[-3:]]:
+        radius = 0.15
+        while radius > 1e-6:
+            e1 = np.cross(center, [1.0, 0.0, 0.0] if abs(center[0]) < 0.9 else [0.0, 1.0, 0.0])
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(center, e1)
+            cap = center + radius * (u * e1 + v * e2)
+            cap /= np.linalg.norm(cap, axis=1, keepdims=True)
+            cap_values = values(cap)
+            center = cap[np.argmax(cap_values)]
+            radius /= 4.0
+        best = max(best, cap_values.max())
+    return float(best)

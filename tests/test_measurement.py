@@ -44,94 +44,21 @@ from qucorr.operators import (
     quantum_mutual_information,
     random_density_matrix,
     random_unitary,
-    tensor,
     validate_density,
     von_neumann_entropy,
 )
 from qucorr.statefile import loads_density
-from states import (crossover_x_state, isotropic_state, product_state, sphere_point,
+from states import (PAULI, admixture, crossover_x_state, dense_ensemble, isotropic_state,
+                    oracle_classical_correlation, product_state, rank_state, sphere_point,
                     x_state_candidates)
 
-PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 # The computational-basis measurement, along the Bloch z axis.
 Z = (0.0, 0.0, 1.0)
 
 
-def dense_ensemble(rho, axis):
-    """Reference steering straight from the definition: the qudit reductions of
-    (A_i (x) I) rho (A_i (x) I), each with its probability."""
-    d = rho.dim_b
-    out = []
-    for a in projectors(axis):
-        k = tensor(a, np.eye(d))
-        block = k @ rho.matrix @ k
-        p = float(np.trace(block).real)
-        out.append((p, np.einsum('ijil->jl', block.reshape(2, d, 2, d)) / p))
-    return out
-
-
-def oracle_classical_correlation(rho):
-    """Reference maximum of the measured mutual information by dense scan.
-
-    Each value comes straight from the definition, for every direction n of a
-    round in one batch: A = (I +- n.sigma)/2, the qudit reductions of
-    (A (x) I) rho (A (x) I), and -sum(lam log2 lam) of their ``eigvalsh``, in
-    this function's own arithmetic, so it shares no code with the optimizer.
-    A polar x azimuth grid over the upper hemisphere, pole and equator
-    included, picks the best 3 directions; around each, a 9 x 9 tangent cap
-    shrinks by 4 per round, recentred on its best point, until its radius is
-    below 1e-6.
-    """
-    d = rho.dim_b
-
-    def reduce(m):
-        return np.einsum('...aiaj->...ij', m.reshape(m.shape[:-2] + (2, d, 2, d)))
-
-    def entropy(states):
-        lam = np.linalg.eigvalsh(states)
-        # An eigenvalue <= 0 adds 0, as 1 log2 1 does; so does an outcome with p = 0.
-        lam = np.where(lam > 0.0, lam, 1.0)
-        return -np.sum(lam * np.log2(lam), axis=-1)
-
-    entropy_b = entropy(reduce(rho.matrix))
-
-    def values(n):
-        out = entropy_b
-        for sign in (1.0, -1.0):
-            k = np.kron((np.eye(2) + sign * np.einsum('nk,kab->nab', n, PAULI)) / 2.0, np.eye(d))
-            block = reduce(k @ rho.matrix @ k)
-            p = np.trace(block, axis1=-2, axis2=-1).real
-            out = out - p * entropy(block / np.where(p > 0.0, p, 1.0)[:, None, None])
-        return out
-
-    polar, azimuth = np.meshgrid(np.linspace(0.0, np.pi / 2.0, 13)[1:],
-                                 np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False), indexing='ij')
-    coarse = np.vstack([sphere_point(0.0, 0.0), sphere_point(polar, azimuth).reshape(-1, 3)])
-    offsets = np.linspace(-1.0, 1.0, 9)
-    u, v = (g.reshape(-1, 1) for g in np.meshgrid(offsets, offsets, indexing='ij'))
-    best = -np.inf
-    for center in coarse[np.argsort(values(coarse))[-3:]]:
-        radius = 0.15
-        while radius > 1e-6:
-            e1 = np.cross(center, [1.0, 0.0, 0.0] if abs(center[0]) < 0.9 else [0.0, 1.0, 0.0])
-            e1 /= np.linalg.norm(e1)
-            e2 = np.cross(center, e1)
-            cap = center + radius * (u * e1 + v * e2)
-            cap /= np.linalg.norm(cap, axis=1, keepdims=True)
-            cap_values = values(cap)
-            center = cap[np.argmax(cap_values)]
-            radius /= 4.0
-        best = max(best, cap_values.max())
-    return float(best)
-
-
 class TestBlochBlocks:
     """``_bloch_blocks`` against its definition: rho_B = tr_A rho and
-    T_k = tr_A[(sigma_k (x) I) rho], with this file's PAULI.  The optimizer's
+    T_k = tr_A[(sigma_k (x) I) rho], with the PAULI of states.py.  The optimizer's
     maximum is blind to a mirrored n_y, so the value tests need not catch a
     sign or an order slip in T."""
 
@@ -151,7 +78,7 @@ class TestBlochBlocks:
                 assert np.max(np.abs(t[k] - expected)) <= 1e-15, k
 
 
-class TestMeasurementAxis:
+class TestDirection:
     """A measurement is its Bloch direction.  The four functions that take one
     accept any finite, non-zero 3-vector and normalize it, and refuse anything
     else with a ValueError that names the direction."""
@@ -159,7 +86,7 @@ class TestMeasurementAxis:
     TAKERS = (lambda rho, n: projectors(n), conditional_ensemble, conditional_entropy,
               measured_mutual_information)
 
-    def test_unit_norm_enforced(self):
+    def test_scaled_direction_is_the_same_measurement(self):
         # Scaling by 2 is exact, in the vector and in its norm, so the
         # normalized direction and every value are the same to the bit.  A
         # scale near either end of the double range normalizes as well.
@@ -249,7 +176,7 @@ class TestProjectors:
 
     def test_closed_form_axis_maps_match_their_definitions(self):
         # random_axis writes the map n(t, y) out in (t, y).  Here the same draw
-        # builds V = t*I + i*(y . sigma) from this file's PAULI, and n_k is
+        # builds V = t*I + i*(y . sigma) from the PAULI of states.py, and n_k is
         # tr[A_0 sigma_k] with A_0 = V|0><0|V^dag, which projectors(n) returns.
         rng, draws = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(200):
@@ -627,24 +554,17 @@ class TestOptimizerOracle:
     @pytest.mark.parametrize("d", [3, 5])
     def test_perturbed_family_member(self, d):
         rng = np.random.default_rng(310 + d)
-        m = (0.97 * build_state(random_family_state(d, rng)).matrix
-             + 0.03 * random_density_matrix(2, d, rng).matrix)
-        self.assert_matches_oracle(validate_density(m, 2, d))
+        self.assert_matches_oracle(admixture(build_state(random_family_state(d, rng)), 0.03, rng))
 
     def test_rank_two_state(self):
-        rng = np.random.default_rng(320)
-        g = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
-        m = g @ g.conj().T
-        self.assert_matches_oracle(validate_density(m / np.trace(m).real, 2, 5))
+        self.assert_matches_oracle(rank_state(np.random.default_rng(320), 5, 2))
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_slightly_perturbed_family_member(self, d):
         # A 1e-6 admixture tilts the family's flat objective: the flat stop
         # must not fire, so the search refines past its first batch.
         rng = np.random.default_rng(330 + d)
-        m = ((1.0 - 1e-6) * build_state(random_family_state(d, rng)).matrix
-             + 1e-6 * random_density_matrix(2, d, rng).matrix)
-        rho = validate_density(m, 2, d)
+        rho = admixture(build_state(random_family_state(d, rng)), 1e-6, rng)
         self.assert_matches_oracle(rho)
         assert optimize_measurement(rho).batches > 1
 
@@ -686,9 +606,7 @@ class TestOptimizerOracle:
 
     def test_product_state_with_correlated_admixture(self):
         rng = np.random.default_rng(341)
-        rho, _, _ = product_state(rng, d=4)
-        m = (1.0 - 1e-6) * rho.matrix + 1e-6 * random_density_matrix(2, 4, rng).matrix
-        self.assert_matches_oracle(validate_density(m, 2, 4))
+        self.assert_matches_oracle(admixture(product_state(rng, d=4)[0], 1e-6, rng))
 
     @pytest.mark.parametrize("seed, d", [(3996, 3), (3423, 3), (1609, 4), (5740, 4),
                                          (3185, 5), (3098, 5)])
@@ -719,7 +637,7 @@ class TestOptimizerOracle:
             rho = random_density_matrix(2, d, rng)
             value, _ = classical_correlation_numeric(rho)
             for _ in range(3):
-                u = tensor(random_unitary(2, rng), random_unitary(d, rng))
+                u = np.kron(random_unitary(2, rng), random_unitary(d, rng))
                 turned, _ = classical_correlation_numeric(
                     validate_density(u @ rho.matrix @ u.conj().T, 2, d))
                 assert abs(turned - value) <= 1e-12
@@ -1051,9 +969,7 @@ class TestOptimizeMeasurement:
         # grid spreads by only ~3e-12 bits, so the models fitted from the
         # walks' stencils predict a gain of at most FLAT_TOL after a few batches.
         rng = np.random.default_rng(341)
-        rho, _, _ = product_state(rng, d=4)
-        m = (1.0 - 1e-6) * rho.matrix + 1e-6 * random_density_matrix(2, 4, rng).matrix
-        result = optimize_measurement(validate_density(m, 2, 4))
+        result = optimize_measurement(admixture(product_state(rng, d=4)[0], 1e-6, rng))
         assert result.converged
         assert result.batches <= 10
 
@@ -1061,9 +977,8 @@ class TestOptimizeMeasurement:
     def test_slightly_perturbed_family_member_stops_early(self, d):
         # The 1e-6-perturbed family members of the oracle tests.
         rng = np.random.default_rng(330 + d)
-        m = ((1.0 - 1e-6) * build_state(random_family_state(d, rng)).matrix
-             + 1e-6 * random_density_matrix(2, d, rng).matrix)
-        result = optimize_measurement(validate_density(m, 2, d))
+        rho = admixture(build_state(random_family_state(d, rng)), 1e-6, rng)
+        result = optimize_measurement(rho)
         assert result.converged
         assert result.batches <= 30
 
@@ -1096,9 +1011,7 @@ class TestOptimizeMeasurement:
         # fit for a spread of 1 bit, rounding swamps the model and the search
         # ends 6e-12 bits short.
         rng = np.random.default_rng(15073)
-        rho, _, _ = product_state(rng, d=3)
-        m = (1.0 - 1e-6) * rho.matrix + 1e-6 * random_density_matrix(2, 3, rng).matrix
-        rho = validate_density(m, 2, 3)
+        rho = admixture(product_state(rng, d=3)[0], 1e-6, rng)
         value, _ = classical_correlation_numeric(rho)
         assert abs(value - oracle_classical_correlation(rho)) <= 1e-12
 

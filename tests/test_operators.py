@@ -1,4 +1,5 @@
-"""Operator-algebra contracts: validation, tensor structure, spectra, entropy."""
+"""Operator-algebra contracts: validation, partial traces and transposes, entropy,
+the commutator and the negativity."""
 
 import math
 import re
@@ -15,7 +16,6 @@ from qucorr.operators import (
     NotPositiveSemidefiniteError,
     VALIDATION_TOL,
     commutator_condition,
-    hermitian_spectrum,
     negativity_trace_norm,
     partial_trace_a,
     partial_trace_b,
@@ -23,7 +23,6 @@ from qucorr.operators import (
     quantum_mutual_information,
     random_density_matrix,
     random_unitary,
-    tensor,
     validate_density,
     von_neumann_entropy,
 )
@@ -180,9 +179,9 @@ def trace_excess(x):
     (lambda m: validate_density(m, 2, 3), off_diagonal, NonHermitianError),
     (lambda m: validate_density(m, 2, 3), trace_excess, NonUnitTraceError),
     (von_neumann_entropy, negative_eigenvalue, NotPositiveSemidefiniteError),
-    (hermitian_spectrum, off_diagonal, NonHermitianError),
+    (von_neumann_entropy, off_diagonal, NonHermitianError),
 ], ids=["validate_density-psd", "validate_density-hermiticity", "validate_density-trace",
-        "von_neumann_entropy-psd", "hermitian_spectrum-hermiticity"])
+        "von_neumann_entropy-psd", "von_neumann_entropy-hermiticity"])
 @pytest.mark.parametrize("factor", [0.5, 1.5])
 def test_validation_tol_edge(check, perturb, error, factor):
     m = perturb(factor * VALIDATION_TOL)
@@ -191,24 +190,6 @@ def test_validation_tol_edge(check, perturb, error, factor):
     else:
         with pytest.raises(error):
             check(m)
-
-
-class TestTensor:
-
-    def test_identity_factors(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_diagonal_blocks(self):
-        got = tensor(np.diag([1.0, 0.0]), np.eye(3))
-        assert np.array_equal(got, np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
-
-    def test_basis_convention_qubit_major(self):
-        # flipping the first factor must send |0 0> (index 0) to |1 0> (index 2)
-        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        e00 = np.zeros(4)
-        e00[0] = 1.0
-        out = tensor(sigma_x, np.eye(2)) @ e00
-        assert np.array_equal(out, np.array([0.0, 0.0, 1.0, 0.0]))
 
 
 class TestPartialTrace:
@@ -230,7 +211,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(5)
         rho_a = random_state(2, rng)
         rho_b = random_state(3, rng)
-        prod = validate_density(tensor(rho_a, rho_b), 2, 3)
+        prod = validate_density(np.kron(rho_a, rho_b), 2, 3)
         assert np.max(np.abs(partial_trace_a(prod) - rho_b)) < 1e-12
         assert np.max(np.abs(partial_trace_b(prod) - rho_a)) < 1e-12
 
@@ -250,7 +231,7 @@ class TestPartialTranspose:
         rng = np.random.default_rng(7)
         rho_a = random_state(2, rng)
         rho_b = random_state(3, rng)
-        prod = validate_density(tensor(rho_a, rho_b), 2, 3)
+        prod = validate_density(np.kron(rho_a, rho_b), 2, 3)
         pt = partial_transpose_a(prod)
         assert np.allclose(np.linalg.eigvalsh(pt),
                            np.linalg.eigvalsh(prod.matrix), atol=1e-12)
@@ -285,59 +266,6 @@ class TestPartialTranspose:
             assert np.array_equal(back, np.asarray(rho.matrix))
 
 
-class TestHermitianSpectrum:
-
-    def test_diagonal_matrix(self):
-        got = hermitian_spectrum(np.diag([0.5, 0.3, 0.2]))
-        assert np.allclose(got, [0.5, 0.3, 0.2], atol=1e-14)
-
-    def test_family_state_spectrum(self):
-        s = TwoParamState(3, 0.1, 0.2)
-        got = hermitian_spectrum(build_state(s).matrix)
-        assert np.allclose(got, [0.2, 0.2, 0.2, 0.2, 0.1, 0.1], atol=1e-12)
-
-    def test_pure_state(self):
-        phi_p = bell_vectors(2)[0]
-        got = hermitian_spectrum(np.outer(phi_p, phi_p.conj()))
-        assert np.allclose(got, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-    # von_neumann_entropy checks a raw matrix as hermitian_spectrum does; it
-    # must not read one triangle of a non-Hermitian matrix.
-    @pytest.mark.parametrize("spectrum", [hermitian_spectrum, von_neumann_entropy],
-                             ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("m", [[[1, 1e-3, 0], [0, 1, 0], [0, 0, 1]],
-                                   [[0.5, 1], [0, 0.5]]],
-                             ids=["small_off_diagonal", "upper_triangle"])
-    def test_non_hermitian_rejected(self, m, spectrum):
-        with pytest.raises(NonHermitianError):
-            spectrum(m)
-
-    # numpy would take a stack of matrices, or fail with a message naming no invariant.
-    @pytest.mark.parametrize("spectrum", [hermitian_spectrum, von_neumann_entropy],
-                             ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3), (0, 0), (3,)], ids=str)
-    def test_not_a_non_empty_square_matrix_rejected(self, shape, spectrum):
-        with pytest.raises(DimensionMismatchError, match=re.escape(f"got shape {shape}")):
-            spectrum(np.ones(shape))
-
-    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
-    def test_nan_rejected(self, where):
-        m = np.diag([0.0, 1.0]).astype(complex)
-        m[where] = np.nan
-        with pytest.raises(NonFiniteError) as exc:
-            hermitian_spectrum(m)
-        assert "NaN" in str(exc.value)
-
-    def test_sums_to_one_and_reconstructs(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            rho = random_density_matrix(2, 4, rng)
-            lam = hermitian_spectrum(rho.matrix)
-            assert abs(lam.sum() - 1.0) < 1e-10
-            w, v = np.linalg.eigh(rho.matrix)
-            assert np.linalg.norm(rho.matrix - (v * w) @ v.conj().T) < 1e-9
-
-
 class TestEntropy:
 
     def test_maximally_mixed_qubit(self):
@@ -370,6 +298,28 @@ class TestEntropy:
         with pytest.raises(NonFiniteError):
             von_neumann_entropy(m)
 
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+    def test_nan_rejected(self, where):
+        m = np.diag([0.0, 1.0]).astype(complex)
+        m[where] = np.nan
+        with pytest.raises(NonFiniteError) as exc:
+            von_neumann_entropy(m)
+        assert "NaN" in str(exc.value)
+
+    # A raw matrix is checked whole: one triangle of a non-Hermitian matrix is not read.
+    @pytest.mark.parametrize("m", [[[1, 1e-3, 0], [0, 1, 0], [0, 0, 1]],
+                                   [[0.5, 1], [0, 0.5]]],
+                             ids=["small_off_diagonal", "upper_triangle"])
+    def test_non_hermitian_rejected(self, m):
+        with pytest.raises(NonHermitianError):
+            von_neumann_entropy(m)
+
+    # numpy would take a stack of matrices, or fail with a message naming no invariant.
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3), (0, 0), (3,)], ids=str)
+    def test_not_a_non_empty_square_matrix_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"got shape {shape}")):
+            von_neumann_entropy(np.ones(shape))
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -383,7 +333,7 @@ class TestEntropy:
         rng = np.random.default_rng(12)
         rho_a = random_state(2, rng)
         rho_b = random_state(3, rng)
-        prod = validate_density(tensor(rho_a, rho_b), 2, 3)
+        prod = validate_density(np.kron(rho_a, rho_b), 2, 3)
         assert abs(quantum_mutual_information(prod)) < 1e-10
 
 
@@ -436,7 +386,7 @@ class TestNegativityTraceNorm:
         rng = np.random.default_rng(13)
         rho_a = random_state(2, rng)
         rho_b = random_state(3, rng)
-        prod = validate_density(tensor(rho_a, rho_b), 2, 3)
+        prod = validate_density(np.kron(rho_a, rho_b), 2, 3)
         assert negativity_trace_norm(prod) < 1e-12
 
     @pytest.mark.parametrize("d", [3, 7, 11, 14])

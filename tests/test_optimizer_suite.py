@@ -226,6 +226,21 @@ def test_the_suite_builds_every_class_without_pytest(suite):
     assert names == list(suite.classes(*suite.load(suite.ROOT / "src")))
 
 
+def test_the_suite_reaches_the_oracle_without_pytest(suite):
+    # The dense oracle lives with the builders, so the tool can check a suite
+    # state against it: here the first x-crossover state.
+    cp = run_with_suite(suite, (
+        "sys.modules['pytest'] = None\n"
+        "import numpy as np\n"
+        "q, helpers = suite.load(suite.ROOT / 'src')\n"
+        "seed, params, _, build = suite.classes(q, helpers)['x-crossover']\n"
+        "rho = build(np.random.default_rng(seed), params[0])\n"
+        "print(helpers.oracle_classical_correlation(rho), q.optimize_measurement(rho).value)\n"))
+    assert cp.returncode == 0, cp.stderr
+    oracle, value = map(float, cp.stdout.split())
+    assert abs(oracle - value) <= 1e-12
+
+
 def test_states_module_imports_only_numpy_and_public_names(suite):
     import qucorr
 

@@ -25,12 +25,11 @@ NAMES = sorted([
     "classify_family", "commutator_condition", "conditional_ensemble", "conditional_entropy",
     "conditional_entropy_closed", "correlation_report", "discord", "discord_numeric",
     "dumps_density", "ensemble_spectrum_spread", "entropy_b", "family", "family_spectrum",
-    "hermitian_spectrum", "loads_density", "locc_stages", "marginal_b_spectrum",
-    "measured_mutual_information", "measurement", "mutual_information",
-    "nearest_family_member", "negativity", "negativity_trace_norm", "operators",
+    "loads_density", "locc_stages", "marginal_b_spectrum", "measured_mutual_information",
+    "measurement", "mutual_information", "nearest_family_member", "negativity", "negativity_trace_norm", "operators",
     "optimize_measurement", "partial_trace_a", "partial_trace_b", "partial_transpose_a",
     "projectors", "quantum_mutual_information", "random_axis", "random_density_matrix",
-    "random_family_state", "random_unitary", "singlet_weight", "statefile", "tensor", "twirl",
+    "random_family_state", "random_unitary", "singlet_weight", "statefile", "twirl",
     "validate_density", "von_neumann_entropy",
 ] + ["closed_form", "locc"])
 

@@ -17,7 +17,6 @@ from qucorr.operators import (
     DimensionMismatchError,
     negativity_trace_norm,
     random_density_matrix,
-    tensor,
     validate_density,
 )
 from qucorr.locc import _apply, _random_pair, _stage_table, check_family_invariance, locc_stages
@@ -354,7 +353,7 @@ class TestFamilyInvariance:
         rng = np.random.default_rng(13)
         rho = random_density_matrix(2, 3, rng)
         b = _random_pair(3, rng)
-        u = tensor(b[:2, :2], b)
+        u = np.kron(b[:2, :2], b)
         moved = u @ rho.matrix @ u.conj().T
         assert np.linalg.norm(rho.matrix - moved) > 1e-4
 

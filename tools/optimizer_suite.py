@@ -7,20 +7,20 @@ Run the suite and write one JSON file, or compare two such files:
 
 ``run`` imports ``qucorr`` from ``--src`` (a tree's ``src`` directory; this
 tree's by default), so one checkout's tool can run a parent and a head on the
-same states.  Every class draws its states from its own fixed seed, with the
-X-state and product-state builders of ``tests/states.py``.  For each
-state the file holds its class, index, d, the value (a JSON float is its
-``repr``), batches, starts and ``converged``, and per class the batch median
-and maximum.  ``compare`` prints the worst drop and the largest gain of the
-value, the states whose batch counts differ, the states whose value (by
-``float.hex``), batches, starts and ``converged`` are all identical, and the
-per-class median (max) batch table.  It then checks the gates an optimizer
-change must keep against its parent, prints a ``FAIL:`` line for each one
-broken and exits 1 if any is: no value drops by more than DROP_TOL bits, every
-search that converged in OLD converges in NEW, and no class's median batch
-count rises by more than MEDIAN_RISE.  ``compare`` reads the batch medians and
-maxima from the states, not from the file's summary, which is there for other
-readers.
+same states.  Every class draws its states from its own fixed seed.  Every
+builder that is not a ``qucorr`` function lives in ``tests/states.py``, with
+the tests' dense oracle.  For each state the file holds its class, index, d,
+the value (a JSON float is its ``repr``), batches, starts and ``converged``,
+and per class the batch median and maximum.  ``compare`` prints the worst
+drop and the largest gain of the value, the states whose batch counts differ,
+the states whose value (by ``float.hex``), batches, starts and ``converged``
+are all identical, and the per-class median (max) batch table.  It then checks
+the gates an optimizer change must keep against its parent, prints a ``FAIL:``
+line for each one broken and exits 1 if any is: no value drops by more than
+DROP_TOL bits, every search that converged in OLD converges in NEW, and no
+class's median batch count rises by more than MEDIAN_RISE.  ``compare`` reads
+the batch medians and maxima from the states, not from the file's summary,
+which is there for other readers.
 
 Exit status: 0 when the gates pass, 1 when a gate is broken, and 2 on bad
 input (a file that cannot be read, is not JSON or is not a suite document, or
@@ -35,6 +35,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,16 +66,7 @@ def load(src: Path):
 def classes(q, helpers) -> dict:
     """Class name -> (seed, parameters cycled over the states, count, builder)."""
 
-    def mix(rho, eps, rng):
-        m = (1.0 - eps) * rho.matrix + eps * q.random_density_matrix(2, rho.dim_b, rng).matrix
-        return q.validate_density(m, 2, rho.dim_b)
-
-    def rank(r):
-        def build(rng, d):
-            g = rng.standard_normal((2 * d, r)) + 1j * rng.standard_normal((2 * d, r))
-            m = g @ g.conj().T
-            return q.validate_density(m / np.trace(m).real, 2, d)
-        return build
+    mix = helpers.admixture
 
     def family(rng, d):
         return q.build_state(q.random_family_state(d, rng))
@@ -86,9 +78,9 @@ def classes(q, helpers) -> dict:
     return {
         "random": (101, (3, 5, 8), 60, lambda rng, d: q.random_density_matrix(2, d, rng)),
         "random-d16": (116, (16,), 20, lambda rng, d: q.random_density_matrix(2, d, rng)),
-        "rank1": (201, (3, 5, 8), 36, rank(1)),
-        "rank2": (202, (3, 5, 8), 36, rank(2)),
-        "rank3": (203, (3, 5, 8), 36, rank(3)),
+        "rank1": (201, (3, 5, 8), 36, partial(helpers.rank_state, rank=1)),
+        "rank2": (202, (3, 5, 8), 36, partial(helpers.rank_state, rank=2)),
+        "rank3": (203, (3, 5, 8), 36, partial(helpers.rank_state, rank=3)),
         "family": (301, (3, 5, 8, 16), 40, family),
         "family+3%": (302, (3, 5, 8), 36, lambda rng, d: mix(family(rng, d), 0.03, rng)),
         "family+1e-6": (303, (3, 5, 8, 16), 40, lambda rng, d: mix(family(rng, d), 1e-6, rng)),
