@@ -145,7 +145,7 @@ def _binary_gap(s: float, t: float) -> float:
 def entropy_b(s: TwoParamState) -> float:
     """Entropy of the qudit marginal in bits."""
     a, b, g, d = s.alpha, s.beta, s.gamma, s.d
-    return float(0.0 - (d - 2) * xlog2x(2.0 * a) - 2.0 * xlog2x((3.0 * b + g) / 2.0))
+    return 0.0 - (d - 2) * xlog2x(2.0 * a) - 2.0 * xlog2x((3.0 * b + g) / 2.0)
 
 
 def conditional_entropy_closed(s: TwoParamState) -> float:
@@ -156,13 +156,13 @@ def conditional_entropy_closed(s: TwoParamState) -> float:
     entropy needs no optimization.
     """
     a, b, g, d = s.alpha, s.beta, s.gamma, s.d
-    return float(0.0 - (d - 2) * xlog2x(2.0 * a) - xlog2x(2.0 * b) - xlog2x(b + g))
+    return 0.0 - (d - 2) * xlog2x(2.0 * a) - xlog2x(2.0 * b) - xlog2x(b + g)
 
 
 def classical_correlation(s: TwoParamState) -> float:
     """Maximal measured mutual information, in bits."""
     b, g = s.beta, s.gamma
-    return float(_binary_gap(3.0 * b + g, b - g))
+    return _binary_gap(3.0 * b + g, b - g)
 
 
 def mutual_information(s: TwoParamState) -> float:
@@ -174,7 +174,7 @@ def mutual_information(s: TwoParamState) -> float:
 def discord(s: TwoParamState) -> float:
     """Quantum discord (total minus classical correlations), in bits."""
     b, g = s.beta, s.gamma
-    return float(_binary_gap(b + g, b - g))
+    return _binary_gap(b + g, b - g)
 
 
 def negativity(s: TwoParamState) -> float:

@@ -24,7 +24,8 @@ rho -> sum_k p_k U_k rho U_k^dag with U_k = b_k[:2, :2] (x) b_k:
 
 One full pass produces a state that is Bell-diagonal on the qubit block; the
 second pass equalizes the three triplet weights exactly, after which the
-state is the projection up to floating-point rounding.
+state is the projection up to floating-point rounding.  :func:`check_family_invariance`
+applies its Haar-random pairs through the same stage applicator, one pair per stage.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ def _stage_table(d: int) -> list[tuple[str, list[tuple[float, np.ndarray]]]]:
 
 
 def _apply(rho: DensityMatrix, mixture: list[tuple[float, np.ndarray]]) -> DensityMatrix:
-    """One stage: sum_k p_k U_k rho U_k^dag with U_k = b_k[:2, :2] (x) b_k, validated.
-    The table's b_k are fixed; tests/test_twirl.py checks their unitarity once."""
+    """One stage: sum_k p_k U_k rho U_k^dag with U_k = b_k[:2, :2] (x) b_k, validated; the
+    one place in the package that forms an identified pair.  No b_k is checked: the table's
+    are fixed and tests/test_twirl.py checks them once; Haar draws are unitary by construction."""
     m = np.zeros_like(rho.matrix)
     for p, b in mixture:
         u = np.kron(b[:2, :2], b)
@@ -89,20 +91,15 @@ def _random_pair(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def check_family_invariance(s: TwoParamState, trials: int, seed: int) -> float:
-    """Max Frobenius change of a family member under ``trials`` conjugations by
-    U = b[:2, :2] (x) b, each b a :func:`_random_pair` drawn from ``seed``.
+    """Max Frobenius change of a family member over ``trials`` one-pair stages, each the
+    pair of a :func:`_random_pair` drawn from ``seed``, applied and validated by :func:`_apply`.
 
-    Values at rounding level certify the family's invariance; generic states
-    move by order one.
+    Values at rounding level certify the family's invariance; generic states move by
+    order one; a draw that is not unitary raises the error of the invariant it breaks.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rho = build_state(s)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        b = _random_pair(s.d, rng)
-        u = np.kron(b[:2, :2], b)
-        moved = u @ rho.matrix @ u.conj().T
-        worst = max(worst, float(np.linalg.norm(rho.matrix - moved)))
-    return worst
+    moved = (_apply(rho, [(1.0, _random_pair(s.d, rng))]) for _ in range(trials))
+    return max(float(np.linalg.norm(rho.matrix - m.matrix)) for m in moved)

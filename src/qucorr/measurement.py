@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import TwoParamState
+from .closed_form import TwoParamState, _index
 from .family import build_state
 from .operators import (
     DensityMatrix,
@@ -109,22 +109,23 @@ class ConditionalEnsemble:
 class OptimizerConfig:
     """Extra directions for the classical-correlation maximization.
 
-    The optimizer always scans ``GRID_POINTS`` hemisphere directions before
-    its trust-region refinement.  ``random_probes >= 0`` extra directions (seeded)
-    can be mixed into that scan; the best first-batch direction always starts a
-    walk.  Probes join the second kernel call of the first batch, and a flat
-    look stops the search before any probe is drawn.  On 564 mixed test
-    states 256 probes moved no value by more than 9.4e-14 bits.  Only the
-    ``discord`` subcommand's fixed config and the benchmark's ``cli-cold``
-    oracle, which mirrors it, build one.
+    The optimizer always scans ``GRID_POINTS`` hemisphere directions before its
+    trust-region refinement.  ``random_probes`` extra directions, drawn from ``seed``
+    (both integers >= 0, checked when the config is built), can be mixed into that
+    scan; the best first-batch direction always starts a walk.  Probes join the
+    second kernel call of the first batch, and a flat look stops the search before
+    any probe is drawn.  On 564 mixed test states 256 probes moved no value by more
+    than 9.4e-14 bits.  Only the ``discord`` subcommand's fixed config and the
+    benchmark's ``cli-cold`` oracle, which mirrors it, build one.
     """
 
     random_probes: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        if not self.random_probes >= 0:
-            raise ValueError(f"random_probes must be at least 0, got {self.random_probes!r}")
+        for name, value in (("random_probes", self.random_probes), ("seed", self.seed)):
+            if not _index(value) >= 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)

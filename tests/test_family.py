@@ -135,6 +135,9 @@ class TestTwoParamState:
         assert type(s.alpha) is float and type(s.gamma) is float and type(s.beta) is float
         assert correlation_report(s) == correlation_report(
             TwoParamState(3, float(np.float32(0.05)), float(np.float32(0.3))))
+        for closed_form in (entropy_b, conditional_entropy_closed, classical_correlation,
+                            mutual_information, discord, negativity):
+            assert type(closed_form(s)) is float, closed_form.__name__
         with pytest.raises(TypeError):
             TwoParamState(3, "0.05", 0.3)
 

@@ -515,6 +515,11 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("field, kwargs", [
         ("random_probes", {"random_probes": -3}),
+        ("random_probes", {"random_probes": 2.5}),
+        ("random_probes", {"random_probes": "3"}),
+        ("seed", {"seed": -1}),
+        ("seed", {"seed": 2.5}),
+        ("seed", {"seed": None}),
     ])
     def test_config_rejects_bad_sizes(self, field, kwargs):
         with pytest.raises(ValueError, match=field):

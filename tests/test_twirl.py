@@ -15,10 +15,12 @@ from qucorr.family import (
 )
 from qucorr.operators import (
     DimensionMismatchError,
+    NonUnitTraceError,
     negativity_trace_norm,
     random_density_matrix,
     validate_density,
 )
+from qucorr import locc
 from qucorr.locc import _apply, _random_pair, _stage_table, check_family_invariance, locc_stages
 from states import bell_vectors
 
@@ -87,16 +89,6 @@ class TestStageUnitaries:
 
 class TestPhaseMix:
 
-    def test_family_member_is_fixed(self):
-        rho = build_state(TwoParamState(3, 0.1, 0.3))
-        out = stage(rho, "phase(pi)")
-        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
-
-    def test_maximally_mixed_is_fixed(self):
-        rho = validate_density(np.eye(6) / 6.0, 2, 3)
-        out = stage(rho, "phase(pi/2)")
-        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-14
-
     def test_odd_parity_coherences_cancel(self):
         # |+>|0> has a coherence between |0 0> and |1 0> whose ladder phases differ by pi
         v = np.zeros(6, dtype=complex)
@@ -143,11 +135,6 @@ class TestSwapMix:
         expected = 0.5 * basis_projector(3, 0, 0) + 0.5 * basis_projector(3, 1, 1)
         assert np.max(np.abs(out.matrix - expected)) < 1e-14
 
-    def test_family_member_is_fixed(self):
-        rho = build_state(TwoParamState(4, 0.1, 0.25))
-        out = stage(rho, "swap01")
-        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
-
 
 class TestCycleAverage:
 
@@ -166,18 +153,8 @@ class TestCycleAverage:
         assert np.isclose(out.matrix[3, 3].real, 0.2, atol=1e-14)
         assert np.isclose(out.matrix[0, 0].real, 0.6, atol=1e-14)
 
-    def test_family_member_is_fixed(self):
-        rho = build_state(TwoParamState(5, 0.05, 0.3))
-        out = stage(rho, "cycle_avg")
-        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
-
 
 class TestHadamardMix:
-
-    def test_singlet_is_fixed(self):
-        rho = build_state(TwoParamState(3, 0.0, 1.0))
-        out = stage(rho, "hadamard")
-        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-14
 
     def test_phi_plus_is_fixed(self):
         phi_p = bell_vectors(3)[0]
@@ -193,13 +170,21 @@ class TestHadamardMix:
             + (1.0 / 3.0) * np.outer(phi_m, phi_m.conj())
         assert np.max(np.abs(out.matrix - expected)) < 1e-14
 
-    def test_maximally_mixed_is_fixed(self):
-        rho = validate_density(np.eye(8) / 8.0, 2, 4)
-        out = stage(rho, "hadamard")
-        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-14
-
 
 class TestStageProperties:
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_every_stage_fixes_the_family(self, d):
+        # Every pair of the table maps the family to itself, so every row fixes
+        # each member: a named one, a seeded one, the singlet and I/2d.
+        named = {3: (0.1, 0.3), 4: (0.1, 0.25), 5: (0.05, 0.3)}[d]
+        states = [build_state(TwoParamState(d, *named)),
+                  build_state(random_family_state(d, np.random.default_rng(1700 + d))),
+                  build_state(TwoParamState(d, 0.0, 1.0)),
+                  validate_density(np.eye(2 * d) / (2 * d), 2, d)]
+        for name, mixture in _stage_table(d):
+            for rho in states:
+                assert np.max(np.abs(_apply(rho, mixture).matrix - rho.matrix)) < 1e-14, name
 
     @pytest.mark.parametrize("name", STAGES_D4, ids=STAGE_IDS)
     def test_every_mix_preserves_density_invariants(self, name):
@@ -352,10 +337,14 @@ class TestFamilyInvariance:
     def test_generic_states_move(self):
         rng = np.random.default_rng(13)
         rho = random_density_matrix(2, 3, rng)
-        b = _random_pair(3, rng)
-        u = np.kron(b[:2, :2], b)
-        moved = u @ rho.matrix @ u.conj().T
-        assert np.linalg.norm(rho.matrix - moved) > 1e-4
+        moved = _apply(rho, [(1.0, _random_pair(3, rng))])
+        assert np.linalg.norm(rho.matrix - moved.matrix) > 1e-4
+
+    def test_a_non_unitary_draw_fails_closed(self, monkeypatch):
+        # Each rotated member is validated: 2I (x) 2I scales the trace by 16.
+        monkeypatch.setattr(locc, "_random_pair", lambda d, rng: 2.0 * np.eye(d))
+        with pytest.raises(NonUnitTraceError):
+            check_family_invariance(TwoParamState(3, 0.1, 0.3), trials=3, seed=0)
 
     def test_random_pair_structure(self):
         rng = np.random.default_rng(14)
