@@ -20,7 +20,6 @@ from qucorr.operators import (
     random_density_matrix,
     validate_density,
 )
-from qucorr import locc
 from qucorr.locc import _apply, _random_pair, _stage_table, check_family_invariance, locc_stages
 from states import bell_vectors
 
@@ -342,7 +341,7 @@ class TestFamilyInvariance:
 
     def test_a_non_unitary_draw_fails_closed(self, monkeypatch):
         # Each rotated member is validated: 2I (x) 2I scales the trace by 16.
-        monkeypatch.setattr(locc, "_random_pair", lambda d, rng: 2.0 * np.eye(d))
+        monkeypatch.setattr("qucorr.locc._random_pair", lambda d, rng: 2.0 * np.eye(d))
         with pytest.raises(NonUnitTraceError):
             check_family_invariance(TwoParamState(3, 0.1, 0.3), trials=3, seed=0)
 
