@@ -88,6 +88,16 @@ class TestStageUnitaries:
 
 class TestPhaseMix:
 
+    def test_family_member_is_fixed(self):
+        rho = build_state(TwoParamState(3, 0.1, 0.3))
+        out = stage(rho, "phase(pi)")
+        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
+
+    def test_maximally_mixed_is_fixed(self):
+        rho = validate_density(np.eye(6) / 6.0, 2, 3)
+        out = stage(rho, "phase(pi/2)")
+        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-14
+
     def test_odd_parity_coherences_cancel(self):
         # |+>|0> has a coherence between |0 0> and |1 0> whose ladder phases differ by pi
         v = np.zeros(6, dtype=complex)
@@ -134,6 +144,11 @@ class TestSwapMix:
         expected = 0.5 * basis_projector(3, 0, 0) + 0.5 * basis_projector(3, 1, 1)
         assert np.max(np.abs(out.matrix - expected)) < 1e-14
 
+    def test_family_member_is_fixed(self):
+        rho = build_state(TwoParamState(4, 0.1, 0.25))
+        out = stage(rho, "swap01")
+        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
+
 
 class TestCycleAverage:
 
@@ -154,6 +169,16 @@ class TestCycleAverage:
 
 
 class TestHadamardMix:
+
+    def test_singlet_is_fixed(self):
+        rho = build_state(TwoParamState(3, 0.0, 1.0))
+        out = stage(rho, "hadamard")
+        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-14
+
+    def test_maximally_mixed_is_fixed(self):
+        rho = validate_density(np.eye(8) / 8.0, 2, 4)
+        out = stage(rho, "hadamard")
+        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-14
 
     def test_phi_plus_is_fixed(self):
         phi_p = bell_vectors(3)[0]
